@@ -1,15 +1,13 @@
-// Encoded-vs-legacy node-evaluation throughput: every node of the Adult
-// lattice evaluated through NodeEvaluator with the dictionary-encoded
-// core on and off. Emits wall time, nodes/s and the speedup factor as
-// BENCH_encoded.json for the CI perf gate (the encoded core must hold a
-// healthy multiple over the legacy Value path).
+// Node-evaluation throughput of the dictionary-encoded core: every node of
+// the Adult lattice evaluated through NodeEvaluator. Emits wall time and
+// nodes/s as BENCH_encoded.json.
 //
 //   bench_encoded_eval [--trace] [rows] [rounds] [out.json]
 //
 // Defaults: 4000 rows, 5 rounds, ./BENCH_encoded.json. With --trace, one
-// additional (untimed) pass per path runs under a RunTrace and the span
-// tree is written next to the results as <out>.trace.json — the timed
-// rounds always run untraced, so the perf numbers never include tracing.
+// additional (untimed) pass runs under a RunTrace and the span tree is
+// written next to the results as <out>.trace.json — the timed rounds
+// always run untraced, so the perf numbers never include tracing.
 
 #include <chrono>
 #include <cstdlib>
@@ -29,27 +27,28 @@ namespace psk {
 namespace {
 
 struct RunResult {
-  std::string path;
   double wall_ms = 0.0;
   size_t nodes_evaluated = 0;
   size_t nodes_satisfied = 0;
 };
 
-RunResult MeasurePath(const Table& im, const HierarchySet& hs,
-                      const std::vector<LatticeNode>& nodes, size_t rows,
-                      size_t rounds, bool use_encoded) {
+SearchOptions BenchOptions(size_t rows) {
   SearchOptions options;
   options.k = 3;
   options.p = 2;
   options.max_suppression = rows / 100;
-  options.use_encoded_core = use_encoded;
+  return options;
+}
 
+RunResult Measure(const Table& im, const HierarchySet& hs,
+                  const std::vector<LatticeNode>& nodes, size_t rows,
+                  size_t rounds) {
+  SearchOptions options = BenchOptions(rows);
   RunResult r;
-  r.path = use_encoded ? "encoded" : "legacy";
   auto start = std::chrono::steady_clock::now();
   for (size_t round = 0; round < rounds; ++round) {
     // A fresh evaluator per round so every round pays the same setup
-    // (including the one-time dictionary encode on the encoded path).
+    // (including the one-time dictionary encode).
     NodeEvaluator evaluator(im, hs, options);
     PSK_CHECK(evaluator.Init().ok());
     for (const LatticeNode& node : nodes) {
@@ -64,9 +63,9 @@ RunResult MeasurePath(const Table& im, const HierarchySet& hs,
   return r;
 }
 
-// One untraced-timing-free pass over every node with tracing on, so the
-// archived trace shows the per-node eval events and path labels without
-// contaminating the measured rounds.
+// One untimed pass over every node with tracing on, so the archived trace
+// shows the per-node eval events without contaminating the measured
+// rounds.
 void WriteTrace(const Table& im, const HierarchySet& hs,
                 const std::vector<LatticeNode>& nodes, size_t rows,
                 const std::string& trace_path) {
@@ -74,24 +73,18 @@ void WriteTrace(const Table& im, const HierarchySet& hs,
   trace.Counter("rows", rows);
   trace.Counter("lattice_nodes", nodes.size());
   TraceEventBuffer buffer;
-  for (bool use_encoded : {false, true}) {
-    SearchOptions options;
-    options.k = 3;
-    options.p = 2;
-    options.max_suppression = rows / 100;
-    options.use_encoded_core = use_encoded;
-    options.trace = &trace;
-    trace.Begin(use_encoded ? "encoded_pass" : "legacy_pass");
-    NodeEvaluator evaluator(im, hs, options);
-    evaluator.set_trace(&trace, &buffer);
-    PSK_CHECK(evaluator.Init().ok());
-    for (const LatticeNode& node : nodes) {
-      PSK_CHECK(evaluator.Evaluate(node).ok());
-    }
-    if (!buffer.empty()) trace.MergeEvents(buffer.Take());
-    RecordStatsCounters(&trace, evaluator.stats());
-    trace.End();
+  SearchOptions options = BenchOptions(rows);
+  options.trace = &trace;
+  trace.Begin("encoded_pass");
+  NodeEvaluator evaluator(im, hs, options);
+  evaluator.set_trace(&trace, &buffer);
+  PSK_CHECK(evaluator.Init().ok());
+  for (const LatticeNode& node : nodes) {
+    PSK_CHECK(evaluator.Evaluate(node).ok());
   }
+  if (!buffer.empty()) trace.MergeEvents(buffer.Take());
+  RecordStatsCounters(&trace, evaluator.stats());
+  trace.End();
   Status written = trace.WriteJsonFile(trace_path);
   PSK_CHECK(written.ok());
   std::cout << "wrote " << trace_path << "\n";
@@ -126,16 +119,8 @@ int Main(int argc, char** argv) {
   GeneralizationLattice lattice(hs);
   std::vector<LatticeNode> nodes = lattice.AllNodes();
 
-  RunResult legacy =
-      MeasurePath(im, hs, nodes, rows, rounds, /*use_encoded=*/false);
-  RunResult encoded =
-      MeasurePath(im, hs, nodes, rows, rounds, /*use_encoded=*/true);
-  // Verdict parity is covered by encoded_equivalence_test; here we only
-  // sanity-check that both paths agreed on how many nodes satisfy.
-  PSK_CHECK(legacy.nodes_satisfied == encoded.nodes_satisfied);
-
-  double speedup =
-      encoded.wall_ms > 0 ? legacy.wall_ms / encoded.wall_ms : 0.0;
+  RunResult r = Measure(im, hs, nodes, rows, rounds);
+  double secs = r.wall_ms / 1000.0;
 
   JsonWriter json;
   json.BeginObject();
@@ -146,25 +131,14 @@ int Main(int argc, char** argv) {
   json.Key("lattice_nodes").Uint(nodes.size());
   json.Key("k").Uint(3);
   json.Key("p").Uint(2);
-  json.Key("results").BeginArray();
-  for (const RunResult* r : {&legacy, &encoded}) {
-    double secs = r->wall_ms / 1000.0;
-    json.BeginObject();
-    json.Key("path").String(r->path);
-    json.Key("wall_ms").Double(r->wall_ms);
-    json.Key("nodes_evaluated").Uint(r->nodes_evaluated);
-    json.Key("nodes_satisfied").Uint(r->nodes_satisfied);
-    json.Key("nodes_per_sec")
-        .Double(secs > 0 ? static_cast<double>(r->nodes_evaluated) / secs
-                         : 0.0);
-    json.EndObject();
-    std::cout << r->path << " wall_ms=" << r->wall_ms
-              << " nodes=" << r->nodes_evaluated
-              << " satisfied=" << r->nodes_satisfied << "\n";
-  }
-  json.EndArray();
-  json.Key("speedup_encoded_vs_legacy").Double(speedup);
+  json.Key("wall_ms").Double(r.wall_ms);
+  json.Key("nodes_evaluated").Uint(r.nodes_evaluated);
+  json.Key("nodes_satisfied").Uint(r.nodes_satisfied);
+  json.Key("nodes_per_sec")
+      .Double(secs > 0 ? static_cast<double>(r.nodes_evaluated) / secs : 0.0);
   json.EndObject();
+  std::cout << "wall_ms=" << r.wall_ms << " nodes=" << r.nodes_evaluated
+            << " satisfied=" << r.nodes_satisfied << "\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -172,7 +146,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
   out << json.TakeString() << "\n";
-  std::cout << "speedup=" << speedup << "x\nwrote " << out_path << "\n";
+  std::cout << "wrote " << out_path << "\n";
 
   if (with_trace) {
     std::string trace_path = out_path;

@@ -1,38 +1,10 @@
 #include "psk/algorithms/bottom_up.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "psk/table/encoded.h"
-#include "psk/table/group_by.h"
 
 namespace psk {
-namespace {
-
-// Number of tuples violating k-anonymity when grouping by the single key
-// attribute `key_col` generalized to `level`. Works on the raw column, so
-// it is far cheaper than a full-node evaluation.
-Result<size_t> SingleAttributeViolations(const Table& im, size_t key_col,
-                                         const AttributeHierarchy& hierarchy,
-                                         int level, size_t k) {
-  std::unordered_map<Value, size_t, ValueHash> counts;
-  std::unordered_map<Value, Value, ValueHash> memo;
-  for (const Value& ground : im.column(key_col)) {
-    auto it = memo.find(ground);
-    if (it == memo.end()) {
-      PSK_ASSIGN_OR_RETURN(Value generalized,
-                           hierarchy.Generalize(ground, level));
-      it = memo.emplace(ground, std::move(generalized)).first;
-    }
-    ++counts[it->second];
-  }
-  size_t violating = 0;
-  for (const auto& [value, count] : counts) {
-    if (count < k) violating += count;
-  }
-  return violating;
-}
-
-}  // namespace
 
 Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
                                         const HierarchySet& hierarchies,
@@ -67,38 +39,29 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   }
 
   GeneralizationLattice lattice(hierarchies);
-  std::vector<size_t> key_indices = initial_microdata.schema().KeyIndices();
 
   // Per-attribute level lower bounds from the subset/rollup property: if
   // {A_i} at level l already forces more than TS suppressions, so does any
-  // full node with levels[i] == l. On the encoded core the per-attribute
-  // grouping is a single-column code pass; the legacy column scan remains
-  // the fallback.
+  // full node with levels[i] == l. The per-attribute grouping is a
+  // single-column code pass over the encoded core.
   std::vector<int> lower_bounds(hierarchies.size(), 0);
   if (bu_options.use_subset_lower_bounds) {
     TraceSpan span(trace, "lower_bounds");
     span.Counter("attributes", hierarchies.size());
-    const EncodedTable* encoded = evaluator.encoded_table().get();
+    const EncodedTable& encoded = *evaluator.encoded_table();
     EncodedWorkspace ws;
     // Control-thread loop: the single-attribute group-bys may row-slice
     // with the same cap as the main walk.
     ws.row_workers = evaluator.row_workers();
     ws.min_rows_per_slice = options.min_rows_per_slice;
     for (size_t i = 0; i < hierarchies.size(); ++i) {
-      const AttributeHierarchy& hierarchy = hierarchies.hierarchy(i);
       int level = 0;
-      while (level < hierarchy.num_levels() - 1) {
-        size_t violating;
-        if (encoded != nullptr) {
-          encoded->GroupBySubset({i}, {level}, &ws);
-          violating = ws.groups.RowsInGroupsSmallerThan(options.k);
-        } else {
-          PSK_ASSIGN_OR_RETURN(
-              violating,
-              SingleAttributeViolations(initial_microdata, key_indices[i],
-                                        hierarchy, level, options.k));
+      while (level < hierarchies.hierarchy(i).num_levels() - 1) {
+        encoded.GroupBySubset({i}, {level}, &ws);
+        if (ws.groups.RowsInGroupsSmallerThan(options.k) <=
+            options.max_suppression) {
+          break;
         }
-        if (violating <= options.max_suppression) break;
         ++level;
       }
       lower_bounds[i] = level;

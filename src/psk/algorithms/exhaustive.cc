@@ -34,7 +34,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
     Status swept = sweeper.Sweep(nodes, &evals);
     if (!swept.ok()) {
       if (!AbsorbBudgetStop(swept, sweeper.primary().mutable_stats())) {
-        return sweeper.PropagateHardError(swept);
+        return swept;
       }
       for (size_t i = 0; i < nodes.size(); ++i) {
         if (evals[i].has_value() && evals[i]->satisfied) {

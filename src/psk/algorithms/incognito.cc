@@ -87,17 +87,8 @@ Result<MinimalSetResult> IncognitoSearch(
     return result;
   }
 
-  // The subset phases run on the shared encoded core. When the sweeper's
-  // evaluators fell back to the legacy path (encoding failed or
-  // use_encoded_core is off), build the encoding here with the error
-  // propagated eagerly — Incognito has always encoded its subset phase up
-  // front, and an unencodable value fails the whole search either way.
-  std::shared_ptr<const EncodedTable> encoded = evaluator.encoded_table();
-  if (encoded == nullptr) {
-    PSK_ASSIGN_OR_RETURN(EncodedTable built,
-                         EncodedTable::Build(initial_microdata, hierarchies));
-    encoded = std::make_shared<const EncodedTable>(std::move(built));
-  }
+  // The subset phases run on the sweeper's shared encoded core.
+  const EncodedTable* encoded = evaluator.encoded_table().get();
   std::vector<int> max_levels = hierarchies.MaxLevels();
   size_t m = max_levels.size();
   SearchStats* stats = evaluator.mutable_stats();
@@ -215,7 +206,7 @@ Result<MinimalSetResult> IncognitoSearch(
               Status replay = evaluator.TickReplay();
               if (!replay.ok()) {
                 if (!AbsorbBudgetStop(replay, stats)) {
-                  return sweeper.PropagateHardError(replay);
+                  return replay;
                 }
                 stopped = true;
                 break;
@@ -255,7 +246,7 @@ Result<MinimalSetResult> IncognitoSearch(
                 evaluator.enforcer()->Charge(1, encoded->num_rows());
             if (!charged.ok()) {
               if (!AbsorbBudgetStop(charged, stats)) {
-                return sweeper.PropagateHardError(charged);
+                return charged;
               }
               // Entries already in `sat` were fully verified, so the
               // final phase can still mine them for (possibly incomplete)
@@ -301,7 +292,7 @@ Result<MinimalSetResult> IncognitoSearch(
           for (const Status& status : worker_status) {
             if (status.ok()) continue;
             if (!AbsorbBudgetStop(status, stats)) {
-              return sweeper.PropagateHardError(status);
+              return status;
             }
             stopped = true;
             break;
@@ -376,7 +367,7 @@ Result<MinimalSetResult> IncognitoSearch(
       Status swept = sweeper.Sweep(pending, &evals);
       if (!swept.ok()) {
         if (!AbsorbBudgetStop(swept, stats)) {
-          return sweeper.PropagateHardError(swept);
+          return swept;
         }
         final_stopped = true;
       }

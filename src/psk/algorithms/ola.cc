@@ -183,7 +183,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   if (!top_ok.ok()) {
     // Budget spent before even the lattice top was checked: nothing usable.
     if (!AbsorbBudgetStop(top_ok.status(), evaluator.mutable_stats())) {
-      return sweeper.PropagateHardError(top_ok.status());
+      return top_ok.status();
     }
     result.stats = sweeper.MergedStats();
     return result;
@@ -201,7 +201,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   }();
   if (!bottom_ok.ok()) {
     if (!AbsorbBudgetStop(bottom_ok.status(), evaluator.mutable_stats())) {
-      return sweeper.PropagateHardError(bottom_ok.status());
+      return bottom_ok.status();
     }
     // The top satisfies and is the only verified node; fall through so the
     // metric phase can still materialize it.
@@ -220,7 +220,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     evaluator.FlushCheckpoint();
     if (!bisected.ok()) {
       if (!AbsorbBudgetStop(bisected, evaluator.mutable_stats())) {
-        return sweeper.PropagateHardError(bisected);
+        return bisected;
       }
       // Candidates collected before the stop are sub-lattice tops already
       // known to satisfy; the top of the lattice always qualifies.
@@ -242,7 +242,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
       Result<bool> ok = driver.Satisfies(node);
       if (!ok.ok()) {
         if (!AbsorbBudgetStop(ok.status(), evaluator.mutable_stats())) {
-          return sweeper.PropagateHardError(ok.status());
+          return ok.status();
         }
         // Unverifiable under the exhausted budget; tag-known candidates are
         // still resolved without charging, so keep scanning.
@@ -265,7 +265,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   for (const LatticeNode& node : result.minimal_nodes) {
     Result<MaskedMicrodata> materialized = evaluator.Materialize(node);
     if (!materialized.ok()) {
-      return sweeper.PropagateHardError(materialized.status());
+      return materialized.status();
     }
     MaskedMicrodata mm = std::move(materialized).value();
     double metric;

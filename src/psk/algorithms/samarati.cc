@@ -85,7 +85,7 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
         // A budget stop keeps the best satisfying node seen so far (it is a
         // valid, if possibly non-minimal, solution); hard errors propagate.
         if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
-          return sweeper.PropagateHardError(hit.status());
+          return hit.status();
         }
         stopped = true;
         break;
@@ -111,7 +111,7 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
           ProbeHeight(sweeper, lattice, h, probed);
       if (!hit.ok()) {
         if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
-          return sweeper.PropagateHardError(hit.status());
+          return hit.status();
         }
         break;
       }
@@ -127,7 +127,7 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
   if (best.has_value()) {
     TraceSpan phase(options.trace, "materialize");
     Result<MaskedMicrodata> mm = evaluator.Materialize(*best);
-    if (!mm.ok()) return sweeper.PropagateHardError(mm.status());
+    if (!mm.ok()) return mm.status();
     result.found = true;
     result.node = *best;
     result.masked = std::move(mm->table);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <iterator>
-#include <unordered_set>
 
 #include "psk/common/thread_pool.h"
 #include "psk/table/group_by.h"
@@ -123,7 +122,6 @@ void RecordStatsCounters(RunTrace* trace, const SearchStats& stats) {
   trace->Counter("nodes_cache_hits", stats.nodes_cache_hits);
   trace->Counter("nodes_cache_misses", stats.nodes_cache_misses);
   trace->Counter("nodes_evaluated_encoded", stats.nodes_evaluated_encoded);
-  trace->Counter("nodes_evaluated_legacy", stats.nodes_evaluated_legacy);
   trace->Counter("replay_ticks", stats.replay_ticks);
   trace->Counter("heights_probed", stats.heights_probed);
   trace->Counter("subset_nodes_evaluated", stats.subset_nodes_evaluated);
@@ -148,22 +146,19 @@ Status NodeEvaluator::Init() {
     return Status::FailedPrecondition(
         "the schema declares no key (quasi-identifier) attributes");
   }
-  // Build the dictionary-encoded evaluation core. A failed build (e.g. a
-  // value some hierarchy cannot generalize) falls back to the legacy Value
-  // path silently: the legacy path reproduces the error lazily if — and
-  // only if — an affected level is actually evaluated, which keeps error
-  // behavior identical to pre-encoded builds.
-  if (options_.use_encoded_core && encoded_ == nullptr && !encoded_external_) {
-    Result<EncodedTable> built = EncodedTable::Build(im_, hierarchies_);
-    if (built.ok()) {
-      encoded_ = std::make_shared<const EncodedTable>(std::move(*built));
-      // EncodedTable::Build memory seam (self-built path; an external
-      // table is charged by its owner, the NodeSweeper). A rejected
-      // charge fails Init with kResourceExhausted, which the fallback
-      // chain treats like any other exhausted budget.
-      PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(
-          options_.budget.memory, encoded_->ApproxBytes()));
-    }
+  // Build the dictionary-encoded evaluation core unless the owner shared
+  // one. A failed build (e.g. a value some hierarchy cannot generalize)
+  // fails Init with the hierarchy's own status, before any node runs.
+  if (encoded_ == nullptr) {
+    PSK_ASSIGN_OR_RETURN(EncodedTable built,
+                         EncodedTable::Build(im_, hierarchies_));
+    encoded_ = std::make_shared<const EncodedTable>(std::move(built));
+    // EncodedTable::Build memory seam (self-built path; an external table
+    // is charged by its owner, the NodeSweeper). A rejected charge fails
+    // Init with kResourceExhausted, which the fallback chain treats like
+    // any other exhausted budget.
+    PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(
+        options_.budget.memory, encoded_->ApproxBytes()));
   }
   // Attach the scratch-growth accountant (no-op without a memory budget);
   // EvaluateEncoded delta-resizes it as the group-by buffers grow.
@@ -175,12 +170,8 @@ Status NodeEvaluator::Init() {
     }
     // Theorems 1 and 2: bounds computed on the initial microdata are valid
     // for every masked microdata derived by generalization + suppression.
-    // The encoded overload counts over dictionary codes and yields the
-    // same statistics as the Value path.
     PSK_ASSIGN_OR_RETURN(FrequencyStats stats,
-                         encoded_ != nullptr
-                             ? FrequencyStats::Compute(*encoded_)
-                             : FrequencyStats::Compute(im_));
+                         FrequencyStats::Compute(*encoded_));
     max_p_ = stats.MaxP();
     condition1_holds_ = options_.p <= max_p_;
     if (condition1_holds_) {
@@ -276,15 +267,11 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
       PSK_RETURN_IF_ERROR(TickReplay());
       const NodeEvaluation& eval = cached->second;
       ++stats_.nodes_generalized;
-      // Recount the per-path counters the way the original evaluation did
-      // (the path is a pure function of this evaluator's configuration),
-      // so the resumed run's totals converge on the uninterrupted run's.
+      // Recount the cache and evaluation counters the way the original
+      // evaluation did, so the resumed run's totals converge on the
+      // uninterrupted run's.
       if (cache_ != nullptr) ++stats_.nodes_cache_misses;
-      if (encoded_ != nullptr) {
-        ++stats_.nodes_evaluated_encoded;
-      } else {
-        ++stats_.nodes_evaluated_legacy;
-      }
+      ++stats_.nodes_evaluated_encoded;
       switch (eval.stage) {
         case CheckStage::kKAnonymity:
           ++stats_.nodes_rejected_kanonymity;
@@ -323,11 +310,7 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
     }
     ++stats_.nodes_cache_misses;
   }
-  // Both bodies charge the same budget (1 node, num_rows rows) and bump
-  // the same counters in the same order, so SearchStats are identical
-  // between the encoded and legacy paths.
-  Result<NodeEvaluation> body =
-      encoded_ != nullptr ? EvaluateEncoded(node) : EvaluateLegacy(node);
+  Result<NodeEvaluation> body = EvaluateEncoded(node);
   if (!body.ok()) return body.status();
   // Completed verdicts enter the snapshot so the next checkpoint persists
   // them; a budget stop inside the body never reaches here, keeping the
@@ -335,85 +318,17 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
   NodeEvaluation eval = *body;
   if (cache_ != nullptr) cache_->Insert(key, eval);
   if (trace_buffer_ != nullptr) {
-    RecordEvalEvent(key, encoded_ != nullptr ? "encoded" : "legacy", eval,
-                    trace_start);
+    RecordEvalEvent(key, "encoded", eval, trace_start);
   }
   if (checkpointing_) snapshot_.verdicts.emplace(std::move(key), eval);
   TickCheckpoint();
   return eval;
 }
 
-Result<NodeEvaluation> NodeEvaluator::EvaluateLegacy(const LatticeNode& node) {
-  // Budget checkpoint: every node evaluation generalizes the whole table,
-  // so this is the natural unit of work to account.
-  PSK_RETURN_IF_ERROR(enforcer_->Charge(1, im_.num_rows()));
-  ++stats_.nodes_generalized;
-  ++stats_.nodes_evaluated_legacy;
-  PSK_ASSIGN_OR_RETURN(Table generalized,
-                       ApplyGeneralization(im_, hierarchies_, node));
-  std::vector<size_t> key_indices = generalized.schema().KeyIndices();
-  std::vector<size_t> conf_indices =
-      generalized.schema().ConfidentialIndices();
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(generalized, key_indices));
-
-  NodeEvaluation eval;
-  // k-anonymity gate: suppression may remove at most TS tuples.
-  size_t violating = fs.RowsInGroupsSmallerThan(options_.k);
-  eval.suppressed = violating;
-  if (violating > options_.max_suppression) {
-    eval.stage = CheckStage::kKAnonymity;
-    ++stats_.nodes_rejected_kanonymity;
-    return eval;
-  }
-
-  // Surviving groups form the masked microdata.
-  size_t num_groups = 0;
-  for (const Group& group : fs.groups()) {
-    if (group.size() >= options_.k) ++num_groups;
-  }
-  eval.num_groups = num_groups;
-
-  if (options_.p >= 2) {
-    // Condition 2 on the *post-suppression* group count. (Algorithm 3 as
-    // printed counts groups before suppression; suppression can only
-    // remove whole groups, so the post-suppression count is tighter and
-    // still sound against the IM-level maxGroups bound of Theorem 2.)
-    if (options_.use_conditions &&
-        static_cast<uint64_t>(num_groups) > max_groups_) {
-      eval.stage = CheckStage::kCondition2;
-      ++stats_.nodes_pruned_condition2;
-      return eval;
-    }
-    // Detailed per-group scan over the surviving groups (row indices still
-    // reference `generalized`, which suppression does not disturb).
-    std::unordered_set<Value, ValueHash> seen;
-    for (const Group& group : fs.groups()) {
-      if (group.size() < options_.k) continue;  // suppressed
-      for (size_t col : conf_indices) {
-        seen.clear();
-        for (size_t row : group.row_indices) {
-          seen.insert(generalized.Get(row, col));
-          if (seen.size() >= options_.p) break;
-        }
-        if (seen.size() < options_.p) {
-          eval.stage = CheckStage::kGroupDetail;
-          ++stats_.nodes_rejected_detail;
-          return eval;
-        }
-      }
-    }
-  }
-
-  eval.satisfied = true;
-  eval.stage = CheckStage::kPassed;
-  ++stats_.nodes_satisfied;
-  return eval;
-}
-
 Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
     const LatticeNode& node) {
-  // Same budget charge as the legacy body; the unit of work is the node.
+  // Budget checkpoint: every node evaluation groups the whole table, so
+  // this is the natural unit of work to account.
   PSK_RETURN_IF_ERROR(enforcer_->Charge(1, im_.num_rows()));
   ++stats_.nodes_generalized;
   ++stats_.nodes_evaluated_encoded;
@@ -449,16 +364,18 @@ Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
   eval.num_groups = num_groups;
 
   if (options_.p >= 2) {
-    // Condition 2 on the post-suppression group count (see EvaluateLegacy
-    // for why this is sound against the Theorem 2 bound).
+    // Condition 2 on the *post-suppression* group count. (Algorithm 3 as
+    // printed counts groups before suppression; suppression can only
+    // remove whole groups, so the post-suppression count is tighter and
+    // still sound against the IM-level maxGroups bound of Theorem 2.)
     if (options_.use_conditions &&
         static_cast<uint64_t>(num_groups) > max_groups_) {
       eval.stage = CheckStage::kCondition2;
       ++stats_.nodes_pruned_condition2;
       return eval;
     }
-    // Counting-sort distinct scan over surviving groups; early exit at p
-    // mirrors the legacy per-group break.
+    // Counting-sort distinct scan over surviving groups, exiting early
+    // once a group reaches p distinct values.
     if (!IsPSensitiveEncoded(groups, *encoded_, options_.p, options_.k,
                              &distinct_scratch_)) {
       eval.stage = CheckStage::kGroupDetail;
@@ -475,13 +392,9 @@ Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
 
 Result<MaskedMicrodata> NodeEvaluator::Materialize(
     const LatticeNode& node) const {
-  if (encoded_ != nullptr) {
-    // Decode exactly once from the code vectors; byte-identical to the
-    // legacy Mask (same memoized generalization, same row order).
-    EncodedWorkspace ws;
-    return DecodeMasked(*encoded_, node, options_.k, &ws);
-  }
-  return Mask(im_, hierarchies_, node, options_.k);
+  // Decode exactly once from the code vectors.
+  EncodedWorkspace ws;
+  return DecodeMasked(*encoded_, node, options_.k, &ws);
 }
 
 NodeSweeper::NodeSweeper(const Table& initial_microdata,
@@ -520,28 +433,22 @@ Status NodeSweeper::Init() {
 
   // Encode the table once and share it across workers — the encoding is
   // immutable after Build, so concurrent GroupByNode calls (each with a
-  // per-worker workspace) are race-free. A failed build pins every worker
-  // to the legacy path (see NodeEvaluator::Init for the error semantics).
+  // per-worker workspace) are race-free. A failed build fails Init with
+  // Build's own status (see NodeEvaluator::Init).
   std::shared_ptr<const EncodedTable> encoded;
   {
     TraceSpan span(options_.trace, "encode");
-    if (options_.use_encoded_core) {
-      Result<EncodedTable> built = EncodedTable::Build(im_, hierarchies_);
-      if (built.ok()) {
-        encoded = std::make_shared<const EncodedTable>(std::move(*built));
-      }
-    }
-    span.Attr("path", encoded != nullptr ? "encoded" : "legacy");
     span.Counter("rows", im_.num_rows());
+    PSK_ASSIGN_OR_RETURN(EncodedTable built,
+                         EncodedTable::Build(im_, hierarchies_));
+    encoded = std::make_shared<const EncodedTable>(std::move(built));
   }
-  if (encoded != nullptr) {
-    // EncodedTable::Build memory seam: one charge for the whole sweep
-    // (every worker shares the same immutable encoding). A rejected
-    // charge fails Init with kResourceExhausted before any node is
-    // evaluated — the fallback chain decides what runs instead.
-    PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(
-        options_.budget.memory, encoded->ApproxBytes()));
-  }
+  // EncodedTable::Build memory seam: one charge for the whole sweep (every
+  // worker shares the same immutable encoding). A rejected charge fails
+  // Init with kResourceExhausted before any node is evaluated — the
+  // fallback chain decides what runs instead.
+  PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(options_.budget.memory,
+                                                   encoded->ApproxBytes()));
 
   workers_.push_back(
       std::make_unique<NodeEvaluator>(im_, hierarchies_, options_));
@@ -780,13 +687,6 @@ SearchStats NodeSweeper::MergedStats() const {
   SearchStats merged;
   for (const auto& worker : workers_) merged.Add(worker->stats());
   return merged;
-}
-
-Status NodeSweeper::PropagateHardError(Status status) const {
-  if (options_.failure_stats != nullptr) {
-    *options_.failure_stats = MergedStats();
-  }
-  return status;
 }
 
 }  // namespace psk

@@ -186,17 +186,6 @@ struct SearchOptions {
   /// — this knob only moves the speed/overhead trade-off. Tests lower it
   /// to force slicing on small fixtures.
   size_t min_rows_per_slice = 1024;
-  /// Evaluate lattice nodes through the dictionary-encoded core
-  /// (EncodedTable): grouping and distinct-confidential counting run over
-  /// dense integer codes, and no generalized Table is materialized per
-  /// node — the winning release is decoded exactly once at the end. The
-  /// legacy Value pipeline is kept as the oracle: verdicts, SearchStats
-  /// and the release are identical on both paths (the equivalence suite
-  /// asserts this), so this switch only trades speed. When encoding fails
-  /// (a QI value that does not generalize at some level), the evaluator
-  /// silently falls back to the legacy path, which reproduces the same
-  /// error lazily if the offending level is actually reached.
-  bool use_encoded_core = true;
   /// Externally owned verdict cache. When set, NodeSweeper shares this
   /// cache across its workers instead of creating a private one — the
   /// seam a scheduler uses to keep a handle on a job's cache so it can
@@ -231,13 +220,6 @@ struct SearchOptions {
   /// Completed evaluations between checkpoint_sink invocations.
   uint64_t checkpoint_interval = 64;
 
-  /// When a search unwinds with a *hard* error (anything other than a
-  /// budget stop), the work counters accumulated up to the failure —
-  /// merged across every parallel shard — are stored here before the error
-  /// propagates, so observability survives failures. Untouched when the
-  /// search returns a result. Optional; must outlive the search.
-  SearchStats* failure_stats = nullptr;
-
   /// Structured run trace (see psk/trace). Engines open phase spans on it
   /// from their control thread; per-node events recorded by sweep workers
   /// land in per-worker buffers and are merged deterministically at span
@@ -269,10 +251,12 @@ struct SearchStats {
   /// Node requests that consulted the VerdictCache and missed (0 when no
   /// cache is attached). With a cache, hits + misses = requests through it.
   size_t nodes_cache_misses = 0;
-  /// Fresh evaluations split by which body ran — the dictionary-encoded
-  /// core vs the legacy Value pipeline. Their sum is the number of fresh
-  /// (non-replay, non-cache) evaluations.
+  /// Fresh (non-cache) evaluations, all of which run on the
+  /// dictionary-encoded core; snapshot replays recount them too.
   size_t nodes_evaluated_encoded = 0;
+  /// Nothing increments this any more: the legacy Value evaluator it
+  /// counted is gone, so it stays 0. Kept declared for callers that still
+  /// name it.
   size_t nodes_evaluated_legacy = 0;
   /// Budget-free fast-forwards (snapshot replays, cache re-serves, engine
   /// fact fast-forwards) counted by TickReplay — how much already-known
@@ -300,7 +284,6 @@ struct SearchStats {
     nodes_cache_hits += other.nodes_cache_hits;
     nodes_cache_misses += other.nodes_cache_misses;
     nodes_evaluated_encoded += other.nodes_evaluated_encoded;
-    nodes_evaluated_legacy += other.nodes_evaluated_legacy;
     replay_ticks += other.replay_ticks;
     heights_probed += other.heights_probed;
     subset_nodes_evaluated += other.subset_nodes_evaluated;
@@ -321,9 +304,9 @@ bool AbsorbBudgetStop(const Status& status, SearchStats* stats);
 /// used as the trace events' stage attribute.
 const char* CheckStageName(CheckStage stage);
 
-/// Records every SearchStats field as a structural counter (and
-/// partial/stop_reason as attributes) on the innermost open span of
-/// `trace`. No-op when trace is null.
+/// Records every SearchStats field but the retired nodes_evaluated_legacy
+/// as a structural counter (and partial/stop_reason as attributes) on the
+/// innermost open span of `trace`. No-op when trace is null.
 void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 
 /// Evaluates lattice nodes against a fixed initial microdata: generalize,
@@ -339,9 +322,13 @@ class NodeEvaluator {
   NodeEvaluator(const Table& initial_microdata,
                 const HierarchySet& hierarchies, SearchOptions options);
 
-  /// Computes the Condition 1/2 bounds from the initial microdata. Must be
+  /// Encodes the initial microdata (unless set_encoded_table supplied the
+  /// encoding) and computes the Condition 1/2 bounds from it. Must be
   /// called before Evaluate. Fails when the schema lacks key or
-  /// confidential attributes (confidential required only when p >= 2).
+  /// confidential attributes (confidential required only when p >= 2), and
+  /// with EncodedTable::Build's own status — e.g. the hierarchy's
+  /// Generalize error for a value it cannot generalize — before any node
+  /// is evaluated.
   Status Init();
 
   /// Shares a budget accountant across evaluators (the threaded exhaustive
@@ -369,21 +356,19 @@ class NodeEvaluator {
 
   /// Shares a prebuilt encoded table across evaluators (NodeSweeper
   /// encodes once and hands the same immutable EncodedTable to every
-  /// worker). Must be called before Init. Passing nullptr pins this
-  /// evaluator to the legacy Value path (Init will not encode on its own
-  /// then — the owner already decided).
+  /// worker). Must be called before Init; when unset, Init builds a
+  /// private encoding.
   void set_encoded_table(std::shared_ptr<const EncodedTable> encoded) {
     encoded_ = std::move(encoded);
-    encoded_external_ = true;
   }
-  /// The encoded core this evaluator runs on; null on the legacy path.
+  /// The encoded core this evaluator runs on (non-null after Init).
   const std::shared_ptr<const EncodedTable>& encoded_table() const {
     return encoded_;
   }
 
   /// Attaches run tracing: every completed Evaluate records one TraceEvent
-  /// (node key, path taken, verdict stage) into `buffer`, and checkpoint
-  /// flushes open "checkpoint_io" spans on `trace`. The buffer is
+  /// (node key, how it was resolved, verdict stage) into `buffer`, and
+  /// checkpoint flushes open "checkpoint_io" spans on `trace`. The buffer is
   /// per-worker and written without locks — the owner (NodeSweeper or the
   /// engine) merges it into `trace` at span boundaries. Both pointers must
   /// outlive the evaluator; pass nullptrs (the default state) to disable.
@@ -462,15 +447,12 @@ class NodeEvaluator {
   const SearchOptions& options() const { return options_; }
 
  private:
-  /// The charged evaluation bodies behind Evaluate (cache/checkpoint
-  /// handling lives in Evaluate itself). The encoded body is
-  /// counter-for-counter and verdict-for-verdict identical to the legacy
-  /// one; the legacy body is kept as the oracle.
+  /// The charged evaluation body behind Evaluate (cache/checkpoint
+  /// handling lives in Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
-  Result<NodeEvaluation> EvaluateLegacy(const LatticeNode& node);
 
   /// Records one per-node trace event into trace_buffer_ (caller checked
-  /// it is non-null). `path` is "encoded"/"legacy"/"cache"/"replay".
+  /// it is non-null). `path` is "encoded"/"cache"/"replay".
   void RecordEvalEvent(const std::string& key, const char* path,
                        const NodeEvaluation& eval, int64_t start_ns);
 
@@ -480,8 +462,6 @@ class NodeEvaluator {
   std::shared_ptr<BudgetEnforcer> enforcer_;
   std::shared_ptr<VerdictCache> cache_;
   std::shared_ptr<const EncodedTable> encoded_;
-  /// True once set_encoded_table decided the path (even with nullptr).
-  bool encoded_external_ = false;
   /// Per-evaluator scratch for the encoded path (never shared).
   EncodedWorkspace ws_;
   EncodedDistinctScratch distinct_scratch_;
@@ -566,11 +546,6 @@ class NodeSweeper {
   /// sums are order-independent; partial/stop_reason are first-wins in
   /// worker order).
   SearchStats MergedStats() const;
-
-  /// Records MergedStats into options().failure_stats (when configured)
-  /// and returns `status` — engines route every hard-error return through
-  /// this so counters survive failures.
-  Status PropagateHardError(Status status) const;
 
   /// Merges every pending per-worker trace event into the innermost open
   /// span of options().trace, sorted by node key. Sweep does this on its

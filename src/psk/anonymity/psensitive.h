@@ -130,9 +130,9 @@ class EncodedDistinctScratch {
 /// by group id plus a stamped seen-array over the confidential code space
 /// — no hashing, early exit at `p` per group. min_group_size = k skips
 /// exactly the groups suppression removes (the evaluator's detail check);
-/// min_group_size <= 1 checks every group. Agrees exactly with the legacy
-/// Value-keyed scan. Vacuously true when p <= 1 or there is no
-/// confidential column.
+/// min_group_size <= 1 checks every group. Agrees exactly with the
+/// Value-keyed IsPSensitive over the generalized table. Vacuously true
+/// when p <= 1 or there is no confidential column.
 bool IsPSensitiveEncoded(const EncodedGroups& groups,
                          const EncodedTable& encoded, size_t p,
                          size_t min_group_size,

@@ -347,7 +347,6 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
   base_options.p = p_;
   base_options.max_suppression = max_suppression_;
   base_options.use_conditions = use_conditions_;
-  base_options.use_encoded_core = use_encoded_core_;
   base_options.threads = threads_;
   base_options.min_rows_per_slice = min_rows_per_slice_;
   base_options.verdict_cache = verdict_cache_;

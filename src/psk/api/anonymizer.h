@@ -158,14 +158,6 @@ class Anonymizer {
     use_conditions_ = use_conditions;
     return *this;
   }
-  /// Disables the dictionary-encoded evaluation core, forcing the lattice
-  /// engines onto the legacy Value pipeline (see
-  /// SearchOptions::use_encoded_core). Results are identical either way;
-  /// this switch exists for benchmarking and as an escape hatch.
-  Anonymizer& set_use_encoded_core(bool use_encoded_core) {
-    use_encoded_core_ = use_encoded_core;
-    return *this;
-  }
   /// Worker threads for the lattice engines' node sweeps (see
   /// SearchOptions::threads). 1 (the default) runs sequentially; results
   /// and stats are identical for every value.
@@ -327,7 +319,6 @@ class Anonymizer {
   size_t max_suppression_ = 0;
   AnonymizationAlgorithm algorithm_ = AnonymizationAlgorithm::kSamarati;
   bool use_conditions_ = true;
-  bool use_encoded_core_ = true;
   size_t threads_ = 1;
   size_t min_rows_per_slice_ = 1024;
   std::shared_ptr<VerdictCache> verdict_cache_;

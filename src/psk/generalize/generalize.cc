@@ -179,18 +179,10 @@ Result<Table> SuppressUndersizedGroupCells(
 Result<MaskedMicrodata> Mask(const Table& initial_microdata,
                              const HierarchySet& hierarchies,
                              const LatticeNode& node, size_t k) {
-  PSK_ASSIGN_OR_RETURN(
-      Table generalized,
-      ApplyGeneralization(initial_microdata, hierarchies, node));
-  MaskedMicrodata mm{std::move(generalized), node, 0};
-  if (k > 0) {
-    std::vector<size_t> key_indices = mm.table.schema().KeyIndices();
-    PSK_ASSIGN_OR_RETURN(
-        Table suppressed,
-        SuppressUndersizedGroups(mm.table, key_indices, k, &mm.suppressed));
-    mm.table = std::move(suppressed);
-  }
-  return mm;
+  PSK_ASSIGN_OR_RETURN(EncodedTable encoded,
+                       EncodedTable::Build(initial_microdata, hierarchies));
+  EncodedWorkspace ws;
+  return DecodeMasked(encoded, node, k, &ws);
 }
 
 Result<EncodedMaskResult> MaskEncoded(const EncodedTable& encoded,
@@ -198,7 +190,7 @@ Result<EncodedMaskResult> MaskEncoded(const EncodedTable& encoded,
                                       EncodedWorkspace* ws) {
   EncodedMaskResult result;
   if (k == 0) {
-    // Mask() skips suppression entirely for k == 0; still produce the
+    // k == 0 applies no suppression at all; still produce the
     // partition, which callers use for group-level checks.
     PSK_RETURN_IF_ERROR(encoded.GroupByNode(node, ws));
     result.groups = ws->groups;

@@ -43,15 +43,21 @@ struct MaskedMicrodata {
 };
 
 /// Masking pipeline: drop identifiers, generalize the key attributes to
-/// `node`, then (if `k` > 0) suppress groups smaller than `k`. This is how
-/// every candidate MM in the lattice searches is produced.
+/// `node`, then (if `k` > 0) suppress groups smaller than `k`. Runs as
+/// EncodedTable::Build + DecodeMasked — the same decode every lattice
+/// engine uses for its winning node — and produces the bytes
+/// ApplyGeneralization + SuppressUndersizedGroups would. Because it encodes
+/// the whole table first, every observed key value must generalize at
+/// every level of its hierarchy (the contract the Anonymizer's preflight
+/// already enforces); otherwise the hierarchy's Generalize status is
+/// returned, whichever `node` was asked for.
 Result<MaskedMicrodata> Mask(const Table& initial_microdata,
                              const HierarchySet& hierarchies,
                              const LatticeNode& node, size_t k = 0);
 
 /// Code-path masking result: the grouping and suppression decisions of
-/// Mask() computed entirely over dictionary codes — group ids and a keep
-/// mask instead of a materialized table.
+/// the masking pipeline computed entirely over dictionary codes — group
+/// ids and a keep mask instead of a materialized table.
 struct EncodedMaskResult {
   /// QI-partition of the rows at the node (all key attributes; group ids
   /// numbered by first occurrence, matching FrequencySet order).
@@ -63,18 +69,19 @@ struct EncodedMaskResult {
   size_t surviving_groups = 0;  ///< groups of size >= k (0 when k == 0)
 };
 
-/// Code-path counterpart of Mask()'s grouping + suppression: partitions
+/// Grouping + suppression step of the masking pipeline: partitions
 /// the encoded rows at `node` and computes the keep mask for groups of
 /// size >= k, without constructing a single Value. `ws` is the caller's
-/// reusable workspace. Counts agree exactly with the legacy pipeline.
+/// reusable workspace. Counts agree exactly with ApplyGeneralization +
+/// SuppressUndersizedGroups.
 Result<EncodedMaskResult> MaskEncoded(const EncodedTable& encoded,
                                       const LatticeNode& node, size_t k,
                                       EncodedWorkspace* ws);
 
 /// Full code-path masking pipeline: MaskEncoded + EncodedTable::Decode,
-/// producing a MaskedMicrodata byte-identical to
-/// Mask(initial_microdata, hierarchies, node, k) over the same inputs.
-/// This is how a search's winning node is materialized exactly once.
+/// producing a MaskedMicrodata byte-identical to ApplyGeneralization +
+/// SuppressUndersizedGroups over the same inputs. This is how a search's
+/// winning node is materialized exactly once, and what Mask() runs.
 Result<MaskedMicrodata> DecodeMasked(const EncodedTable& encoded,
                                      const LatticeNode& node, size_t k,
                                      EncodedWorkspace* ws);

@@ -438,8 +438,12 @@ void WatchdogLoop(std::shared_ptr<JobScheduler::State> state) {
       // Degradation ladder, one rung per dwell while the job sits over
       // its soft quota. ForceExhausted (rung 3) is a budget stop, not a
       // cancellation: the search unwinds with best-so-far partials and
-      // the fallback chain still releases.
+      // the fallback chain still releases. The ladder holds while a rung-2
+      // restart is pending: ForceExhausted sticks to the job's budget, so
+      // climbing before the cancelled attempt is requeued would fail the
+      // sequential attempt's input charge with nothing to fall back on.
       if (job->memory->over_soft() && job->degrade_level < 3 &&
+          !job->restart_requested &&
           now - job->last_rung_at >= options.watchdog_interval) {
         job->last_rung_at = now;
         if (job->degrade_level == 0) {

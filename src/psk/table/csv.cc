@@ -15,6 +15,10 @@ namespace {
 /// size.
 constexpr size_t kReadBlockBytes = 256 * 1024;
 
+/// Rows per chunk when ReadCsvString / ReadCsvFile drain a reader, and the
+/// cap on the rows one IngestChunk reserves up front.
+constexpr size_t kReadChunkRows = 64 * 1024;
+
 /// Nominal in-memory cost of one parsed chunk cell (same stable-accounting
 /// convention as EncodedTable::ApproxBytes).
 constexpr size_t kChunkCellBytes = sizeof(Value) + 16;
@@ -73,8 +77,7 @@ Result<std::vector<std::string>> ParseRecord(std::string_view text,
 }
 
 /// Matches a parsed header against the schema: file column j maps to
-/// schema attribute result[j]. Shared by the eager and streaming readers
-/// so both reject the same malformed headers with the same messages.
+/// schema attribute result[j].
 Result<std::vector<size_t>> MapHeader(const std::vector<std::string>& header,
                                       const Schema& schema) {
   std::vector<size_t> file_to_schema;
@@ -120,69 +123,6 @@ std::string QuoteField(const std::string& field) {
   return out;
 }
 
-/// Legacy eager reader — the whole text parsed row-by-row into the table
-/// in one pass. Kept verbatim as the equivalence oracle for the chunked
-/// streaming path (CsvOptions::chunk_rows == 0 selects it).
-Result<Table> ReadCsvStringEager(std::string_view text, const Schema& schema,
-                                 const CsvOptions& options) {
-  size_t pos = 0;
-  size_t line = 1;
-  size_t consumed = 0;
-  // Column j of the file maps to schema attribute file_to_schema[j].
-  std::vector<size_t> file_to_schema;
-  if (options.has_header) {
-    if (pos >= text.size()) {
-      return Status::InvalidArgument("CSV is empty but a header was expected");
-    }
-    PSK_ASSIGN_OR_RETURN(
-        std::vector<std::string> header,
-        ParseRecord(text, &pos, options.separator, line, &consumed));
-    PSK_ASSIGN_OR_RETURN(file_to_schema, MapHeader(header, schema));
-    line += consumed;
-  } else {
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
-      file_to_schema.push_back(i);
-    }
-  }
-
-  Table table(schema);
-  while (pos < text.size()) {
-    // Skip blank lines (common at end of file).
-    if (text[pos] == '\n') {
-      ++pos;
-      ++line;
-      continue;
-    }
-    if (text[pos] == '\r') {
-      ++pos;
-      continue;
-    }
-    PSK_ASSIGN_OR_RETURN(
-        std::vector<std::string> fields,
-        ParseRecord(text, &pos, options.separator, line, &consumed));
-    if (fields.size() != file_to_schema.size()) {
-      return Status::InvalidArgument(
-          "CSV line " + std::to_string(line) + " has " +
-          std::to_string(fields.size()) + " fields; expected " +
-          std::to_string(file_to_schema.size()));
-    }
-    std::vector<Value> row(schema.num_attributes());
-    for (size_t j = 0; j < fields.size(); ++j) {
-      size_t attr = file_to_schema[j];
-      auto value = Value::Parse(fields[j], schema.attribute(attr).type);
-      if (!value.ok()) {
-        return Status::InvalidArgument(
-            "CSV line " + std::to_string(line) + ", column '" +
-            schema.attribute(attr).name + "': " + value.status().message());
-      }
-      row[attr] = std::move(value).value();
-    }
-    PSK_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
-    line += consumed > 0 ? consumed : 1;
-  }
-  return table;
-}
-
 /// Streams every chunk of `reader` into a fresh table. When `budget` is
 /// set, the growing table (id columns + interned store) stays reserved
 /// against it for the duration of the read — a transient ingest meter;
@@ -193,9 +133,8 @@ Result<Table> DrainReader(CsvChunkReader reader, const Schema& schema,
   Table table(schema);
   IngestChunk chunk;
   MemoryReservation table_reservation;
-  size_t chunk_rows = options.chunk_rows;
   while (true) {
-    PSK_ASSIGN_OR_RETURN(size_t n, reader.NextChunk(chunk_rows, &chunk));
+    PSK_ASSIGN_OR_RETURN(size_t n, reader.NextChunk(kReadChunkRows, &chunk));
     if (n == 0) break;
     PSK_RETURN_IF_ERROR(table.AppendChunk(&chunk));
     if (options.ingest_budget != nullptr) {
@@ -308,8 +247,12 @@ Status CsvChunkReader::ChargeBuffers(size_t chunk_cells) {
 }
 
 Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
-  chunk->Reset(*schema_, std::min(max_rows, size_t{64} * 1024));
-  if (max_rows == 0) return size_t{0};
+  // 0 rows would read as end of input on a reader that still has rows.
+  if (max_rows == 0) {
+    return Status::InvalidArgument(
+        "CsvChunkReader::NextChunk: max_rows must be > 0");
+  }
+  chunk->Reset(*schema_, std::min(max_rows, kReadChunkRows));
   size_t rows = 0;
   size_t consumed = 0;
   while (rows < max_rows) {
@@ -356,9 +299,6 @@ Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
 
 Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
                             const CsvOptions& options) {
-  if (options.chunk_rows == 0) {
-    return ReadCsvStringEager(text, schema, options);
-  }
   PSK_ASSIGN_OR_RETURN(CsvChunkReader reader,
                        CsvChunkReader::OpenString(text, schema, options));
   return DrainReader(std::move(reader), schema, options);
@@ -366,18 +306,6 @@ Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
 
 Result<Table> ReadCsvFile(const std::string& path, const Schema& schema,
                           const CsvOptions& options) {
-  if (options.chunk_rows == 0) {
-    // Legacy eager oracle: slurp the file, then parse — text and table
-    // co-resident.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IOError("cannot open file for reading: " + path);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
-    return ReadCsvStringEager(text, schema, options);
-  }
   PSK_ASSIGN_OR_RETURN(CsvChunkReader reader,
                        CsvChunkReader::OpenFile(path, schema, options));
   return DrainReader(std::move(reader), schema, options);

@@ -12,18 +12,15 @@
 
 namespace psk {
 
-/// Options controlling CSV parsing/serialization.
+/// Options controlling CSV parsing/serialization. Every reader streams:
+/// ReadCsvString and ReadCsvFile drain a CsvChunkReader in fixed
+/// 64Ki-row chunks; callers that want another chunk size drive
+/// CsvChunkReader::NextChunk themselves.
 struct CsvOptions {
   char separator = ',';
   /// When true, the first line must list the attribute names in schema
   /// order (any order is accepted; columns are matched by name).
   bool has_header = true;
-  /// Rows per ingest chunk for the streaming readers. 0 selects the
-  /// legacy eager path (whole text parsed row-by-row in one pass) — kept
-  /// as the equivalence oracle for the chunked path, the same migration
-  /// contract the encoded core used (SearchOptions::use_encoded_core).
-  /// The two paths produce byte-identical tables.
-  size_t chunk_rows = 64 * 1024;
   /// When set, ingest memory is metered against this budget: the reader's
   /// I/O buffer and in-flight chunk, plus the growing table (id columns +
   /// interned store), are kept reserved while reading. A Charge failure
@@ -48,7 +45,8 @@ struct CsvOptions {
 ///   }
 ///
 /// Parsing semantics (quoting, header matching, error line numbers, null
-/// handling) are identical to the eager ReadCsvString path.
+/// handling) are the same at every chunk size; ReadCsvString and
+/// ReadCsvFile are thin drains over this reader.
 class CsvChunkReader {
  public:
   /// Opens a CSV file; the header (when configured) is parsed eagerly so
@@ -68,9 +66,10 @@ class CsvChunkReader {
 
   /// Parses up to `max_rows` records into `chunk` (reshaped for the
   /// schema; previous contents dropped). Returns the number of rows
-  /// produced; 0 means end of input. Fails with the same line-accurate
-  /// InvalidArgument errors as the eager reader, or kResourceExhausted
-  /// when the configured ingest budget refuses the buffers.
+  /// produced; 0 means end of input. Fails with line-accurate
+  /// InvalidArgument errors, with InvalidArgument when `max_rows` is 0
+  /// (the reader is left untouched), or with kResourceExhausted when the
+  /// configured ingest budget refuses the buffers.
   Result<size_t> NextChunk(size_t max_rows, IngestChunk* chunk);
 
   /// Total data rows produced so far.
@@ -105,8 +104,7 @@ class CsvChunkReader {
 /// become null. With a header, columns may appear in any order but every
 /// schema attribute must be present. Quoted fields ("a, b" with embedded
 /// separators, doubled quotes for literal quotes) are supported. Streams
-/// through IngestChunks of options.chunk_rows rows (0 = legacy eager
-/// path; identical output).
+/// through 64Ki-row IngestChunks (see CsvChunkReader).
 Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
                             const CsvOptions& options = {});
 

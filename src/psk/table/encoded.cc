@@ -40,8 +40,9 @@ void EncodeColumn(const Table& table, size_t col, std::vector<uint32_t>* codes,
 
 Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
                                          const HierarchySet& hierarchies) {
-  // Torture seam: a failed Build makes every lattice engine fall back to
-  // the legacy Value pipeline, which must produce identical releases.
+  // Torture seam: a failed Build fails the lattice engine's Init (and
+  // Mask) with the injected status before any node is evaluated; the
+  // Anonymizer's fallback chain decides what runs instead.
   PSK_FAIL_POINT("table.encoded.build");
   std::vector<size_t> key_cols = initial_microdata.schema().KeyIndices();
   if (hierarchies.size() != key_cols.size()) {
@@ -74,9 +75,9 @@ Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
       std::vector<Value>& values = kc.values[level];
       ancestor.resize(kc.cardinality);
       values.reserve(kc.cardinality);
-      // Level codes deduplicate by Value equality — the equality the
-      // legacy path groups by — numbered in ground-code (= first
-      // occurrence) order.
+      // Level codes deduplicate by Value equality — the equality
+      // ApplyGeneralization's tables group by — numbered in ground-code
+      // (= first occurrence) order.
       std::unordered_map<Value, uint32_t, ValueHash> level_dict;
       level_dict.reserve(kc.cardinality);
       for (uint32_t ground = 0; ground < kc.cardinality; ++ground) {
@@ -131,8 +132,8 @@ size_t EncodedTable::ApproxBytes() const {
 Status EncodedTable::GroupByNode(const LatticeNode& node,
                                  EncodedWorkspace* ws) const {
   if (node.levels.size() != keys_.size()) {
-    // Same contract (and message) as ApplyGeneralization, so the encoded
-    // and legacy paths reject malformed nodes identically.
+    // Same contract (and message) as ApplyGeneralization, so both masking
+    // routes reject malformed nodes identically.
     return Status::InvalidArgument(
         "lattice node has " + std::to_string(node.levels.size()) +
         " levels but the schema has " + std::to_string(keys_.size()) +
@@ -210,7 +211,8 @@ Result<Table> EncodedTable::Decode(const LatticeNode& node,
 
   // Output schema: identifiers dropped, key columns generalized above
   // level 0 re-typed to string — mirroring ApplyGeneralization so the
-  // decoded release is byte-identical to the legacy pipeline's.
+  // decoded release is byte-identical to ApplyGeneralization +
+  // SuppressUndersizedGroups.
   std::vector<Attribute> out_attrs;
   std::vector<size_t> src_cols;
   std::vector<int> key_slot_of_out;  // -1 = pass-through column

@@ -46,14 +46,14 @@ struct EncodedWorkspace {
 ///
 /// Build() encodes each quasi-identifier and confidential column once into
 /// dense uint32 codes (numbered by first occurrence, deduplicated by Value
-/// equality — exactly the equality the legacy Value path groups by), and
+/// equality — exactly the equality a generalized Table groups by), and
 /// precomputes, per QI and per hierarchy level, an ancestor-code map
 /// `ground code -> generalized code` together with the generalized Value
 /// each ground code maps to. Applying a LatticeNode is then a table-free
 /// gather over code vectors: no Value is constructed, nothing is hashed
 /// per row beyond integer densification, and no generalized Table is
 /// materialized. The winning release is decoded back into a Table exactly
-/// once, byte-identical to the legacy ApplyGeneralization + suppression
+/// once, byte-identical to the ApplyGeneralization + suppression
 /// pipeline (Decode reuses the same memoized generalized Values and the
 /// same schema re-typing rules).
 ///
@@ -67,11 +67,9 @@ class EncodedTable {
   EncodedTable() = default;
 
   /// Encodes `initial_microdata` (which must outlive the EncodedTable)
-  /// against `hierarchies`. Fails when any observed QI value does not
-  /// generalize at some level of its hierarchy — callers on the search
-  /// path treat that as "fall back to the legacy Value pipeline", which
-  /// reproduces the same error lazily if (and only if) the offending
-  /// level is actually evaluated.
+  /// against `hierarchies`. Fails with the hierarchy's Generalize status
+  /// when any observed QI value does not generalize at some level of its
+  /// hierarchy; lattice engines and Mask return that status unchanged.
   static Result<EncodedTable> Build(const Table& initial_microdata,
                                     const HierarchySet& hierarchies);
 

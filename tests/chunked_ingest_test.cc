@@ -1,42 +1,32 @@
-// Equivalence suite for streaming chunked ingest: a table ingested in
-// chunks — any chunk size — must be byte-identical to the legacy eager
-// path (CsvOptions::chunk_rows == 0, kept as the oracle), and every
-// downstream consumer (all seven engines through Anonymizer, the guard,
-// SearchStats) must be unable to tell the difference.
+// Suite for streaming chunked ingest: a table read in chunks — any chunk
+// size — must round-trip the generated table's CSV byte for byte, fail on
+// the same line with the same message, and every downstream consumer (all
+// seven engines through Anonymizer, the guard, SearchStats) must reproduce
+// the goldens the eager parser produced on the same text (see
+// release_golden.h). ReadCsvString / ReadCsvFile read in fixed 64Ki-row
+// chunks; every other chunk size drives CsvChunkReader::NextChunk directly.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "psk/api/anonymizer.h"
+#include "psk/api/spec_parser.h"
 #include "psk/common/memory_budget.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/synthetic.h"
 #include "psk/table/csv.h"
 #include "psk/table/table.h"
+#include "release_golden.h"
 #include "test_util.h"
 
 namespace psk {
 namespace {
-
-void ExpectStatsEq(const SearchStats& a, const SearchStats& b,
-                   const std::string& what) {
-  EXPECT_EQ(a.nodes_generalized, b.nodes_generalized) << what;
-  EXPECT_EQ(a.nodes_pruned_condition2, b.nodes_pruned_condition2) << what;
-  EXPECT_EQ(a.nodes_rejected_kanonymity, b.nodes_rejected_kanonymity)
-      << what;
-  EXPECT_EQ(a.nodes_rejected_detail, b.nodes_rejected_detail) << what;
-  EXPECT_EQ(a.nodes_satisfied, b.nodes_satisfied) << what;
-  EXPECT_EQ(a.nodes_skipped, b.nodes_skipped) << what;
-  EXPECT_EQ(a.nodes_cache_hits, b.nodes_cache_hits) << what;
-  EXPECT_EQ(a.heights_probed, b.heights_probed) << what;
-  EXPECT_EQ(a.subset_nodes_evaluated, b.subset_nodes_evaluated) << what;
-  EXPECT_EQ(a.partial, b.partial) << what;
-  EXPECT_EQ(a.stop_reason, b.stop_reason) << what;
-}
 
 struct Fixture {
   Table table;
@@ -49,29 +39,81 @@ struct Fixture {
         csv(WriteCsvString(table)) {}
 };
 
-// The chunk sizes of the equivalence matrix: degenerate (1), prime and
-// unaligned (7), the default-ish power of two (1024), and one chunk
-// covering the whole table.
+// The chunk sizes driven through CsvChunkReader::NextChunk directly:
+// degenerate (1), prime and unaligned (7), a power of two (1024), and one
+// chunk covering the whole table. ReadCsvString / ReadCsvFile cover the
+// fixed 64Ki-row size.
 const size_t kChunkSizes[] = {1, 7, 1024, size_t{1} << 30};
 
+// Drains `reader` into a fresh table, `chunk_rows` rows per NextChunk.
+Result<Table> DrainInChunks(CsvChunkReader reader, const Schema& schema,
+                            size_t chunk_rows) {
+  Table table(schema);
+  IngestChunk chunk;
+  for (;;) {
+    PSK_ASSIGN_OR_RETURN(size_t rows, reader.NextChunk(chunk_rows, &chunk));
+    if (rows == 0) return table;
+    PSK_RETURN_IF_ERROR(table.AppendChunk(&chunk));
+  }
+}
+
+Result<Table> ReadStringInChunks(std::string_view text, const Schema& schema,
+                                 size_t chunk_rows) {
+  PSK_ASSIGN_OR_RETURN(CsvChunkReader reader,
+                       CsvChunkReader::OpenString(text, schema));
+  return DrainInChunks(std::move(reader), schema, chunk_rows);
+}
+
+// The eager parser's verdict on the corrupted text of
+// ErrorLinesMatchTheEagerOracle.
+constexpr const char* kShortRowError = "CSV line 3 has 5 fields; expected 8";
+
+// Anonymizer over Fixture() (Adult 600 rows, seed 11) read back from CSV,
+// k=3 p=2 TS=8, one per engine.
+const ReportGolden kChunkedRuns[] = {
+    {AnonymizationAlgorithm::kSamarati, 0xd292f2e954c359feULL, {2, 1, 3, 1},
+     0, 64, 2, 0.20833333333333337, 117494,
+     AnonymizationAlgorithm::kSamarati, {true, 64, 2, 0, 0, 0},
+     {43, 0, 17, 23, 3, 0, 0, 43, 0, 3, 0}},
+    {AnonymizationAlgorithm::kIncognito, 0xd292f2e954c359feULL, {2, 1, 3, 1},
+     0, 64, 2, 0.20833333333333337, 117494,
+     AnonymizationAlgorithm::kIncognito, {true, 64, 2, 0, 0, 0},
+     {36, 0, 0, 32, 4, 253, 0, 36, 0, 0, 50}},
+    {AnonymizationAlgorithm::kBottomUp, 0xd292f2e954c359feULL, {2, 1, 3, 1},
+     0, 64, 2, 0.20833333333333337, 117494,
+     AnonymizationAlgorithm::kBottomUp, {true, 64, 2, 0, 0, 0},
+     {68, 0, 32, 32, 4, 28, 0, 0, 0, 0, 0}},
+    {AnonymizationAlgorithm::kExhaustive, 0xd292f2e954c359feULL, {2, 1, 3, 1},
+     0, 64, 2, 0.20833333333333337, 117494,
+     AnonymizationAlgorithm::kExhaustive, {true, 64, 2, 0, 0, 0},
+     {96, 0, 56, 32, 8, 0, 0, 96, 0, 0, 0}},
+    {AnonymizationAlgorithm::kMondrian, 0xccf2d39853a80f7cULL, {}, 0, 13, 2,
+     1, 20836, AnonymizationAlgorithm::kMondrian, {true, 13, 2, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {AnonymizationAlgorithm::kGreedyCluster, 0x8c79429dd9955e0cULL, {}, 0, 4,
+     2, 1, 45370, AnonymizationAlgorithm::kGreedyCluster,
+     {true, 4, 2, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {AnonymizationAlgorithm::kOla, 0x7be5015221cf728aULL, {3, 1, 3, 0}, 0, 82,
+     2, 0.375, 100854, AnonymizationAlgorithm::kOla, {true, 82, 2, 0, 0, 0},
+     {37, 0, 18, 13, 6, 471, 0, 37, 0, 0, 0}},
+};
+
 // ---------------------------------------------------------------------------
-// Table-level byte identity.
+// Table-level byte identity: every chunk size round-trips the generated
+// table's CSV.
 
 TEST(ChunkedIngestTest, ChunkedCsvMatchesEagerOracleByteForByte) {
   Fixture fixture;
-  CsvOptions eager;
-  eager.chunk_rows = 0;  // the oracle
-  Table oracle = UnwrapOk(ReadCsvString(fixture.csv, fixture.table.schema(),
-                                        eager));
-  EXPECT_EQ(WriteCsvString(oracle), fixture.csv);
+  Table whole =
+      UnwrapOk(ReadCsvString(fixture.csv, fixture.table.schema()));
+  EXPECT_EQ(WriteCsvString(whole), fixture.csv);
+  EXPECT_EQ(whole.num_rows(), fixture.table.num_rows());
   for (size_t chunk_rows : kChunkSizes) {
-    CsvOptions chunked;
-    chunked.chunk_rows = chunk_rows;
-    Table got = UnwrapOk(ReadCsvString(fixture.csv, fixture.table.schema(),
-                                       chunked));
+    Table got = UnwrapOk(
+        ReadStringInChunks(fixture.csv, fixture.table.schema(), chunk_rows));
     EXPECT_EQ(WriteCsvString(got), fixture.csv)
         << "chunk_rows=" << chunk_rows;
-    EXPECT_EQ(got.num_rows(), oracle.num_rows());
+    EXPECT_EQ(got.num_rows(), fixture.table.num_rows());
   }
 }
 
@@ -79,11 +121,13 @@ TEST(ChunkedIngestTest, FileAndStringSourcesAgree) {
   Fixture fixture(200, 3);
   std::string path = testing::TempDir() + "/chunked_ingest_src.csv";
   ASSERT_TRUE(WriteCsvFile(fixture.table, path).ok());
+  Table whole = UnwrapOk(ReadCsvFile(path, fixture.table.schema()));
+  EXPECT_EQ(WriteCsvString(whole), fixture.csv);
   for (size_t chunk_rows : kChunkSizes) {
-    CsvOptions options;
-    options.chunk_rows = chunk_rows;
-    Table from_file =
-        UnwrapOk(ReadCsvFile(path, fixture.table.schema(), options));
+    CsvChunkReader reader =
+        UnwrapOk(CsvChunkReader::OpenFile(path, fixture.table.schema()));
+    Table from_file = UnwrapOk(DrainInChunks(
+        std::move(reader), fixture.table.schema(), chunk_rows));
     EXPECT_EQ(WriteCsvString(from_file), fixture.csv)
         << "chunk_rows=" << chunk_rows;
   }
@@ -92,30 +136,43 @@ TEST(ChunkedIngestTest, FileAndStringSourcesAgree) {
 
 TEST(ChunkedIngestTest, ErrorLinesMatchTheEagerOracle) {
   Fixture fixture(20, 4);
-  // Corrupt one record so both paths must fail with the same line number.
+  // Corrupt one record: every chunk size must fail on its line.
   std::string bad = fixture.csv;
   size_t cut = bad.find('\n', bad.find('\n') + 1);  // after first data row
   ASSERT_NE(cut, std::string::npos);
   bad.insert(cut + 1, "this,row,is,hopelessly,short\n");
-  CsvOptions eager;
-  eager.chunk_rows = 0;
-  Result<Table> oracle =
-      ReadCsvString(bad, fixture.table.schema(), eager);
-  ASSERT_FALSE(oracle.ok());
+  Result<Table> whole = ReadCsvString(bad, fixture.table.schema());
+  ASSERT_FALSE(whole.ok());
+  EXPECT_EQ(whole.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(whole.status().message(), kShortRowError);
   for (size_t chunk_rows : kChunkSizes) {
-    CsvOptions chunked;
-    chunked.chunk_rows = chunk_rows;
-    Result<Table> got = ReadCsvString(bad, fixture.table.schema(), chunked);
+    Result<Table> got =
+        ReadStringInChunks(bad, fixture.table.schema(), chunk_rows);
     ASSERT_FALSE(got.ok()) << "chunk_rows=" << chunk_rows;
-    EXPECT_EQ(got.status().code(), oracle.status().code());
-    EXPECT_EQ(got.status().message(), oracle.status().message())
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), kShortRowError)
         << "chunk_rows=" << chunk_rows;
   }
 }
 
+TEST(ChunkedIngestTest, NextChunkZeroIsRejectedAndLosesNoRows) {
+  Fixture fixture(25, 5);
+  CsvChunkReader reader = UnwrapOk(
+      CsvChunkReader::OpenString(fixture.csv, fixture.table.schema()));
+  IngestChunk chunk;
+  Result<size_t> zero = reader.NextChunk(0, &chunk);
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.rows_read(), 0u);
+  Table table = UnwrapOk(
+      DrainInChunks(std::move(reader), fixture.table.schema(), 10));
+  EXPECT_EQ(table.num_rows(), fixture.table.num_rows());
+  EXPECT_EQ(WriteCsvString(table), fixture.csv);
+}
+
 // ---------------------------------------------------------------------------
-// Full-pipeline equivalence matrix: 7 engines x chunk sizes, comparing
-// release bytes, SearchStats, scorecard and the guard's verdict.
+// Full-pipeline matrix: 7 engines x chunk sizes, comparing release bytes,
+// SearchStats, scorecard and the guard's verdict against the goldens.
 
 TEST(ChunkedIngestTest, AllEnginesMatchEagerAcrossChunkSizes) {
   Fixture fixture;
@@ -129,41 +186,20 @@ TEST(ChunkedIngestTest, AllEnginesMatchEagerAcrossChunkSizes) {
     return UnwrapOk(anonymizer.Run());
   };
 
-  CsvOptions eager;
-  eager.chunk_rows = 0;
-  Table oracle_table = UnwrapOk(
-      ReadCsvString(fixture.csv, fixture.table.schema(), eager));
-
-  for (auto algorithm :
-       {AnonymizationAlgorithm::kSamarati, AnonymizationAlgorithm::kIncognito,
-        AnonymizationAlgorithm::kBottomUp,
-        AnonymizationAlgorithm::kExhaustive, AnonymizationAlgorithm::kMondrian,
-        AnonymizationAlgorithm::kGreedyCluster,
-        AnonymizationAlgorithm::kOla}) {
-    AnonymizationReport legacy = run(oracle_table, algorithm);
-    for (size_t chunk_rows : kChunkSizes) {
-      std::string what =
-          "algorithm=" + std::to_string(static_cast<int>(algorithm)) +
-          " chunk_rows=" + std::to_string(chunk_rows);
-      CsvOptions chunked;
-      chunked.chunk_rows = chunk_rows;
-      Table input = UnwrapOk(
-          ReadCsvString(fixture.csv, fixture.table.schema(), chunked));
-      AnonymizationReport got = run(input, algorithm);
-      EXPECT_EQ(WriteCsvString(got.masked), WriteCsvString(legacy.masked))
-          << what;
-      EXPECT_EQ(got.node, legacy.node) << what;
-      EXPECT_EQ(got.suppressed, legacy.suppressed) << what;
-      EXPECT_EQ(got.achieved_k, legacy.achieved_k) << what;
-      EXPECT_EQ(got.achieved_p, legacy.achieved_p) << what;
-      EXPECT_EQ(got.precision, legacy.precision) << what;
-      EXPECT_EQ(got.discernibility, legacy.discernibility) << what;
-      EXPECT_EQ(got.algorithm_used, legacy.algorithm_used) << what;
-      EXPECT_EQ(got.guard.passed, legacy.guard.passed) << what;
-      EXPECT_EQ(got.guard.observed_k, legacy.guard.observed_k) << what;
-      EXPECT_EQ(got.guard.observed_p, legacy.guard.observed_p) << what;
-      EXPECT_EQ(got.guard.suppressed, legacy.guard.suppressed) << what;
-      ExpectStatsEq(got.stats, legacy.stats, what);
+  std::vector<std::pair<std::string, Table>> inputs;
+  inputs.emplace_back("64Ki", UnwrapOk(ReadCsvString(
+                                  fixture.csv, fixture.table.schema())));
+  for (size_t chunk_rows : kChunkSizes) {
+    inputs.emplace_back(std::to_string(chunk_rows),
+                        UnwrapOk(ReadStringInChunks(
+                            fixture.csv, fixture.table.schema(), chunk_rows)));
+  }
+  for (const ReportGolden& want : kChunkedRuns) {
+    for (const auto& [chunk_rows, input] : inputs) {
+      ExpectReportMatches(run(input, want.algorithm), want,
+                          "algorithm=" +
+                              std::string(AlgorithmName(want.algorithm)) +
+                              " chunk_rows=" + chunk_rows);
     }
   }
 }
@@ -257,7 +293,6 @@ TEST(ChunkedIngestTest, SyntheticChunkGeneratorMatchesEagerGenerate) {
 TEST(ChunkedIngestTest, CsvIngestBudgetRefusesOverQuotaReads) {
   Fixture fixture(400, 10);
   CsvOptions options;
-  options.chunk_rows = 64;
   options.ingest_budget = std::make_shared<MemoryBudget>();
   options.ingest_budget->set_hard_limit(512);
   Result<Table> got =

@@ -1,8 +1,10 @@
-// Equivalence suite for the dictionary-encoded evaluation core: every
-// lattice engine (and the full Anonymizer chain) must produce releases,
-// SearchStats, suppression counts and guard verdicts identical between the
-// encoded path (SearchOptions::use_encoded_core = true, the default) and
-// the legacy Value pipeline kept as the oracle — for any thread count.
+// Golden suite for the dictionary-encoded evaluation core: every lattice
+// engine (and the full Anonymizer chain) must reproduce the releases,
+// SearchStats, suppression counts and guard verdicts the Value-path
+// evaluator produced on the same inputs (see release_golden.h) — at every
+// thread count, with and without intra-node row slicing. The decode is
+// checked byte for byte against ApplyGeneralization +
+// SuppressUndersizedGroups, which stay public as the Value-path reference.
 
 #include <gtest/gtest.h>
 
@@ -20,31 +22,17 @@
 #include "psk/anonymity/kanonymity.h"
 #include "psk/anonymity/psensitive.h"
 #include "psk/api/anonymizer.h"
+#include "psk/api/spec_parser.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/paper_tables.h"
 #include "psk/generalize/generalize.h"
 #include "psk/table/csv.h"
 #include "psk/table/encoded.h"
+#include "release_golden.h"
 #include "test_util.h"
 
 namespace psk {
 namespace {
-
-void ExpectStatsEq(const SearchStats& a, const SearchStats& b,
-                   const std::string& what) {
-  EXPECT_EQ(a.nodes_generalized, b.nodes_generalized) << what;
-  EXPECT_EQ(a.nodes_pruned_condition2, b.nodes_pruned_condition2) << what;
-  EXPECT_EQ(a.nodes_rejected_kanonymity, b.nodes_rejected_kanonymity)
-      << what;
-  EXPECT_EQ(a.nodes_rejected_detail, b.nodes_rejected_detail) << what;
-  EXPECT_EQ(a.nodes_satisfied, b.nodes_satisfied) << what;
-  EXPECT_EQ(a.nodes_skipped, b.nodes_skipped) << what;
-  EXPECT_EQ(a.nodes_cache_hits, b.nodes_cache_hits) << what;
-  EXPECT_EQ(a.heights_probed, b.heights_probed) << what;
-  EXPECT_EQ(a.subset_nodes_evaluated, b.subset_nodes_evaluated) << what;
-  EXPECT_EQ(a.partial, b.partial) << what;
-  EXPECT_EQ(a.stop_reason, b.stop_reason) << what;
-}
 
 struct AdultFixture {
   Table table;
@@ -55,19 +43,132 @@ struct AdultFixture {
         hierarchies(UnwrapOk(AdultHierarchies(table.schema()))) {}
 };
 
-SearchOptions BaseOptions(bool encoded, size_t threads) {
+SearchOptions BaseOptions(size_t threads) {
   SearchOptions options;
   options.k = 3;
   options.p = 2;
   options.max_suppression = 40;
   options.threads = threads;
-  options.use_encoded_core = encoded;
   return options;
 }
 
+const size_t kThreadCounts[] = {1, 2, 8};
+
+// The Value-path reference for one masked microdata: generalize, then (for
+// k > 0) suppress undersized groups.
+MaskedMicrodata ValuePathMask(const Table& im, const HierarchySet& hierarchies,
+                              const LatticeNode& node, size_t k) {
+  MaskedMicrodata mm{UnwrapOk(ApplyGeneralization(im, hierarchies, node)),
+                     node, 0};
+  if (k > 0) {
+    mm.table = UnwrapOk(SuppressUndersizedGroups(
+        mm.table, mm.table.schema().KeyIndices(), k, &mm.suppressed));
+  }
+  return mm;
+}
+
 // ---------------------------------------------------------------------------
-// Decode byte-identity: the one-shot decode of the winning node must equal
-// the legacy ApplyGeneralization + suppression pipeline byte for byte.
+// Goldens (Value-path evaluator, k=3 p=2 TS=40 unless noted; node lists in
+// lattice order, stats in StatsGolden field order).
+
+// Adult 4000 rows, seed 1.
+const SearchGolden kSamarati4000 = {
+    {2, 1, 1, 1}, 0x1d4d174754f6b9d0ULL, 0, {}, 0, 0,
+    {62, 0, 5, 37, 20, 0, 0, 62, 0, 4, 0}};
+const SearchGolden kOla4000 = {
+    {2, 1, 2, 0}, 0x4e5e0e06e9beb0d5ULL, 0,
+    {{2, 0, 3, 1}, {2, 1, 1, 1}, {2, 1, 2, 0}, {2, 2, 1, 0}, {3, 1, 1, 0}},
+    0, 0, {39, 0, 6, 20, 13, 262, 0, 39, 0, 0, 0}};
+
+// Adult 1500 rows, seed 2 (every engine: the intra-node matrix runs them all
+// on this fixture).
+const std::vector<std::vector<int>> kMinimal1500Seed2 = {
+    {2, 1, 2, 1}, {2, 1, 3, 0}, {2, 2, 1, 1}, {2, 2, 2, 0},
+    {3, 0, 3, 1}, {3, 1, 1, 1}, {3, 1, 2, 0}, {3, 2, 1, 0}};
+const SearchGolden kExhaustive1500 = {
+    {}, 0, 0, kMinimal1500Seed2, 20, 0x301a4aaf2fe3cf04ULL,
+    {96, 2, 28, 46, 20, 0, 0, 96, 0, 0, 0}};
+const SearchGolden kSamarati1500 = {
+    {2, 1, 2, 1}, 0x27caf3f3a8ced3e5ULL, 0, {}, 0, 0,
+    {62, 2, 7, 38, 15, 0, 0, 62, 0, 4, 0}};
+const SearchGolden kOla1500 = {
+    {2, 1, 3, 0}, 0x2635971dc58c0cf1ULL, 0, kMinimal1500Seed2, 0, 0,
+    {42, 1, 6, 24, 11, 256, 0, 42, 0, 0, 0}};
+const SearchGolden kIncognito1500 = {
+    {}, 0, 0, kMinimal1500Seed2, 8, 0x2a53dfd2fc4ff772ULL,
+    {56, 2, 0, 46, 8, 273, 0, 56, 0, 0, 38}};
+const SearchGolden kBottomUp1500 = {
+    {}, 0, 0, kMinimal1500Seed2, 8, 0x441c43b5b2bf8f8eULL,
+    {84, 2, 28, 46, 8, 12, 0, 0, 0, 0, 0}};
+
+// Adult 1500 rows, seed 3 (bottom-up) and seed 4 (Incognito).
+const SearchGolden kBottomUp1500Seed3 = {
+    {}, 0, 0,
+    {{2, 1, 2, 1}, {2, 1, 3, 0}, {2, 2, 1, 1}, {3, 1, 1, 1}, {3, 1, 2, 0},
+     {3, 2, 1, 0}},
+    6, 0x9c191e71de46dd85ULL, {84, 0, 28, 50, 6, 12, 0, 0, 0, 0, 0}};
+const SearchGolden kIncognito1500Seed4 = {
+    {}, 0, 0,
+    {{1, 2, 3, 1}, {2, 1, 3, 0}, {2, 2, 1, 1}, {3, 0, 3, 1}, {3, 1, 1, 1},
+     {3, 1, 2, 0}, {3, 2, 1, 0}},
+    7, 0x20ddca51bae22694ULL, {54, 0, 0, 47, 7, 268, 0, 54, 0, 0, 43}};
+
+// Anonymizer over Adult 800 rows, seed 7, k=3 p=2 TS=8, one per engine.
+const ReportGolden kAnonymizer800[] = {
+    {AnonymizationAlgorithm::kSamarati, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
+     0, 87, 3, 0.20833333333333337, 204854,
+     AnonymizationAlgorithm::kSamarati, {true, 87, 3, 0, 0, 0},
+     {43, 0, 16, 23, 4, 0, 0, 43, 0, 3, 0}},
+    {AnonymizationAlgorithm::kIncognito, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
+     0, 87, 3, 0.20833333333333337, 204854,
+     AnonymizationAlgorithm::kIncognito, {true, 87, 3, 0, 0, 0},
+     {42, 0, 0, 38, 4, 257, 0, 42, 0, 0, 47}},
+    {AnonymizationAlgorithm::kBottomUp, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
+     0, 87, 3, 0.20833333333333337, 204854,
+     AnonymizationAlgorithm::kBottomUp, {true, 87, 3, 0, 0, 0},
+     {67, 0, 25, 38, 4, 29, 0, 0, 0, 0, 0}},
+    {AnonymizationAlgorithm::kExhaustive, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
+     0, 87, 3, 0.20833333333333337, 204854,
+     AnonymizationAlgorithm::kExhaustive, {true, 87, 3, 0, 0, 0},
+     {96, 0, 49, 38, 9, 0, 0, 96, 0, 0, 0}},
+    {AnonymizationAlgorithm::kMondrian, 0x46f4b081449f5d7aULL, {}, 0, 9, 2, 1,
+     43064, AnonymizationAlgorithm::kMondrian, {true, 9, 2, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {AnonymizationAlgorithm::kGreedyCluster, 0x6204484754f467bbULL, {}, 0, 4,
+     2, 1, 82960, AnonymizationAlgorithm::kGreedyCluster,
+     {true, 4, 2, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {AnonymizationAlgorithm::kOla, 0x78053461816ed281ULL, {3, 1, 3, 0}, 0,
+     120, 4, 0.375, 181614, AnonymizationAlgorithm::kOla,
+     {true, 120, 4, 0, 0, 0}, {38, 0, 17, 15, 6, 411, 0, 38, 0, 0, 0}},
+};
+
+// Paper microdata (exhaustive search): Figure 3 at k=3, and Patient Tables
+// 1 and 3 at k=2 p=2 over suppression hierarchies.
+const SearchGolden kFigure3 = {
+    {}, 0, 0, {{0, 2}}, 2, 0x97ff1edfead17dbeULL,
+    {6, 0, 4, 0, 2, 0, 0, 6, 0, 0, 0}};
+const SearchGolden kPatientTable1 = {
+    {}, 0, 0, {{1, 0, 0}}, 4, 0x5cc9ca7d2e7d9dc3ULL,
+    {8, 0, 0, 4, 4, 0, 0, 8, 0, 0, 0}};
+const SearchGolden kPatientTable3 = {
+    {}, 0, 0, {{1, 0, 1}}, 2, 0x24b0bcd3638da80aULL,
+    {8, 0, 0, 6, 2, 0, 0, 8, 0, 0, 0}};
+
+Anonymizer MakeAnonymizer(const AdultFixture& fixture,
+                          AnonymizationAlgorithm algorithm) {
+  Anonymizer anonymizer(fixture.table);
+  for (size_t i = 0; i < fixture.hierarchies.size(); ++i) {
+    anonymizer.AddHierarchy(fixture.hierarchies.hierarchy_ptr(i));
+  }
+  anonymizer.set_k(3).set_p(2).set_max_suppression(8).set_algorithm(
+      algorithm);
+  return anonymizer;
+}
+
+// ---------------------------------------------------------------------------
+// Decode byte-identity: the one-shot decode of the winning node (which Mask
+// runs too) must equal the Value-path ApplyGeneralization + suppression
+// pipeline byte for byte.
 
 TEST(EncodedDecodeTest, DecodeMatchesLegacyMaskOnAdult) {
   AdultFixture fixture(1500, 5);
@@ -82,7 +183,7 @@ TEST(EncodedDecodeTest, DecodeMatchesLegacyMaskOnAdult) {
   for (const LatticeNode& node : nodes) {
     for (size_t k : {size_t{0}, size_t{3}}) {
       MaskedMicrodata legacy =
-          UnwrapOk(Mask(fixture.table, fixture.hierarchies, node, k));
+          ValuePathMask(fixture.table, fixture.hierarchies, node, k);
       MaskedMicrodata fast = UnwrapOk(DecodeMasked(encoded, node, k, &ws));
       EXPECT_EQ(fast.suppressed, legacy.suppressed)
           << "node=" << SnapshotNodeKey(node) << " k=" << k;
@@ -166,135 +267,73 @@ TEST(EncodedChecksTest, OverloadsAgreeWithLegacyChecks) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence on Adult, across thread counts.
+// Engine-level goldens on Adult, across thread counts.
 
 TEST(EncodedEquivalenceTest, SamaratiMatchesLegacy) {
   AdultFixture fixture;
-  SearchResult legacy = UnwrapOk(
-      SamaratiSearch(fixture.table, fixture.hierarchies, BaseOptions(false, 1)));
-  ASSERT_TRUE(legacy.found);
-  std::string legacy_csv = WriteCsvString(legacy.masked);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SearchResult got = UnwrapOk(SamaratiSearch(fixture.table,
-                                               fixture.hierarchies,
-                                               BaseOptions(true, threads)));
-    ASSERT_TRUE(got.found) << "threads=" << threads;
-    EXPECT_EQ(got.node, legacy.node) << "threads=" << threads;
-    EXPECT_EQ(got.suppressed, legacy.suppressed) << "threads=" << threads;
-    EXPECT_EQ(WriteCsvString(got.masked), legacy_csv)
-        << "threads=" << threads;
-    ExpectStatsEq(got.stats, legacy.stats,
-                  "samarati threads=" + std::to_string(threads));
+  for (size_t threads : kThreadCounts) {
+    ExpectSearchMatches(UnwrapOk(SamaratiSearch(fixture.table,
+                                                fixture.hierarchies,
+                                                BaseOptions(threads))),
+                        kSamarati4000,
+                        "samarati threads=" + std::to_string(threads));
   }
 }
 
 TEST(EncodedEquivalenceTest, OlaMatchesLegacy) {
   AdultFixture fixture;
-  OlaOptions legacy_options;
-  legacy_options.search = BaseOptions(false, 1);
-  OlaResult legacy =
-      UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, legacy_options));
-  ASSERT_TRUE(legacy.found);
-  std::string legacy_csv = WriteCsvString(legacy.masked);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+  for (size_t threads : kThreadCounts) {
     OlaOptions options;
-    options.search = BaseOptions(true, threads);
-    OlaResult got =
-        UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, options));
-    ASSERT_TRUE(got.found) << "threads=" << threads;
-    EXPECT_EQ(got.optimal, legacy.optimal) << "threads=" << threads;
-    EXPECT_EQ(got.minimal_nodes, legacy.minimal_nodes)
-        << "threads=" << threads;
-    EXPECT_EQ(WriteCsvString(got.masked), legacy_csv)
-        << "threads=" << threads;
-    ExpectStatsEq(got.stats, legacy.stats,
-                  "ola threads=" + std::to_string(threads));
+    options.search = BaseOptions(threads);
+    ExpectSearchMatches(
+        UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, options)),
+        kOla4000, "ola threads=" + std::to_string(threads));
   }
 }
 
 TEST(EncodedEquivalenceTest, ExhaustiveMatchesLegacy) {
   AdultFixture fixture(1500, 2);
-  MinimalSetResult legacy = UnwrapOk(ExhaustiveSearch(
-      fixture.table, fixture.hierarchies, BaseOptions(false, 1)));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    MinimalSetResult got = UnwrapOk(ExhaustiveSearch(
-        fixture.table, fixture.hierarchies, BaseOptions(true, threads)));
-    EXPECT_EQ(got.minimal_nodes, legacy.minimal_nodes)
-        << "threads=" << threads;
-    EXPECT_EQ(got.satisfying_nodes, legacy.satisfying_nodes)
-        << "threads=" << threads;
-    ExpectStatsEq(got.stats, legacy.stats,
-                  "exhaustive threads=" + std::to_string(threads));
+  for (size_t threads : kThreadCounts) {
+    ExpectSearchMatches(UnwrapOk(ExhaustiveSearch(fixture.table,
+                                                  fixture.hierarchies,
+                                                  BaseOptions(threads))),
+                        kExhaustive1500,
+                        "exhaustive threads=" + std::to_string(threads));
   }
 }
 
 TEST(EncodedEquivalenceTest, BottomUpMatchesLegacy) {
   AdultFixture fixture(1500, 3);
-  MinimalSetResult legacy = UnwrapOk(BottomUpSearch(
-      fixture.table, fixture.hierarchies, BaseOptions(false, 1)));
-  MinimalSetResult got = UnwrapOk(BottomUpSearch(
-      fixture.table, fixture.hierarchies, BaseOptions(true, 1)));
-  EXPECT_EQ(got.minimal_nodes, legacy.minimal_nodes);
-  ExpectStatsEq(got.stats, legacy.stats, "bottom-up");
+  for (size_t threads : kThreadCounts) {
+    ExpectSearchMatches(UnwrapOk(BottomUpSearch(fixture.table,
+                                                fixture.hierarchies,
+                                                BaseOptions(threads))),
+                        kBottomUp1500Seed3,
+                        "bottom-up threads=" + std::to_string(threads));
+  }
 }
 
 TEST(EncodedEquivalenceTest, IncognitoMatchesLegacy) {
   AdultFixture fixture(1500, 4);
-  MinimalSetResult legacy = UnwrapOk(IncognitoSearch(
-      fixture.table, fixture.hierarchies, BaseOptions(false, 1)));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    MinimalSetResult got = UnwrapOk(IncognitoSearch(
-        fixture.table, fixture.hierarchies, BaseOptions(true, threads)));
-    EXPECT_EQ(got.minimal_nodes, legacy.minimal_nodes)
-        << "threads=" << threads;
-    EXPECT_EQ(got.satisfying_nodes, legacy.satisfying_nodes)
-        << "threads=" << threads;
-    ExpectStatsEq(got.stats, legacy.stats,
-                  "incognito threads=" + std::to_string(threads));
+  for (size_t threads : kThreadCounts) {
+    ExpectSearchMatches(UnwrapOk(IncognitoSearch(fixture.table,
+                                                 fixture.hierarchies,
+                                                 BaseOptions(threads))),
+                        kIncognito1500Seed4,
+                        "incognito threads=" + std::to_string(threads));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Full API chain: all seven engines through Anonymizer, encoded vs legacy,
-// comparing the release and the guard's independent verdict.
+// Full API chain: all seven engines through Anonymizer — the release, the
+// scorecard and the guard's independent verdict.
 
 TEST(EncodedEquivalenceTest, AnonymizerAllAlgorithmsMatchLegacy) {
   AdultFixture fixture(800, 7);
-  for (auto algorithm :
-       {AnonymizationAlgorithm::kSamarati, AnonymizationAlgorithm::kIncognito,
-        AnonymizationAlgorithm::kBottomUp,
-        AnonymizationAlgorithm::kExhaustive, AnonymizationAlgorithm::kMondrian,
-        AnonymizationAlgorithm::kGreedyCluster,
-        AnonymizationAlgorithm::kOla}) {
-    std::string what = "algorithm=" +
-                       std::to_string(static_cast<int>(algorithm));
-    AnonymizationReport reports[2];
-    for (bool encoded : {false, true}) {
-      Anonymizer anonymizer(fixture.table);
-      for (size_t i = 0; i < fixture.hierarchies.size(); ++i) {
-        anonymizer.AddHierarchy(fixture.hierarchies.hierarchy_ptr(i));
-      }
-      anonymizer.set_k(3).set_p(2).set_max_suppression(8).set_algorithm(
-          algorithm);
-      anonymizer.set_use_encoded_core(encoded);
-      reports[encoded ? 1 : 0] = UnwrapOk(anonymizer.Run());
-    }
-    const AnonymizationReport& legacy = reports[0];
-    const AnonymizationReport& got = reports[1];
-    EXPECT_EQ(WriteCsvString(got.masked), WriteCsvString(legacy.masked))
-        << what;
-    EXPECT_EQ(got.node, legacy.node) << what;
-    EXPECT_EQ(got.suppressed, legacy.suppressed) << what;
-    EXPECT_EQ(got.achieved_k, legacy.achieved_k) << what;
-    EXPECT_EQ(got.achieved_p, legacy.achieved_p) << what;
-    EXPECT_EQ(got.precision, legacy.precision) << what;
-    EXPECT_EQ(got.discernibility, legacy.discernibility) << what;
-    EXPECT_EQ(got.algorithm_used, legacy.algorithm_used) << what;
-    EXPECT_EQ(got.guard.passed, legacy.guard.passed) << what;
-    EXPECT_EQ(got.guard.observed_k, legacy.guard.observed_k) << what;
-    EXPECT_EQ(got.guard.observed_p, legacy.guard.observed_p) << what;
-    EXPECT_EQ(got.guard.suppressed, legacy.guard.suppressed) << what;
-    ExpectStatsEq(got.stats, legacy.stats, what);
+  for (const ReportGolden& want : kAnonymizer800) {
+    ExpectReportMatches(
+        UnwrapOk(MakeAnonymizer(fixture, want.algorithm).Run()), want,
+        "algorithm=" + std::string(AlgorithmName(want.algorithm)));
   }
 }
 
@@ -305,18 +344,10 @@ TEST(EncodedEquivalenceTest, AnonymizerAllAlgorithmsMatchLegacy) {
 TEST(EncodedEquivalenceTest, Figure3MicrodataMatchesLegacy) {
   Table fig3 = UnwrapOk(Figure3Table());
   HierarchySet hierarchies = UnwrapOk(Figure3Hierarchies(fig3.schema()));
-  SearchOptions legacy_options;
-  legacy_options.k = 3;
-  legacy_options.use_encoded_core = false;
-  SearchOptions encoded_options = legacy_options;
-  encoded_options.use_encoded_core = true;
-  MinimalSetResult legacy =
-      UnwrapOk(ExhaustiveSearch(fig3, hierarchies, legacy_options));
-  MinimalSetResult got =
-      UnwrapOk(ExhaustiveSearch(fig3, hierarchies, encoded_options));
-  EXPECT_EQ(got.minimal_nodes, legacy.minimal_nodes);
-  EXPECT_EQ(got.satisfying_nodes, legacy.satisfying_nodes);
-  ExpectStatsEq(got.stats, legacy.stats, "figure 3");
+  SearchOptions options;
+  options.k = 3;
+  ExpectSearchMatches(UnwrapOk(ExhaustiveSearch(fig3, hierarchies, options)),
+                      kFigure3, "figure 3");
 }
 
 TEST(EncodedEquivalenceTest, PatientTablesMatchLegacy) {
@@ -332,28 +363,23 @@ TEST(EncodedEquivalenceTest, PatientTablesMatchLegacy) {
     }
     HierarchySet hierarchies =
         UnwrapOk(HierarchySet::Create(table.schema(), hs));
-    SearchOptions legacy_options;
-    legacy_options.k = 2;
-    legacy_options.p = 2;
-    legacy_options.use_encoded_core = false;
-    SearchOptions encoded_options = legacy_options;
-    encoded_options.use_encoded_core = true;
-    MinimalSetResult legacy =
-        UnwrapOk(ExhaustiveSearch(table, hierarchies, legacy_options));
+    SearchOptions options;
+    options.k = 2;
+    options.p = 2;
     MinimalSetResult got =
-        UnwrapOk(ExhaustiveSearch(table, hierarchies, encoded_options));
+        UnwrapOk(ExhaustiveSearch(table, hierarchies, options));
     std::string what = "table " + std::to_string(which);
-    EXPECT_EQ(got.minimal_nodes, legacy.minimal_nodes) << what;
-    EXPECT_EQ(got.satisfying_nodes, legacy.satisfying_nodes) << what;
-    ExpectStatsEq(got.stats, legacy.stats, what);
-    // Materialize every satisfying node both ways.
+    ExpectSearchMatches(got, which == 1 ? kPatientTable1 : kPatientTable3,
+                        what);
+    // Materialize every satisfying node through the decode and the
+    // Value-path reference.
     EncodedTable encoded = UnwrapOk(EncodedTable::Build(table, hierarchies));
     EncodedWorkspace ws;
     for (const LatticeNode& node : got.satisfying_nodes) {
       MaskedMicrodata legacy_mm =
-          UnwrapOk(Mask(table, hierarchies, node, legacy_options.k));
+          ValuePathMask(table, hierarchies, node, options.k);
       MaskedMicrodata fast_mm =
-          UnwrapOk(DecodeMasked(encoded, node, legacy_options.k, &ws));
+          UnwrapOk(DecodeMasked(encoded, node, options.k, &ws));
       EXPECT_EQ(WriteCsvString(fast_mm.table), WriteCsvString(legacy_mm.table))
           << what << " node=" << SnapshotNodeKey(node);
       EXPECT_EQ(fast_mm.suppressed, legacy_mm.suppressed) << what;
@@ -365,140 +391,44 @@ TEST(EncodedEquivalenceTest, PatientTablesMatchLegacy) {
 // Intra-node parallelism (fine axis): min_rows_per_slice = 1 forces the
 // row-sliced group-by wherever the engines engage it (underfilled sweeps,
 // OLA's direct probes, Incognito's narrow subset waves, bottom-up's
-// sequential walk). Releases and stats must stay bit-identical to the
-// sequential runs at every thread count.
+// sequential walk). Releases and stats must still match the goldens at
+// every thread count.
 
 TEST(EncodedEquivalenceTest, SweeperEnginesMatchWithIntraNodeParallelism) {
   AdultFixture fixture(1500, 2);
-  SearchOptions sequential = BaseOptions(true, 1);
-  MinimalSetResult exhaustive_base = UnwrapOk(
-      ExhaustiveSearch(fixture.table, fixture.hierarchies, sequential));
-  SearchResult samarati_base = UnwrapOk(
-      SamaratiSearch(fixture.table, fixture.hierarchies, sequential));
-  OlaOptions ola_sequential;
-  ola_sequential.search = sequential;
-  OlaResult ola_base = UnwrapOk(
-      OlaSearch(fixture.table, fixture.hierarchies, ola_sequential));
-  MinimalSetResult incognito_base = UnwrapOk(
-      IncognitoSearch(fixture.table, fixture.hierarchies, sequential));
-  MinimalSetResult bottom_up_base = UnwrapOk(
-      BottomUpSearch(fixture.table, fixture.hierarchies, sequential));
-
-  for (size_t threads : {size_t{2}, size_t{7}, size_t{16}}) {
-    SearchOptions sliced = BaseOptions(true, threads);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
+    SearchOptions sliced = BaseOptions(threads);
     sliced.min_rows_per_slice = 1;
-    std::string what = "threads=" + std::to_string(threads);
-
-    MinimalSetResult exhaustive = UnwrapOk(
-        ExhaustiveSearch(fixture.table, fixture.hierarchies, sliced));
-    EXPECT_EQ(exhaustive.minimal_nodes, exhaustive_base.minimal_nodes)
-        << what;
-    EXPECT_EQ(exhaustive.satisfying_nodes, exhaustive_base.satisfying_nodes)
-        << what;
-    ExpectStatsEq(exhaustive.stats, exhaustive_base.stats,
-                  "exhaustive sliced " + what);
-
-    SearchResult samarati = UnwrapOk(
-        SamaratiSearch(fixture.table, fixture.hierarchies, sliced));
-    ASSERT_TRUE(samarati.found) << what;
-    EXPECT_EQ(samarati.node, samarati_base.node) << what;
-    EXPECT_EQ(WriteCsvString(samarati.masked),
-              WriteCsvString(samarati_base.masked))
-        << what;
-    ExpectStatsEq(samarati.stats, samarati_base.stats,
-                  "samarati sliced " + what);
-
+    std::string what = " sliced threads=" + std::to_string(threads);
+    ExpectSearchMatches(
+        UnwrapOk(ExhaustiveSearch(fixture.table, fixture.hierarchies, sliced)),
+        kExhaustive1500, "exhaustive" + what);
+    ExpectSearchMatches(
+        UnwrapOk(SamaratiSearch(fixture.table, fixture.hierarchies, sliced)),
+        kSamarati1500, "samarati" + what);
     OlaOptions ola_options;
     ola_options.search = sliced;
-    OlaResult ola = UnwrapOk(
-        OlaSearch(fixture.table, fixture.hierarchies, ola_options));
-    ASSERT_TRUE(ola.found) << what;
-    EXPECT_EQ(ola.optimal, ola_base.optimal) << what;
-    EXPECT_EQ(ola.minimal_nodes, ola_base.minimal_nodes) << what;
-    EXPECT_EQ(WriteCsvString(ola.masked), WriteCsvString(ola_base.masked))
-        << what;
-    ExpectStatsEq(ola.stats, ola_base.stats, "ola sliced " + what);
-
-    MinimalSetResult incognito = UnwrapOk(
-        IncognitoSearch(fixture.table, fixture.hierarchies, sliced));
-    EXPECT_EQ(incognito.minimal_nodes, incognito_base.minimal_nodes) << what;
-    ExpectStatsEq(incognito.stats, incognito_base.stats,
-                  "incognito sliced " + what);
-
-    MinimalSetResult bottom_up = UnwrapOk(
-        BottomUpSearch(fixture.table, fixture.hierarchies, sliced));
-    EXPECT_EQ(bottom_up.minimal_nodes, bottom_up_base.minimal_nodes) << what;
-    ExpectStatsEq(bottom_up.stats, bottom_up_base.stats,
-                  "bottom-up sliced " + what);
+    ExpectSearchMatches(
+        UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, ola_options)),
+        kOla1500, "ola" + what);
+    ExpectSearchMatches(
+        UnwrapOk(IncognitoSearch(fixture.table, fixture.hierarchies, sliced)),
+        kIncognito1500, "incognito" + what);
+    ExpectSearchMatches(
+        UnwrapOk(BottomUpSearch(fixture.table, fixture.hierarchies, sliced)),
+        kBottomUp1500, "bottom-up" + what);
   }
 }
 
 TEST(EncodedEquivalenceTest, AnonymizerAllAlgorithmsIntraNodeParallel) {
   AdultFixture fixture(800, 7);
-  for (auto algorithm :
-       {AnonymizationAlgorithm::kSamarati, AnonymizationAlgorithm::kIncognito,
-        AnonymizationAlgorithm::kBottomUp,
-        AnonymizationAlgorithm::kExhaustive, AnonymizationAlgorithm::kMondrian,
-        AnonymizationAlgorithm::kGreedyCluster,
-        AnonymizationAlgorithm::kOla}) {
-    std::string what = "algorithm=" +
-                       std::to_string(static_cast<int>(algorithm));
-    AnonymizationReport reports[2];
-    for (int sliced : {0, 1}) {
-      Anonymizer anonymizer(fixture.table);
-      for (size_t i = 0; i < fixture.hierarchies.size(); ++i) {
-        anonymizer.AddHierarchy(fixture.hierarchies.hierarchy_ptr(i));
-      }
-      anonymizer.set_k(3).set_p(2).set_max_suppression(8).set_algorithm(
-          algorithm);
-      if (sliced != 0) {
-        anonymizer.set_threads(4).set_min_rows_per_slice(1);
-      }
-      reports[sliced] = UnwrapOk(anonymizer.Run());
-    }
-    const AnonymizationReport& base = reports[0];
-    const AnonymizationReport& got = reports[1];
-    EXPECT_EQ(WriteCsvString(got.masked), WriteCsvString(base.masked))
-        << what;
-    EXPECT_EQ(got.node, base.node) << what;
-    EXPECT_EQ(got.suppressed, base.suppressed) << what;
-    EXPECT_EQ(got.achieved_k, base.achieved_k) << what;
-    EXPECT_EQ(got.achieved_p, base.achieved_p) << what;
-    EXPECT_EQ(got.guard.passed, base.guard.passed) << what;
-    EXPECT_EQ(got.guard.observed_k, base.guard.observed_k) << what;
-    EXPECT_EQ(got.guard.observed_p, base.guard.observed_p) << what;
-    ExpectStatsEq(got.stats, base.stats, what);
+  for (const ReportGolden& want : kAnonymizer800) {
+    Anonymizer anonymizer = MakeAnonymizer(fixture, want.algorithm);
+    anonymizer.set_threads(4).set_min_rows_per_slice(1);
+    ExpectReportMatches(
+        UnwrapOk(anonymizer.Run()), want,
+        "sliced algorithm=" + std::string(AlgorithmName(want.algorithm)));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Fallback: pinning an evaluator to the legacy path via
-// set_encoded_table(nullptr) must not change behavior, and a search with
-// use_encoded_core off never builds an encoding.
-
-TEST(EncodedFallbackTest, NullEncodedTablePinsLegacyPath) {
-  AdultFixture fixture(400, 8);
-  SearchOptions options = BaseOptions(true, 1);
-  NodeEvaluator encoded_eval(fixture.table, fixture.hierarchies, options);
-  PSK_ASSERT_OK(encoded_eval.Init());
-  ASSERT_NE(encoded_eval.encoded_table(), nullptr);
-
-  NodeEvaluator legacy_eval(fixture.table, fixture.hierarchies, options);
-  legacy_eval.set_encoded_table(nullptr);
-  PSK_ASSERT_OK(legacy_eval.Init());
-  EXPECT_EQ(legacy_eval.encoded_table(), nullptr);
-
-  LatticeNode node{{1, 1, 1, 0}};
-  NodeEvaluation a = UnwrapOk(encoded_eval.Evaluate(node));
-  NodeEvaluation b = UnwrapOk(legacy_eval.Evaluate(node));
-  EXPECT_EQ(a.satisfied, b.satisfied);
-  EXPECT_EQ(a.stage, b.stage);
-  EXPECT_EQ(a.suppressed, b.suppressed);
-  EXPECT_EQ(a.num_groups, b.num_groups);
-
-  MaskedMicrodata ma = UnwrapOk(encoded_eval.Materialize(node));
-  MaskedMicrodata mb = UnwrapOk(legacy_eval.Materialize(node));
-  EXPECT_EQ(WriteCsvString(ma.table), WriteCsvString(mb.table));
 }
 
 }  // namespace

@@ -388,8 +388,11 @@ Anonymizer MakeArmedAnonymizer(AnonymizationAlgorithm algorithm,
 }
 
 void EngineRunsCleanUnderInjectedErrors(AnonymizationAlgorithm algorithm) {
-  // Reference run, no faults: the bytes the encoded-build class must
-  // reproduce through the legacy pipeline.
+  // Reference run, no faults: the bytes an engine that never encodes must
+  // keep releasing under the encoded-build class.
+  const bool lattice_engine =
+      algorithm != AnonymizationAlgorithm::kMondrian &&
+      algorithm != AnonymizationAlgorithm::kGreedyCluster;
   FailPoints::DisarmAll();
   AdultData clean = MakeAdult(120);
   AnonymizationReport unfaulted =
@@ -426,30 +429,49 @@ void EngineRunsCleanUnderInjectedErrors(AnonymizationAlgorithm algorithm) {
               std::string::npos);
   }
 
-  // Class 3: the dictionary-encoded fast path refuses to build. Lattice
-  // engines silently fall back to the legacy Value pipeline and must
-  // produce the identical release; engines that never build an encoded
-  // table are simply untouched.
+  // Class 3: the dictionary-encoded core refuses to build. A lattice
+  // engine's Init fails its stage with the injected (continuable) error
+  // before any node runs, and the full-suppression fallback — whose Mask
+  // encodes again, now successfully — releases. Engines that never build
+  // an encoded table are untouched.
+  {
+    SCOPED_TRACE("table.encoded.build x1");
+    FailPoints::DisarmAll();
+    PSK_ASSERT_OK(FailPoints::ArmFromSpec(
+        "table.encoded.build=error(ResourceExhausted)x1"));
+    AdultData data = MakeAdult(120);
+    AnonymizationReport report =
+        UnwrapOk(MakeArmedAnonymizer(algorithm, &data).Run());
+    EXPECT_TRUE(report.guard.passed) << report.guard.Summary();
+    if (lattice_engine) {
+      EXPECT_EQ(report.algorithm_used,
+                AnonymizationAlgorithm::kFullSuppression);
+      EXPECT_EQ(report.fallback_stage, 1u);
+    } else {
+      EXPECT_EQ(report.algorithm_used, algorithm);
+      EXPECT_EQ(WriteCsvString(report.masked),
+                WriteCsvString(unfaulted.masked));
+    }
+  }
+  // Armed without a count, the fallback's Mask fails as well: the run
+  // fails cleanly with the injected code, and the message names the site.
   {
     SCOPED_TRACE("table.encoded.build");
     FailPoints::DisarmAll();
     PSK_ASSERT_OK(FailPoints::ArmFromSpec(
         "table.encoded.build=error(ResourceExhausted)"));
     AdultData data = MakeAdult(120);
-    AnonymizationReport report =
-        UnwrapOk(MakeArmedAnonymizer(algorithm, &data).Run());
-    EXPECT_TRUE(report.guard.passed) << report.guard.Summary();
-    if (report.algorithm_used == unfaulted.algorithm_used) {
-      // The engine degraded to the legacy Value pipeline, which must
-      // release identical bytes.
-      EXPECT_EQ(WriteCsvString(report.masked),
-                WriteCsvString(unfaulted.masked));
+    auto report = MakeArmedAnonymizer(algorithm, &data).Run();
+    if (lattice_engine) {
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_NE(report.status().message().find("table.encoded.build"),
+                std::string::npos)
+          << report.status().message();
     } else {
-      // An engine with a hard encoded-core dependency (Incognito's
-      // subset phase) fails its stage with the continuable injected
-      // error and the chain degrades to full suppression instead.
-      EXPECT_EQ(report.algorithm_used,
-                AnonymizationAlgorithm::kFullSuppression);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(WriteCsvString(report->masked),
+                WriteCsvString(unfaulted.masked));
     }
   }
   FailPoints::DisarmAll();

@@ -15,7 +15,7 @@ namespace psk {
 namespace {
 
 // Wraps a hierarchy and fails Generalize at one level with a hard
-// (non-budget) error, simulating a corrupt hierarchy discovered mid-sweep.
+// (non-budget) error, simulating a corrupt hierarchy.
 class PoisonedHierarchy : public AttributeHierarchy {
  public:
   PoisonedHierarchy(std::shared_ptr<const AttributeHierarchy> base,
@@ -38,11 +38,12 @@ class PoisonedHierarchy : public AttributeHierarchy {
   int poison_level_;
 };
 
-// Regression: a hard error in one shard used to return before that shard's
-// stats were populated, and the merge step dropped the other shards'
-// counters entirely. The failure_stats out-param must now carry the merged
-// work counters of every shard on the hard-error path.
-TEST(ShardStatLossRegressionTest, CountersSurviveHardError) {
+// A hierarchy that cannot generalize some value fails the search in Init,
+// when the table is encoded, with the hierarchy's own status — before any
+// node is evaluated and whatever the thread count, even though the poisoned
+// level sits at the top of the lattice where a lazy evaluator would only
+// reach it mid-sweep.
+TEST(PoisonedHierarchyTest, FailsTheSearchBeforeAnyNodeAtEveryThreadCount) {
   SyntheticSpec spec = MakeUniformSpec(120, 3, 4, 1, 3, 0.6);
   SyntheticData data = UnwrapOk(SyntheticGenerate(spec, 7));
 
@@ -50,26 +51,22 @@ TEST(ShardStatLossRegressionTest, CountersSurviveHardError) {
   for (size_t i = 0; i < data.hierarchies.size(); ++i) {
     hs.push_back(data.hierarchies.hierarchy_ptr(i));
   }
-  // Poison attribute 0's top level: every node below it evaluates fine, so
-  // the sweep does real work before the fault hits mid-sweep.
   hs[0] = std::make_shared<PoisonedHierarchy>(hs[0],
                                               hs[0]->num_levels() - 1);
   HierarchySet poisoned =
       UnwrapOk(HierarchySet::Create(data.table.schema(), std::move(hs)));
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    SearchStats failure;
     SearchOptions options;
     options.k = 2;
     options.threads = threads;
-    options.failure_stats = &failure;
     Result<MinimalSetResult> result =
         ExhaustiveSearch(data.table, poisoned, options);
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << "threads=" << threads;
-    // The work done before the fault is observable despite the error.
-    EXPECT_GT(failure.nodes_generalized, 0u) << "threads=" << threads;
+    EXPECT_EQ(result.status().message(), "injected hierarchy fault")
+        << "threads=" << threads;
   }
 }
 

@@ -817,7 +817,10 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
   // reservation keeps the job over its soft quota while it waits, and
   // the rung-2 cancel then lands before the run starts — deterministic,
   // instead of racing the demotion against a search the interned data
-  // layer made too fast to catch mid-flight.
+  // layer made too fast to catch mid-flight. The source then holds the
+  // job over its soft quota for ~20 watchdog ticks more: the ladder must
+  // not climb to rung 3 while the restart is pending, or the forced
+  // exhaustion would fail the sequential attempt's input charge.
   auto source_table =
       std::make_shared<Table>(std::move(request.spec.input));
   request.spec.input = Table(source_table->schema());
@@ -830,6 +833,7 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
       while (scheduler.stats().degrade_sequential_restarts == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     size_t rows = std::min(max_rows, source_table->num_rows() - *pos);
     chunk->Reset(source_table->schema(), rows);

@@ -219,8 +219,6 @@ TEST(TraceIntegrationTest, StageCountersEqualSearchStats) {
             stats.nodes_cache_misses);
   EXPECT_EQ(trace->TotalCounter("nodes_evaluated_encoded"),
             stats.nodes_evaluated_encoded);
-  EXPECT_EQ(trace->TotalCounter("nodes_evaluated_legacy"),
-            stats.nodes_evaluated_legacy);
   EXPECT_EQ(trace->TotalCounter("replay_ticks"), stats.replay_ticks);
   EXPECT_EQ(trace->TotalCounter("heights_probed"), stats.heights_probed);
   EXPECT_EQ(trace->TotalCounter("subset_nodes_evaluated"),
@@ -311,19 +309,6 @@ TEST(TraceIntegrationTest, SinkExportsValidLookingJson) {
     EXPECT_NE(contents.find(field), std::string::npos) << field;
   }
   std::remove(path.c_str());
-}
-
-TEST(TraceIntegrationTest, LegacyPathIsLabeled) {
-  AdultFixture fixture(150, 2);
-  Anonymizer anonymizer = fixture.MakeAnonymizer();
-  anonymizer.set_k(2).set_p(2).set_max_suppression(4).set_use_encoded_core(
-      false);
-  anonymizer.set_trace_enabled(true);
-  AnonymizationReport report = UnwrapOk(anonymizer.Run());
-  EXPECT_EQ(report.stats.nodes_evaluated_encoded, 0u);
-  std::string signature = anonymizer.last_trace()->StructureSignature();
-  EXPECT_NE(signature.find("path=legacy"), std::string::npos) << signature;
-  EXPECT_EQ(signature.find("path=encoded"), std::string::npos) << signature;
 }
 
 // ---------------------------------------------------------------------------
