@@ -6,13 +6,9 @@ namespace psk {
 
 Result<bool> IsKAnonymous(const Table& table,
                           const std::vector<size_t>& key_indices, size_t k) {
-  if (k == 0) {
-    return Status::InvalidArgument("k must be >= 1");
-  }
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(table, key_indices));
-  if (fs.num_groups() == 0) return true;
-  return fs.MinGroupSize() >= k;
+  PSK_ASSIGN_OR_RETURN(ReleaseProfile profile,
+                       ReleaseProfile::Compute(table, key_indices));
+  return IsKAnonymousEncoded(profile.groups, k);
 }
 
 Result<bool> IsKAnonymous(const Table& table, size_t k) {
@@ -29,9 +25,9 @@ Result<bool> IsKAnonymousEncoded(const EncodedGroups& groups, size_t k) {
 
 Result<size_t> AnonymityK(const Table& table,
                           const std::vector<size_t>& key_indices) {
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(table, key_indices));
-  return fs.MinGroupSize();
+  PSK_ASSIGN_OR_RETURN(ReleaseProfile profile,
+                       ReleaseProfile::Compute(table, key_indices));
+  return profile.groups.MinGroupSize();
 }
 
 }  // namespace psk

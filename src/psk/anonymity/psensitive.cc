@@ -9,7 +9,8 @@ namespace psk {
 namespace {
 
 // Distinct values of column `col` among the rows of `group`, counting at
-// most `cap` (early exit once the check is decided).
+// most `cap` — the early-exit scan of Algorithms 1 and 2, which stop at the
+// first group that decides the check.
 size_t DistinctInGroup(const Table& table, const Group& group, size_t col,
                        size_t cap) {
   std::unordered_set<Value, ValueHash> seen;
@@ -137,17 +138,10 @@ Result<bool> IsPSensitive(const Table& table,
     return Status::InvalidArgument(
         "at least one confidential attribute is required");
   }
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(table, key_indices));
-  for (const Group& group : fs.groups()) {
-    for (size_t col : confidential_indices) {
-      if (col >= table.num_columns()) {
-        return Status::OutOfRange("confidential column index out of range");
-      }
-      if (DistinctInGroup(table, group, col, p) < p) return false;
-    }
-  }
-  return true;
+  PSK_ASSIGN_OR_RETURN(
+      ReleaseProfile profile,
+      ReleaseProfile::Compute(table, key_indices, confidential_indices));
+  return profile.groups.num_groups() == 0 || profile.MinDistinct() >= p;
 }
 
 Result<CheckOutcome> CheckBasic(const Table& table,
@@ -237,20 +231,10 @@ Result<size_t> SensitivityP(const Table& table,
     return Status::InvalidArgument(
         "at least one confidential attribute is required");
   }
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(table, key_indices));
-  if (fs.num_groups() == 0) return static_cast<size_t>(0);
-  size_t min_distinct = SIZE_MAX;
-  for (const Group& group : fs.groups()) {
-    for (size_t col : confidential_indices) {
-      if (col >= table.num_columns()) {
-        return Status::OutOfRange("confidential column index out of range");
-      }
-      min_distinct =
-          std::min(min_distinct, DistinctInGroup(table, group, col, SIZE_MAX));
-    }
-  }
-  return min_distinct;
+  PSK_ASSIGN_OR_RETURN(
+      ReleaseProfile profile,
+      ReleaseProfile::Compute(table, key_indices, confidential_indices));
+  return profile.MinDistinct();
 }
 
 namespace {
@@ -332,20 +316,10 @@ Result<size_t> CountAttributeDisclosures(
     return Status::InvalidArgument(
         "at least one confidential attribute is required");
   }
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(table, key_indices));
-  size_t disclosures = 0;
-  for (const Group& group : fs.groups()) {
-    for (size_t col : confidential_indices) {
-      if (col >= table.num_columns()) {
-        return Status::OutOfRange("confidential column index out of range");
-      }
-      if (DistinctInGroup(table, group, col, 2) == 1) {
-        ++disclosures;
-      }
-    }
-  }
-  return disclosures;
+  PSK_ASSIGN_OR_RETURN(
+      ReleaseProfile profile,
+      ReleaseProfile::Compute(table, key_indices, confidential_indices));
+  return profile.Disclosures();
 }
 
 }  // namespace psk

@@ -10,33 +10,30 @@
 #include "psk/algorithms/mondrian.h"
 #include "psk/algorithms/ola.h"
 #include "psk/algorithms/samarati.h"
-#include "psk/anonymity/kanonymity.h"
-#include "psk/anonymity/psensitive.h"
 #include "psk/api/spec_parser.h"
 #include "psk/common/failpoint.h"
 #include "psk/metrics/metrics.h"
-#include "psk/metrics/risk.h"
+#include "psk/table/group_by.h"
 
 namespace psk {
 namespace {
 
-// Scores the masked microdata; shared by every algorithm branch.
-Status FillScorecard(const Table& im, AnonymizationReport* report) {
+// Scores the masked microdata from one profile of it; shared by every
+// algorithm branch. `k` is the requirement C_AVG is normalized by.
+Status FillScorecard(const Table& im, size_t k, AnonymizationReport* report) {
   const Table& masked = report->masked;
-  std::vector<size_t> keys = masked.schema().KeyIndices();
-  std::vector<size_t> confs = masked.schema().ConfidentialIndices();
-  PSK_ASSIGN_OR_RETURN(report->achieved_k, AnonymityK(masked, keys));
-  if (!confs.empty()) {
-    PSK_ASSIGN_OR_RETURN(report->achieved_p,
-                         SensitivityP(masked, keys, confs));
-    PSK_ASSIGN_OR_RETURN(report->attribute_disclosures,
-                         CountAttributeDisclosures(masked, keys, confs));
-  }
-  PSK_ASSIGN_OR_RETURN(report->reidentification_risk,
-                       MarketerRisk(masked, keys));
   PSK_ASSIGN_OR_RETURN(
-      report->discernibility,
-      DiscernibilityMetric(masked, keys, report->suppressed, im.num_rows()));
+      ReleaseProfile profile,
+      ReleaseProfile::Compute(masked, masked.schema().KeyIndices(),
+                              masked.schema().ConfidentialIndices()));
+  report->achieved_k = profile.groups.MinGroupSize();
+  report->achieved_p = profile.MinDistinct();
+  report->attribute_disclosures = profile.Disclosures();
+  report->reidentification_risk = profile.MarketerRisk();
+  report->discernibility =
+      profile.Discernibility(report->suppressed, im.num_rows());
+  PSK_ASSIGN_OR_RETURN(report->normalized_avg_group_size,
+                       profile.NormalizedAvgGroupSize(k));
   return Status::OK();
 }
 
@@ -451,11 +448,7 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
                                          &report.guard, trace));
     }
     TraceSpan scorecard_span(trace, "scorecard");
-    PSK_RETURN_IF_ERROR(FillScorecard(initial_microdata_, &report));
-    PSK_ASSIGN_OR_RETURN(
-        report.normalized_avg_group_size,
-        NormalizedAvgGroupSize(report.masked,
-                               report.masked.schema().KeyIndices(), k_));
+    PSK_RETURN_IF_ERROR(FillScorecard(initial_microdata_, k_, &report));
     return report;
   }
   return Status(root_cause.code(), root_cause.message() + fallback_context);

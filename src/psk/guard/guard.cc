@@ -1,8 +1,7 @@
 #include "psk/guard/guard.h"
 
-#include "psk/anonymity/kanonymity.h"
-#include "psk/anonymity/psensitive.h"
 #include "psk/common/failpoint.h"
+#include "psk/table/group_by.h"
 
 namespace psk {
 namespace {
@@ -68,13 +67,27 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
     span.Attr("verdict", ok ? "passed" : "violated");
   };
 
+  // Every measured property is a read of one profile of the release,
+  // grouped once. Distinct values are counted only when a check needs
+  // them.
+  const bool measured = !key_indices.empty() && masked.num_rows() > 0;
+  ReleaseProfile profile;
+  if (measured) {
+    const bool count_distinct =
+        policy.p >= 2 || policy.max_attribute_disclosures.has_value();
+    PSK_ASSIGN_OR_RETURN(
+        profile,
+        ReleaseProfile::Compute(masked, key_indices,
+                                count_distinct ? conf_indices
+                                               : std::vector<size_t>{}));
+  }
+
   // k-anonymity (Definition 1). An empty release is vacuously anonymous —
   // the suppression cap below is what stops "suppress everything" from
   // being a free pass.
-  if (!key_indices.empty() && masked.num_rows() > 0) {
+  if (measured) {
     TraceSpan span(trace, "check_kanonymity");
-    PSK_ASSIGN_OR_RETURN(report.observed_k,
-                         AnonymityK(masked, key_indices));
+    report.observed_k = profile.groups.MinGroupSize();
     span.Counter("observed_k", report.observed_k);
     check_verdict(span, report.observed_k >= policy.k);
     if (report.observed_k < policy.k) {
@@ -92,10 +105,8 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
       AddViolation(&report, GuardCheck::kPSensitivity,
                    "policy requires p=" + Num(policy.p) +
                        " but the release has no confidential attributes");
-    } else if (!key_indices.empty() && masked.num_rows() > 0) {
-      PSK_ASSIGN_OR_RETURN(
-          report.observed_p,
-          SensitivityP(masked, key_indices, conf_indices));
+    } else if (measured) {
+      report.observed_p = profile.MinDistinct();
       span.Counter("observed_p", report.observed_p);
       check_verdict(span, report.observed_p >= policy.p);
       if (report.observed_p < policy.p) {
@@ -125,12 +136,10 @@ Result<GuardReport> VerifyRelease(const Table& masked, size_t original_rows,
   }
 
   // Residual attribute disclosures (Table 8 of the paper).
-  if (policy.max_attribute_disclosures.has_value() && !key_indices.empty() &&
-      !conf_indices.empty() && masked.num_rows() > 0) {
+  if (policy.max_attribute_disclosures.has_value() && measured &&
+      !conf_indices.empty()) {
     TraceSpan span(trace, "check_disclosure");
-    PSK_ASSIGN_OR_RETURN(
-        report.attribute_disclosures,
-        CountAttributeDisclosures(masked, key_indices, conf_indices));
+    report.attribute_disclosures = profile.Disclosures();
     span.Counter("disclosures", report.attribute_disclosures);
     check_verdict(span,
                   report.attribute_disclosures <=

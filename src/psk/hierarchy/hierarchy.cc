@@ -277,9 +277,12 @@ Status ValidateHierarchyOverColumn(const Table& table, size_t col,
     return Status::OutOfRange("column index out of range: " +
                               std::to_string(col));
   }
-  std::unordered_set<Value, ValueHash> distinct;
-  for (const Value& v : table.column(col)) distinct.insert(v);
-  for (const Value& v : distinct) {
+  // Each distinct value once, in first-occurrence row order, found by its
+  // interned id: equal cells of a column carry equal ids.
+  std::unordered_set<ValueId> seen;
+  for (ValueId id : table.column_ids(col)) {
+    if (!seen.insert(id).second) continue;
+    const Value& v = table.store()->Get(id);
     for (int level = 0; level < hierarchy.num_levels(); ++level) {
       Result<Value> generalized = hierarchy.Generalize(v, level);
       if (!generalized.ok()) {

@@ -191,7 +191,8 @@ class SuppressionHierarchy : public AttributeHierarchy {
 
 /// Validates that every value of column `col` of `table` generalizes
 /// cleanly at every level of `hierarchy` (i.e. the table's observed domain
-/// is covered by the hierarchy's ground domain). Returns the first
+/// is covered by the hierarchy's ground domain). Each distinct value is
+/// generalized once, in first-occurrence row order; returns the first
 /// failure, naming the offending value and level — run this preflight
 /// before a long lattice search to fail fast on configuration errors.
 Status ValidateHierarchyOverColumn(const class Table& table, size_t col,

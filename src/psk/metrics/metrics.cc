@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "psk/table/group_by.h"
 
@@ -11,26 +10,17 @@ namespace psk {
 Result<uint64_t> DiscernibilityMetric(const Table& masked,
                                       const std::vector<size_t>& key_indices,
                                       size_t suppressed, size_t total_rows) {
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(masked, key_indices));
-  uint64_t dm = 0;
-  for (const Group& group : fs.groups()) {
-    dm += static_cast<uint64_t>(group.size()) * group.size();
-  }
-  dm += static_cast<uint64_t>(suppressed) * total_rows;
-  return dm;
+  PSK_ASSIGN_OR_RETURN(ReleaseProfile profile,
+                       ReleaseProfile::Compute(masked, key_indices));
+  return profile.Discernibility(suppressed, total_rows);
 }
 
 Result<double> NormalizedAvgGroupSize(const Table& masked,
                                       const std::vector<size_t>& key_indices,
                                       size_t k) {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(masked, key_indices));
-  if (fs.num_groups() == 0) return 0.0;
-  double avg = static_cast<double>(masked.num_rows()) /
-               static_cast<double>(fs.num_groups());
-  return avg / static_cast<double>(k);
+  PSK_ASSIGN_OR_RETURN(ReleaseProfile profile,
+                       ReleaseProfile::Compute(masked, key_indices));
+  return profile.NormalizedAvgGroupSize(k);
 }
 
 double NormalizedHeight(const LatticeNode& node,
@@ -108,36 +98,11 @@ Result<double> DisclosureRiskTupleFraction(
     return Status::InvalidArgument(
         "at least one confidential attribute is required");
   }
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(masked, key_indices));
+  PSK_ASSIGN_OR_RETURN(
+      ReleaseProfile profile,
+      ReleaseProfile::Compute(masked, key_indices, confidential_indices));
   if (masked.num_rows() == 0) return 0.0;
-  size_t at_risk = 0;
-  for (const Group& group : fs.groups()) {
-    bool disclosed = false;
-    for (size_t col : confidential_indices) {
-      std::unordered_set<Value, ValueHash> seen;
-      for (size_t row : group.row_indices) {
-        seen.insert(masked.Get(row, col));
-        if (seen.size() > 1) break;
-      }
-      if (seen.size() == 1) {
-        disclosed = true;
-        break;
-      }
-    }
-    if (disclosed) at_risk += group.size();
-  }
-  return static_cast<double>(at_risk) /
-         static_cast<double>(masked.num_rows());
-}
-
-Result<double> ReidentificationRisk(const Table& masked,
-                                    const std::vector<size_t>& key_indices) {
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(masked, key_indices));
-  if (masked.num_rows() == 0) return 0.0;
-  // Sum over tuples of 1/|G(t)| = number of groups; divide by n.
-  return static_cast<double>(fs.num_groups()) /
+  return static_cast<double>(profile.RowsInDisclosingGroups()) /
          static_cast<double>(masked.num_rows());
 }
 

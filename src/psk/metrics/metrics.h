@@ -61,12 +61,6 @@ Result<double> DisclosureRiskTupleFraction(
     const Table& masked, const std::vector<size_t>& key_indices,
     const std::vector<size_t>& confidential_indices);
 
-/// Expected probability of correct re-identification under random guessing
-/// within groups: mean over tuples of 1/|G(t)|. Equals 1/k when every
-/// group has exactly k members.
-Result<double> ReidentificationRisk(const Table& masked,
-                                    const std::vector<size_t>& key_indices);
-
 }  // namespace psk
 
 #endif  // PSK_METRICS_METRICS_H_

@@ -9,17 +9,17 @@ namespace psk {
 Result<RiskSummary> ProsecutorRisk(const Table& masked,
                                    const std::vector<size_t>& key_indices,
                                    double threshold) {
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(masked, key_indices));
+  PSK_ASSIGN_OR_RETURN(ReleaseProfile profile,
+                       ReleaseProfile::Compute(masked, key_indices));
   RiskSummary summary;
   if (masked.num_rows() == 0) return summary;
   double total = 0.0;
   size_t at_risk = 0;
-  for (const Group& group : fs.groups()) {
-    double risk = 1.0 / static_cast<double>(group.size());
+  for (uint32_t size : profile.groups.group_sizes) {
+    double risk = 1.0 / static_cast<double>(size);
     summary.max_risk = std::max(summary.max_risk, risk);
-    total += risk * static_cast<double>(group.size());
-    if (risk > threshold) at_risk += group.size();
+    total += risk * static_cast<double>(size);
+    if (risk > threshold) at_risk += size;
   }
   summary.avg_risk = total / static_cast<double>(masked.num_rows());
   summary.fraction_at_risk =
@@ -71,11 +71,9 @@ Result<RiskSummary> JournalistRisk(
 
 Result<double> MarketerRisk(const Table& masked,
                             const std::vector<size_t>& key_indices) {
-  PSK_ASSIGN_OR_RETURN(FrequencySet fs,
-                       FrequencySet::Compute(masked, key_indices));
-  if (masked.num_rows() == 0) return 0.0;
-  return static_cast<double>(fs.num_groups()) /
-         static_cast<double>(masked.num_rows());
+  PSK_ASSIGN_OR_RETURN(ReleaseProfile profile,
+                       ReleaseProfile::Compute(masked, key_indices));
+  return profile.MarketerRisk();
 }
 
 }  // namespace psk

@@ -7,22 +7,29 @@
 
 namespace psk {
 
-Result<FrequencySet> FrequencySet::Compute(
-    const Table& table, const std::vector<size_t>& col_indices) {
-  for (size_t col : col_indices) {
+namespace {
+
+Status CheckColumns(const Table& table, const std::vector<size_t>& cols,
+                    const char* role) {
+  for (size_t col : cols) {
     if (col >= table.num_columns()) {
-      return Status::OutOfRange("group-by column index out of range: " +
+      return Status::OutOfRange(std::string(role) +
+                                " column index out of range: " +
                                 std::to_string(col));
     }
     PSK_DCHECK(table.column(col).size() == table.num_rows());
   }
-  FrequencySet fs;
-  fs.num_rows_ = table.num_rows();
-  // Keys are tuples of interned ids, not Values: within a typed column,
-  // equal cells carry equal ids, so id-tuple equality is exactly the
-  // Value-tuple equality this grouped by before — minus every per-row
-  // Value copy and string hash. The Value key of each group is
-  // materialized once, on first occurrence.
+  return Status::OK();
+}
+
+// The id-tuple grouping pass behind FrequencySet and ReleaseProfile:
+// partitions the rows by their ids in `cols` (already range-checked),
+// numbering groups by first occurrence in row order. Keys are tuples of
+// interned ids, not Values: within a typed column, equal cells carry equal
+// ids, so id-tuple equality is exactly Value-tuple equality, minus every
+// Value copy and string hash. Zero columns put every row in one group.
+void GroupByIds(const Table& table, const std::vector<size_t>& cols,
+                EncodedGroups* out) {
   struct IdKeyHash {
     size_t operator()(const std::vector<ValueId>& key) const {
       size_t h = 0x345678;
@@ -30,25 +37,147 @@ Result<FrequencySet> FrequencySet::Compute(
       return h;
     }
   };
-  std::unordered_map<std::vector<ValueId>, size_t, IdKeyHash> index;
+  std::unordered_map<std::vector<ValueId>, uint32_t, IdKeyHash> index;
   index.reserve(table.num_rows());
   // One key buffer reused across rows: the map copies it only on insert
   // (once per distinct group), so the per-row cost is id copies into an
   // already-sized vector instead of a fresh allocation.
   std::vector<ValueId> key;
-  key.reserve(col_indices.size());
+  key.reserve(cols.size());
+  out->row_gid.resize(table.num_rows());
+  out->group_sizes.clear();
   for (size_t row = 0; row < table.num_rows(); ++row) {
     key.clear();
-    for (size_t col : col_indices) key.push_back(table.GetId(row, col));
-    auto [it, inserted] = index.try_emplace(key, fs.groups_.size());
-    if (inserted) {
-      Group group;
+    for (size_t col : cols) key.push_back(table.GetId(row, col));
+    auto [it, inserted] = index.try_emplace(
+        key, static_cast<uint32_t>(out->group_sizes.size()));
+    if (inserted) out->group_sizes.push_back(0);
+    out->row_gid[row] = it->second;
+    ++out->group_sizes[it->second];
+  }
+}
+
+}  // namespace
+
+Result<FrequencySet> FrequencySet::Compute(
+    const Table& table, const std::vector<size_t>& col_indices) {
+  PSK_RETURN_IF_ERROR(CheckColumns(table, col_indices, "group-by"));
+  EncodedGroups partition;
+  GroupByIds(table, col_indices, &partition);
+  FrequencySet fs;
+  fs.num_rows_ = table.num_rows();
+  fs.groups_.resize(partition.num_groups());
+  for (size_t g = 0; g < fs.groups_.size(); ++g) {
+    fs.groups_[g].row_indices.reserve(partition.group_sizes[g]);
+  }
+  // The Value key of each group is materialized once, on first occurrence.
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    Group& group = fs.groups_[partition.row_gid[row]];
+    if (group.row_indices.empty()) {
       group.key = table.RowKey(row, col_indices);
-      fs.groups_.push_back(std::move(group));
     }
-    fs.groups_[it->second].row_indices.push_back(row);
+    group.row_indices.push_back(row);
   }
   return fs;
+}
+
+Result<ReleaseProfile> ReleaseProfile::Compute(
+    const Table& table, const std::vector<size_t>& key_indices,
+    const std::vector<size_t>& confidential_indices) {
+  PSK_RETURN_IF_ERROR(CheckColumns(table, key_indices, "group-by"));
+  PSK_RETURN_IF_ERROR(
+      CheckColumns(table, confidential_indices, "confidential"));
+  ReleaseProfile profile;
+  GroupByIds(table, key_indices, &profile.groups);
+  const EncodedGroups& groups = profile.groups;
+  if (confidential_indices.empty()) return profile;
+
+  // Counting sort of the rows by group, so each group's rows are
+  // contiguous: rows_by_group[begin[g] .. begin[g + 1]).
+  std::vector<uint32_t> begin(groups.num_groups() + 1, 0);
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    begin[g + 1] = begin[g] + groups.group_sizes[g];
+  }
+  std::vector<uint32_t> rows_by_group(groups.num_rows());
+  std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+  for (size_t row = 0; row < groups.num_rows(); ++row) {
+    rows_by_group[cursor[groups.row_gid[row]]++] = static_cast<uint32_t>(row);
+  }
+
+  // Walking the rows group by group, a value is new to its group exactly
+  // when the last group it was seen in (stored as g + 1; 0 = never) is
+  // another one.
+  for (size_t col : confidential_indices) {
+    const std::vector<ValueId>& ids = table.column_ids(col);
+    std::vector<uint32_t>& distinct = profile.distinct.emplace_back(
+        groups.num_groups(), 0);
+    std::unordered_map<ValueId, uint32_t> last_group;
+    for (uint32_t g = 0; g < groups.num_groups(); ++g) {
+      for (uint32_t i = begin[g]; i < begin[g + 1]; ++i) {
+        uint32_t& last = last_group[ids[rows_by_group[i]]];
+        if (last != g + 1) {
+          last = g + 1;
+          ++distinct[g];
+        }
+      }
+    }
+  }
+  return profile;
+}
+
+size_t ReleaseProfile::MinDistinct() const {
+  if (groups.num_groups() == 0 || distinct.empty()) return 0;
+  size_t min_distinct = SIZE_MAX;
+  for (const std::vector<uint32_t>& per_group : distinct) {
+    for (uint32_t count : per_group) {
+      min_distinct = std::min<size_t>(min_distinct, count);
+    }
+  }
+  return min_distinct;
+}
+
+size_t ReleaseProfile::Disclosures() const {
+  size_t disclosures = 0;
+  for (const std::vector<uint32_t>& per_group : distinct) {
+    disclosures += std::count(per_group.begin(), per_group.end(), 1u);
+  }
+  return disclosures;
+}
+
+size_t ReleaseProfile::RowsInDisclosingGroups() const {
+  size_t rows = 0;
+  for (size_t g = 0; g < groups.num_groups(); ++g) {
+    for (const std::vector<uint32_t>& per_group : distinct) {
+      if (per_group[g] == 1) {
+        rows += groups.group_sizes[g];
+        break;
+      }
+    }
+  }
+  return rows;
+}
+
+uint64_t ReleaseProfile::Discernibility(size_t suppressed,
+                                        size_t total_rows) const {
+  uint64_t dm = 0;
+  for (uint32_t size : groups.group_sizes) {
+    dm += static_cast<uint64_t>(size) * size;
+  }
+  return dm + static_cast<uint64_t>(suppressed) * total_rows;
+}
+
+double ReleaseProfile::MarketerRisk() const {
+  if (groups.num_rows() == 0) return 0.0;
+  return static_cast<double>(groups.num_groups()) /
+         static_cast<double>(groups.num_rows());
+}
+
+Result<double> ReleaseProfile::NormalizedAvgGroupSize(size_t k) const {
+  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (groups.num_groups() == 0) return 0.0;
+  double avg = static_cast<double>(groups.num_rows()) /
+               static_cast<double>(groups.num_groups());
+  return avg / static_cast<double>(k);
 }
 
 size_t FrequencySet::MinGroupSize() const {

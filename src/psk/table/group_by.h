@@ -49,8 +49,9 @@ struct Group {
 /// `SELECT COUNT(*) FROM MM GROUP BY KA`.
 class FrequencySet {
  public:
-  /// Groups `table` by the given column indices. Hash-based, single pass,
-  /// O(n) expected. Group order is deterministic: by first occurrence.
+  /// Groups `table` by the given column indices. Hash-based, O(n)
+  /// expected; the same id-tuple grouping pass as ReleaseProfile. Group
+  /// order is deterministic: by first occurrence.
   static Result<FrequencySet> Compute(const Table& table,
                                       const std::vector<size_t>& col_indices);
 
@@ -108,6 +109,56 @@ struct EncodedGroups {
   size_t ApproxBytes() const {
     return (row_gid.capacity() + group_sizes.capacity()) * sizeof(uint32_t);
   }
+};
+
+/// Everything a release is judged by, from one grouping pass: the
+/// QI-partition of a table plus, for each confidential attribute, the
+/// number of distinct values in every group. k-anonymity (Definition 1),
+/// p-sensitivity (Definition 2), the attribute disclosures of Table 8 and
+/// the scorecard's utility and risk measures are all reads of it, so the
+/// release guard and the scorecard each group a release once.
+///
+/// Groups are keyed by the tuple of interned ids in the key columns and
+/// distinct values are counted over ids: within a typed column, equal
+/// cells carry equal ids (the ValueStore contract), so no Value is hashed.
+struct ReleaseProfile {
+  /// The QI-partition, groups numbered by first occurrence in row order
+  /// (the same order as FrequencySet::Compute).
+  EncodedGroups groups;
+  /// distinct[j][g]: distinct values of the j-th confidential column
+  /// among the rows of group g.
+  std::vector<std::vector<uint32_t>> distinct;
+
+  /// Profiles `table` by `key_indices`, counting distinct values of each
+  /// of `confidential_indices` per group (none: a size-only profile).
+  /// Every index is checked before any row is read. Zero key columns put
+  /// every row in one group.
+  static Result<ReleaseProfile> Compute(
+      const Table& table, const std::vector<size_t>& key_indices,
+      const std::vector<size_t>& confidential_indices = {});
+
+  /// The sensitivity: the smallest distinct count over every group and
+  /// confidential column; 0 when there is no group or no confidential
+  /// column.
+  size_t MinDistinct() const;
+
+  /// Attribute disclosures: (group, confidential column) pairs whose
+  /// group holds a single value of the column.
+  size_t Disclosures() const;
+
+  /// Rows living in a group with at least one attribute disclosure.
+  size_t RowsInDisclosingGroups() const;
+
+  /// Discernibility: sum of |G|^2 over groups, plus `total_rows` for each
+  /// of the `suppressed` tuples.
+  uint64_t Discernibility(size_t suppressed, size_t total_rows) const;
+
+  /// Marketer risk: #groups / n; 0 for an empty table.
+  double MarketerRisk() const;
+
+  /// C_AVG = (n / #groups) / k; 0 for an empty table. InvalidArgument
+  /// when k is 0.
+  Result<double> NormalizedAvgGroupSize(size_t k) const;
 };
 
 /// One grouping column for GroupByCodes: dense per-row codes with an

@@ -1,5 +1,6 @@
 #include "psk/table/value_store.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "psk/common/check.h"
@@ -85,8 +86,31 @@ ValueStore::ValueStore() {
   // Slot 0 of shard 0 is the null sentinel, so kNullId works in every
   // store without interning.
   Shard& hot = shards_[0];
-  hot.slots.emplace_back();
-  hot.index.emplace(&hot.slots.back(), 0);
+  hot.index.emplace(AppendSlot(&hot, kHotShardSlots, Value()), 0);
+}
+
+ValueStore::~ValueStore() {
+  for (Shard& shard : shards_) {
+    for (std::atomic<Value*>& block : shard.blocks) {
+      delete[] block.load();
+    }
+  }
+}
+
+Value* ValueStore::AppendSlot(Shard* shard, size_t cap, const Value& value) {
+  const size_t slot = shard->size;
+  const size_t block = BlockOf(slot);
+  Value* slots = shard->blocks[block].load();
+  if (slots == nullptr) {
+    const size_t len = std::min(kFirstBlockSlots << block, cap - slot);
+    slots = new Value[len];
+    shard->capacity += len;
+    shard->blocks[block].store(slots);
+  }
+  Value* stored = &slots[slot - BlockStart(block)];
+  *stored = value;
+  ++shard->size;
+  return stored;
 }
 
 ValueId ValueStore::InternInShard(Shard* shard, ValueId base, size_t cap,
@@ -94,12 +118,11 @@ ValueId ValueStore::InternInShard(Shard* shard, ValueId base, size_t cap,
   std::lock_guard<std::mutex> lock(shard->mutex);
   auto it = shard->index.find(&value);
   if (it != shard->index.end()) return base | it->second;
-  size_t offset = shard->slots.size();
+  size_t offset = shard->size;
   if (offset >= cap) {
     return kHotShardFull;  // only reachable with cap == kHotShardSlots
   }
-  shard->slots.push_back(value);
-  const Value* stored = &shard->slots.back();
+  const Value* stored = AppendSlot(shard, cap, value);
   shard->payload_bytes += StringPayloadBytes(*stored);
   shard->index.emplace(stored, static_cast<uint32_t>(offset));
   return base | static_cast<uint32_t>(offset);
@@ -127,7 +150,7 @@ size_t ValueStore::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.slots.size();
+    total += shard.size;
   }
   return total;
 }
@@ -141,7 +164,7 @@ size_t ValueStore::ApproxBytes() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.slots.size() * sizeof(Value) + shard.payload_bytes;
+    total += shard.capacity * sizeof(Value) + shard.payload_bytes;
     total += shard.index.size() * kIndexNodeBytes +
              shard.index.bucket_count() * sizeof(void*);
   }

@@ -1,8 +1,9 @@
 #ifndef PSK_TABLE_VALUE_STORE_H_
 #define PSK_TABLE_VALUE_STORE_H_
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -19,7 +20,7 @@ using ValueId = uint32_t;
 /// Every distinct cell value of a table lives here exactly once; cells are
 /// 32-bit ValueIds into the store. Interning is thread-safe and designed
 /// for parallel ingest: the store is split into kNumShards shards, each
-/// with its own mutex, slot deque and lookup index, so concurrent
+/// with its own mutex, slot blocks and lookup index, so concurrent
 /// Intern() calls on different shards never contend. Shard 0 is the
 /// *hot shard*: nulls, numbers and short strings — the values that
 /// dominate real microdata — are interned there first (capped at
@@ -33,8 +34,9 @@ using ValueId = uint32_t;
 ///    back with exactly the dynamic type it was written with; doubles
 ///    compare by value, merging 0.0 and -0.0).
 ///  - Id stability: an id, once returned, refers to the same Value for
-///    the lifetime of the store. Slots live in per-shard deques, so
-///    Get() references are never invalidated by later interning.
+///    the lifetime of the store. Slots live in per-shard blocks that never
+///    move once allocated, so Get() needs no lock and its references are
+///    never invalidated by later interning, even concurrent interning.
 ///  - Id 0 is the null value in every store.
 ///
 /// Ids are assignment-order dependent: parallel ingest may assign
@@ -55,6 +57,7 @@ class ValueStore {
   static constexpr ValueId kNullId = 0;
 
   ValueStore();
+  ~ValueStore();
 
   ValueStore(const ValueStore&) = delete;
   ValueStore& operator=(const ValueStore&) = delete;
@@ -66,28 +69,50 @@ class ValueStore {
   ValueId Intern(const Value& value);
 
   /// The interned value for `id`; the reference is stable for the life of
-  /// the store. `id` must have been returned by this store's Intern.
+  /// the store. `id` must have been returned by this store's Intern. Safe
+  /// to call while other threads intern.
   const Value& Get(ValueId id) const {
     const Shard& shard = shards_[id >> kSlotBits];
-    return shard.slots[id & (kMaxShardSlots - 1)];
+    const size_t slot = id & (kMaxShardSlots - 1);
+    const size_t block = BlockOf(slot);
+    return shard.blocks[block].load()[slot - BlockStart(block)];
   }
 
   /// Distinct values interned so far (the null sentinel included).
   size_t size() const;
 
-  /// Approximate heap footprint: slot deques, string payloads, and the
-  /// per-shard lookup indexes. The ingest-side MemoryBudget charge seam
-  /// (satellite of the scheduler's degradation ladder): a table's
-  /// sustained ingest memory is its id columns plus this.
+  /// Approximate heap footprint: every allocated slot block (used or not),
+  /// string payloads, and the per-shard lookup indexes. The ingest-side
+  /// MemoryBudget charge seam (satellite of the scheduler's degradation
+  /// ladder): a table's sustained ingest memory is its id columns plus
+  /// this.
   size_t ApproxBytes() const;
 
  private:
+  /// Slots live in doubling blocks: block b holds kFirstBlockSlots << b
+  /// slots, starting at slot BlockStart(b), so kNumBlocks blocks cover a
+  /// shard's whole id space and a block, once allocated, never moves.
+  static constexpr int kFirstBlockBits = 4;
+  static constexpr size_t kFirstBlockSlots = size_t{1} << kFirstBlockBits;
+  static constexpr size_t kNumBlocks = kSlotBits - kFirstBlockBits + 1;
+  static size_t BlockOf(size_t slot) {
+    return std::bit_width((slot >> kFirstBlockBits) + 1) - 1;
+  }
+  static size_t BlockStart(size_t block) {
+    return (kFirstBlockSlots << block) - kFirstBlockSlots;
+  }
+
   struct Shard {
     mutable std::mutex mutex;
-    /// Slot storage; deque so Get() references survive growth.
-    std::deque<Value> slots;
-    /// Interning index over the slots. Keys point into `slots` (stable),
-    /// so no Value is duplicated between index and storage.
+    /// Slot blocks. A block pointer is published under the lock before
+    /// any id in the block is handed out, then never changes; Get() reads
+    /// it without the lock.
+    std::atomic<Value*> blocks[kNumBlocks] = {};
+    /// Slots in use / allocated, under the lock.
+    size_t size = 0;
+    size_t capacity = 0;
+    /// Interning index over the slots. Keys point into the blocks
+    /// (stable), so no Value is duplicated between index and storage.
     struct DerefHash {
       size_t operator()(const Value* v) const;
     };
@@ -105,6 +130,11 @@ class ValueStore {
   static constexpr ValueId kHotShardFull = 0xFFFFFFFFu;
   ValueId InternInShard(Shard* shard, ValueId base, size_t cap,
                         const Value& value);
+
+  /// Stores `value` in the shard's next free slot (the shard lock held,
+  /// size < cap), allocating its block — never more slots than `cap`
+  /// allows — when the slot opens one.
+  static Value* AppendSlot(Shard* shard, size_t cap, const Value& value);
 
   Shard shards_[kNumShards];
 };

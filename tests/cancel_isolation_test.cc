@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,17 +167,24 @@ TEST(CancelIsolationTest, RepeatedCancellationsDoNotPoisonTheScheduler) {
     victim_specs.push_back(
         MakeSpec(3000, seed, AnonymizationAlgorithm::kExhaustive));
   }
+  // Every victim parks at its start until all cancels are sent, so each
+  // cancel lands on a queued or running job, never on a finished one. The
+  // promise is declared after the scheduler: if an assert returns early,
+  // its destruction wakes the parked victims before the scheduler joins.
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
   std::vector<uint64_t> victims;
   for (uint64_t seed = 30; seed < 33; ++seed) {
     SchedulerJobRequest request;
     request.name = "victim-" + std::to_string(seed);
     request.spec = std::move(victim_specs[seed - 30]);
+    request.on_start = [gate] { gate.wait(); };
     victims.push_back(UnwrapOk(scheduler.Submit(std::move(request))));
   }
   for (uint64_t id : victims) {
-    // Mid-run or still queued — both must cancel cleanly.
     PSK_ASSERT_OK(scheduler.Cancel(id));
   }
+  release.set_value();
   for (uint64_t id : victims) {
     SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
     EXPECT_EQ(result.state, JobState::kCancelled);

@@ -72,29 +72,32 @@ constexpr const char* kShortRowError = "CSV line 3 has 5 fields; expected 8";
 // k=3 p=2 TS=8, one per engine.
 const ReportGolden kChunkedRuns[] = {
     {AnonymizationAlgorithm::kSamarati, 0xd292f2e954c359feULL, {2, 1, 3, 1},
-     0, 64, 2, 0.20833333333333337, 117494,
+     0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kSamarati, {true, 64, 2, 0, 0, 0},
      {43, 0, 17, 23, 3, 0, 0, 43, 0, 3, 0}},
     {AnonymizationAlgorithm::kIncognito, 0xd292f2e954c359feULL, {2, 1, 3, 1},
-     0, 64, 2, 0.20833333333333337, 117494,
+     0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kIncognito, {true, 64, 2, 0, 0, 0},
      {36, 0, 0, 32, 4, 253, 0, 36, 0, 0, 50}},
     {AnonymizationAlgorithm::kBottomUp, 0xd292f2e954c359feULL, {2, 1, 3, 1},
-     0, 64, 2, 0.20833333333333337, 117494,
+     0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kBottomUp, {true, 64, 2, 0, 0, 0},
      {68, 0, 32, 32, 4, 28, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kExhaustive, 0xd292f2e954c359feULL, {2, 1, 3, 1},
-     0, 64, 2, 0.20833333333333337, 117494,
+     0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kExhaustive, {true, 64, 2, 0, 0, 0},
      {96, 0, 56, 32, 8, 0, 0, 96, 0, 0, 0}},
     {AnonymizationAlgorithm::kMondrian, 0xccf2d39853a80f7cULL, {}, 0, 13, 2,
-     1, 20836, AnonymizationAlgorithm::kMondrian, {true, 13, 2, 0, 0, 0},
+     1, 20836, 0, 0.033333333333333333, 10,
+     AnonymizationAlgorithm::kMondrian, {true, 13, 2, 0, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kGreedyCluster, 0x8c79429dd9955e0cULL, {}, 0, 4,
-     2, 1, 45370, AnonymizationAlgorithm::kGreedyCluster,
-     {true, 4, 2, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 1, 45370, 0, 0.044999999999999998, 7.4074074074074074,
+     AnonymizationAlgorithm::kGreedyCluster, {true, 4, 2, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kOla, 0x7be5015221cf728aULL, {3, 1, 3, 0}, 0, 82,
-     2, 0.375, 100854, AnonymizationAlgorithm::kOla, {true, 82, 2, 0, 0, 0},
+     2, 0.375, 100854, 0, 0.0066666666666666671, 50,
+     AnonymizationAlgorithm::kOla, {true, 82, 2, 0, 0, 0},
      {37, 0, 18, 13, 6, 471, 0, 37, 0, 0, 0}},
 };
 

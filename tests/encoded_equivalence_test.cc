@@ -116,30 +116,33 @@ const SearchGolden kIncognito1500Seed4 = {
 // Anonymizer over Adult 800 rows, seed 7, k=3 p=2 TS=8, one per engine.
 const ReportGolden kAnonymizer800[] = {
     {AnonymizationAlgorithm::kSamarati, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
-     0, 87, 3, 0.20833333333333337, 204854,
-     AnonymizationAlgorithm::kSamarati, {true, 87, 3, 0, 0, 0},
-     {43, 0, 16, 23, 4, 0, 0, 43, 0, 3, 0}},
+     0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
+     66.666666666666671, AnonymizationAlgorithm::kSamarati,
+     {true, 87, 3, 0, 0, 0}, {43, 0, 16, 23, 4, 0, 0, 43, 0, 3, 0}},
     {AnonymizationAlgorithm::kIncognito, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
-     0, 87, 3, 0.20833333333333337, 204854,
-     AnonymizationAlgorithm::kIncognito, {true, 87, 3, 0, 0, 0},
-     {42, 0, 0, 38, 4, 257, 0, 42, 0, 0, 47}},
+     0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
+     66.666666666666671, AnonymizationAlgorithm::kIncognito,
+     {true, 87, 3, 0, 0, 0}, {42, 0, 0, 38, 4, 257, 0, 42, 0, 0, 47}},
     {AnonymizationAlgorithm::kBottomUp, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
-     0, 87, 3, 0.20833333333333337, 204854,
-     AnonymizationAlgorithm::kBottomUp, {true, 87, 3, 0, 0, 0},
-     {67, 0, 25, 38, 4, 29, 0, 0, 0, 0, 0}},
+     0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
+     66.666666666666671, AnonymizationAlgorithm::kBottomUp,
+     {true, 87, 3, 0, 0, 0}, {67, 0, 25, 38, 4, 29, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kExhaustive, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
-     0, 87, 3, 0.20833333333333337, 204854,
-     AnonymizationAlgorithm::kExhaustive, {true, 87, 3, 0, 0, 0},
-     {96, 0, 49, 38, 9, 0, 0, 96, 0, 0, 0}},
+     0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
+     66.666666666666671, AnonymizationAlgorithm::kExhaustive,
+     {true, 87, 3, 0, 0, 0}, {96, 0, 49, 38, 9, 0, 0, 96, 0, 0, 0}},
     {AnonymizationAlgorithm::kMondrian, 0x46f4b081449f5d7aULL, {}, 0, 9, 2, 1,
-     43064, AnonymizationAlgorithm::kMondrian, {true, 9, 2, 0, 0, 0},
+     43064, 0, 0.028750000000000001, 11.594202898550725,
+     AnonymizationAlgorithm::kMondrian, {true, 9, 2, 0, 0, 0},
      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kGreedyCluster, 0x6204484754f467bbULL, {}, 0, 4,
-     2, 1, 82960, AnonymizationAlgorithm::kGreedyCluster,
-     {true, 4, 2, 0, 0, 0}, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+     2, 1, 82960, 0, 0.03875, 8.6021505376344081,
+     AnonymizationAlgorithm::kGreedyCluster, {true, 4, 2, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kOla, 0x78053461816ed281ULL, {3, 1, 3, 0}, 0,
-     120, 4, 0.375, 181614, AnonymizationAlgorithm::kOla,
-     {true, 120, 4, 0, 0, 0}, {38, 0, 17, 15, 6, 411, 0, 38, 0, 0, 0}},
+     120, 4, 0.375, 181614, 0, 0.0050000000000000001, 66.666666666666671,
+     AnonymizationAlgorithm::kOla, {true, 120, 4, 0, 0, 0},
+     {38, 0, 17, 15, 6, 411, 0, 38, 0, 0, 0}},
 };
 
 // Paper microdata (exhaustive search): Figure 3 at k=3, and Patient Tables

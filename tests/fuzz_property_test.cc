@@ -149,6 +149,28 @@ TEST(HierarchyValidationTest, RejectsUncoveredValueWithContext) {
   EXPECT_NE(status.message().find("rogue"), std::string::npos);
 }
 
+TEST(HierarchyValidationTest, NamesTheFirstUncoveredValueInRowOrder) {
+  Schema schema = UnwrapOk(Schema::Create(
+      {{"M", ValueType::kString, AttributeRole::kKey}}));
+  Table t(schema);
+  PSK_ASSERT_OK(t.AppendRow({Value("known")}));
+  // Uncovered values in descending order, each twice: the verdict must
+  // name the one the rows reach first, not whichever a hash set yields.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 19; i >= 0; --i) {
+      PSK_ASSERT_OK(t.AppendRow({Value("rogue_" + std::to_string(i))}));
+    }
+  }
+  TaxonomyHierarchy::Builder builder("M", 2);
+  builder.AddValue("known", {"*"});
+  auto hierarchy = UnwrapOk(builder.Build());
+  Status status = ValidateHierarchyOverColumn(t, 0, *hierarchy);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("'rogue_19'"), std::string::npos)
+      << status.message();
+}
+
 TEST(HierarchyValidationTest, RejectsOutOfRangeColumn) {
   Table fig3 = UnwrapOk(Figure3Table());
   SuppressionHierarchy sex("Sex");

@@ -81,35 +81,24 @@ TEST(DisclosureRiskTest, PatientTable1) {
               2.0 / 6, 1e-12);
 }
 
+TEST(DisclosureRiskTest, OutOfRangeConfidentialIndexIsRejectedEvenWhenEmpty) {
+  Table full = UnwrapOk(PatientTable1());
+  Table empty(full.schema());
+  for (const Table* t : {&full, &empty}) {
+    EXPECT_EQ(DisclosureRiskTupleFraction(*t, t->schema().KeyIndices(), {99})
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
+        << "rows=" << t->num_rows();
+  }
+}
+
 TEST(DisclosureRiskTest, Table3FixedHasNoRisk) {
   Table t = UnwrapOk(PatientTable3Fixed());
   EXPECT_DOUBLE_EQ(UnwrapOk(DisclosureRiskTupleFraction(
                        t, t.schema().KeyIndices(),
                        t.schema().ConfidentialIndices())),
                    0.0);
-}
-
-TEST(ReidentificationRiskTest, UniformGroups) {
-  Table t = UnwrapOk(PatientTable1());
-  // 3 groups of 2 -> mean 1/|G| = 1/2 = 3/6.
-  EXPECT_NEAR(
-      UnwrapOk(ReidentificationRisk(t, t.schema().KeyIndices())), 0.5,
-      1e-12);
-}
-
-TEST(ReidentificationRiskTest, DropsWithGeneralization) {
-  Table fig3 = UnwrapOk(Figure3Table());
-  HierarchySet hierarchies = UnwrapOk(Figure3Hierarchies(fig3.schema()));
-  Table bottom = UnwrapOk(
-      ApplyGeneralization(fig3, hierarchies, LatticeNode{{0, 0}}));
-  Table top = UnwrapOk(
-      ApplyGeneralization(fig3, hierarchies, LatticeNode{{1, 2}}));
-  double risk_bottom = UnwrapOk(
-      ReidentificationRisk(bottom, bottom.schema().KeyIndices()));
-  double risk_top =
-      UnwrapOk(ReidentificationRisk(top, top.schema().KeyIndices()));
-  EXPECT_GT(risk_bottom, risk_top);
-  EXPECT_DOUBLE_EQ(risk_top, 0.1);  // one group of 10
 }
 
 TEST(NonUniformEntropyTest, ZeroAtBottomMonotoneUpward) {

@@ -3,7 +3,10 @@
 // no hashing) — catching any bug the two shared code paths might have in
 // common. The node oracle transcribes the paper's per-node decision
 // (Algorithm 3 over Definition 2) literally; it runs every node of small
-// random lattices only, since the search problem itself is NP-hard.
+// random lattices only, since the search problem itself is NP-hard. The
+// release oracle states each quantity the guard and the scorecard read
+// off a release profile as a predicate over the QI-partition and the
+// distinct confidential values of each group.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +18,12 @@
 #include "psk/anonymity/kanonymity.h"
 #include "psk/anonymity/psensitive.h"
 #include "psk/datagen/synthetic.h"
+#include "psk/common/random.h"
 #include "psk/generalize/generalize.h"
+#include "psk/guard/guard.h"
 #include "psk/lattice/lattice.h"
+#include "psk/metrics/metrics.h"
+#include "psk/metrics/risk.h"
 #include "psk/table/csv.h"
 #include "test_util.h"
 
@@ -64,6 +71,110 @@ bool OracleIsPSensitive(const Table& t, const std::vector<size_t>& keys,
     }
   }
   return true;
+}
+
+// The QI-groups of a table, naively: group key -> {size, confidential
+// column -> its distinct values in the group}.
+struct OracleGroup {
+  size_t size = 0;
+  std::map<size_t, std::set<std::string>> values;
+};
+
+std::map<std::string, OracleGroup> OracleGroups(
+    const Table& t, const std::vector<size_t>& keys,
+    const std::vector<size_t>& confs) {
+  std::map<std::string, OracleGroup> groups;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    OracleGroup& group = groups[OracleKey(t, r, keys)];
+    ++group.size;
+    for (size_t c : confs) group.values[c].insert(t.Get(r, c).ToString());
+  }
+  return groups;
+}
+
+size_t OracleAnonymityK(const Table& t, const std::vector<size_t>& keys) {
+  size_t k = 0;
+  for (const auto& [key, group] : OracleGroups(t, keys, {})) {
+    if (k == 0 || group.size < k) k = group.size;
+  }
+  return k;
+}
+
+size_t OracleSensitivityP(const Table& t, const std::vector<size_t>& keys,
+                          const std::vector<size_t>& confs) {
+  size_t p = 0;
+  for (const auto& [key, group] : OracleGroups(t, keys, confs)) {
+    for (const auto& [c, distinct] : group.values) {
+      if (p == 0 || distinct.size() < p) p = distinct.size();
+    }
+  }
+  return p;
+}
+
+size_t OracleDisclosures(const Table& t, const std::vector<size_t>& keys,
+                         const std::vector<size_t>& confs) {
+  size_t disclosures = 0;
+  for (const auto& [key, group] : OracleGroups(t, keys, confs)) {
+    for (const auto& [c, distinct] : group.values) {
+      if (distinct.size() == 1) ++disclosures;
+    }
+  }
+  return disclosures;
+}
+
+double OracleDisclosedRowFraction(const Table& t,
+                                  const std::vector<size_t>& keys,
+                                  const std::vector<size_t>& confs) {
+  if (t.num_rows() == 0) return 0.0;
+  size_t rows = 0;
+  for (const auto& [key, group] : OracleGroups(t, keys, confs)) {
+    bool disclosed = false;
+    for (const auto& [c, distinct] : group.values) {
+      if (distinct.size() == 1) disclosed = true;
+    }
+    if (disclosed) rows += group.size;
+  }
+  return static_cast<double>(rows) / static_cast<double>(t.num_rows());
+}
+
+uint64_t OracleDiscernibility(const Table& t, const std::vector<size_t>& keys,
+                              size_t suppressed, size_t total_rows) {
+  uint64_t dm = static_cast<uint64_t>(suppressed) * total_rows;
+  for (const auto& [key, group] : OracleGroups(t, keys, {})) {
+    dm += static_cast<uint64_t>(group.size) * group.size;
+  }
+  return dm;
+}
+
+// Marketer risk as its definition states it: the mean over tuples of
+// 1/|G(t)|.
+double OracleMarketerRisk(const Table& t, const std::vector<size_t>& keys) {
+  if (t.num_rows() == 0) return 0.0;
+  std::map<std::string, OracleGroup> groups = OracleGroups(t, keys, {});
+  double total = 0.0;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    total += 1.0 / static_cast<double>(groups[OracleKey(t, r, keys)].size);
+  }
+  return total / static_cast<double>(t.num_rows());
+}
+
+RiskSummary OracleProsecutorRisk(const Table& t,
+                                 const std::vector<size_t>& keys,
+                                 double threshold) {
+  RiskSummary summary;
+  if (t.num_rows() == 0) return summary;
+  std::map<std::string, OracleGroup> groups = OracleGroups(t, keys, {});
+  size_t at_risk = 0;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    double risk =
+        1.0 / static_cast<double>(groups[OracleKey(t, r, keys)].size);
+    summary.max_risk = std::max(summary.max_risk, risk);
+    summary.avg_risk += risk / static_cast<double>(t.num_rows());
+    if (risk > threshold) ++at_risk;
+  }
+  summary.fraction_at_risk =
+      static_cast<double>(at_risk) / static_cast<double>(t.num_rows());
+  return summary;
 }
 
 uint64_t OracleMaxGroups(const Table& t, const std::vector<size_t>& confs,
@@ -289,6 +400,113 @@ TEST(OracleTest, MaxGroupsAgreesOnRandomTables) {
           << "seed=" << seed << " p=" << p;
     }
   }
+}
+
+// A random small release: `num_keys` key columns (int64 and string) and
+// `num_confs` confidential columns over tiny domains, so groups of every
+// size and constant confidential values both occur; `null_rate` of the
+// cells are null.
+Table RandomRelease(Rng& rng, size_t rows, size_t num_keys, size_t num_confs,
+                    double null_rate) {
+  std::vector<Attribute> attrs;
+  for (size_t i = 0; i < num_keys; ++i) {
+    attrs.push_back({"K" + std::to_string(i),
+                     i % 2 == 0 ? ValueType::kInt64 : ValueType::kString,
+                     AttributeRole::kKey});
+  }
+  for (size_t j = 0; j < num_confs; ++j) {
+    attrs.push_back({"S" + std::to_string(j),
+                     j % 2 == 0 ? ValueType::kString : ValueType::kInt64,
+                     AttributeRole::kConfidential});
+  }
+  Table table(UnwrapOk(Schema::Create(attrs)));
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (const Attribute& attr : attrs) {
+      int64_t draw = rng.UniformInt(0, attr.role == AttributeRole::kKey ? 3
+                                                                        : 2);
+      if (rng.Bernoulli(null_rate)) {
+        row.emplace_back();
+      } else if (attr.type == ValueType::kInt64) {
+        row.emplace_back(draw);
+      } else {
+        row.emplace_back("v" + std::to_string(draw));
+      }
+    }
+    PSK_EXPECT_OK(table.AppendRow(std::move(row)));
+  }
+  return table;
+}
+
+TEST(OracleTest, ReleaseQuantitiesAgreeOnRandomTables) {
+  Rng rng(2006);
+  size_t disclosing = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t rows = trial % 10 == 0 ? 0 : rng.Uniform(40) + 1;
+    size_t num_keys = rng.Uniform(2) + 1;
+    size_t num_confs = rng.Uniform(3) + 1;
+    double null_rate = trial % 3 == 0 ? 0.0 : 0.15;
+    Table t = RandomRelease(rng, rows, num_keys, num_confs, null_rate);
+    auto keys = t.schema().KeyIndices();
+    auto confs = t.schema().ConfidentialIndices();
+    std::string what = "trial=" + std::to_string(trial) +
+                       " rows=" + std::to_string(rows) +
+                       " keys=" + std::to_string(num_keys) +
+                       " confs=" + std::to_string(num_confs);
+
+    size_t k = OracleAnonymityK(t, keys);
+    size_t p = OracleSensitivityP(t, keys, confs);
+    size_t disclosures = OracleDisclosures(t, keys, confs);
+    if (disclosures > 0) ++disclosing;
+    EXPECT_EQ(UnwrapOk(AnonymityK(t, keys)), k) << what;
+    EXPECT_EQ(UnwrapOk(SensitivityP(t, keys, confs)), p) << what;
+    EXPECT_EQ(UnwrapOk(CountAttributeDisclosures(t, keys, confs)),
+              disclosures)
+        << what;
+    for (size_t bound = 1; bound <= 4; ++bound) {
+      EXPECT_EQ(UnwrapOk(IsKAnonymous(t, keys, bound)),
+                OracleIsKAnonymous(t, keys, bound))
+          << what << " k=" << bound;
+      EXPECT_EQ(UnwrapOk(IsPSensitive(t, keys, confs, bound)),
+                OracleIsPSensitive(t, keys, confs, bound))
+          << what << " p=" << bound;
+    }
+    EXPECT_DOUBLE_EQ(UnwrapOk(DisclosureRiskTupleFraction(t, keys, confs)),
+                     OracleDisclosedRowFraction(t, keys, confs))
+        << what;
+    size_t suppressed = rng.Uniform(5);
+    EXPECT_EQ(UnwrapOk(DiscernibilityMetric(t, keys, suppressed,
+                                            rows + suppressed)),
+              OracleDiscernibility(t, keys, suppressed, rows + suppressed))
+        << what;
+    EXPECT_NEAR(UnwrapOk(MarketerRisk(t, keys)), OracleMarketerRisk(t, keys),
+                1e-12)
+        << what;
+    for (double threshold : {0.2, 0.5}) {
+      RiskSummary got = UnwrapOk(ProsecutorRisk(t, keys, threshold));
+      RiskSummary want = OracleProsecutorRisk(t, keys, threshold);
+      EXPECT_DOUBLE_EQ(got.max_risk, want.max_risk) << what;
+      EXPECT_NEAR(got.avg_risk, want.avg_risk, 1e-12) << what;
+      EXPECT_DOUBLE_EQ(got.fraction_at_risk, want.fraction_at_risk) << what;
+    }
+
+    // The guard measures the same three properties from its own profile
+    // (an empty release is vacuously anonymous: nothing is measured).
+    GuardPolicy policy;
+    policy.k = 1;
+    policy.p = 2;
+    policy.max_attribute_disclosures = 0;
+    GuardReport guard =
+        UnwrapOk(VerifyRelease(t, rows + suppressed, policy));
+    EXPECT_EQ(guard.observed_k, k) << what;
+    EXPECT_EQ(guard.observed_p, p) << what;
+    EXPECT_EQ(guard.attribute_disclosures, disclosures) << what;
+    EXPECT_EQ(guard.passed, rows == 0 || (p >= 2 && disclosures == 0))
+        << what;
+  }
+  // The random releases reach both verdicts of Table 8's count.
+  EXPECT_GT(disclosing, 20u);
+  EXPECT_LT(disclosing, 180u);
 }
 
 TEST(OracleTest, SensitivityPAgreesWithOracleScan) {

@@ -138,6 +138,23 @@ TEST(PSensitiveTest, EmptyTableVacuouslySensitive) {
   EXPECT_EQ(UnwrapOk(SensitivityP(table, {0}, {1})), 0u);
 }
 
+TEST(PSensitiveTest, OutOfRangeConfidentialIndexIsRejectedEvenWhenEmpty) {
+  Table full = UnwrapOk(PatientTable1());
+  Table empty(full.schema());
+  for (const Table* t : {&full, &empty}) {
+    std::string what = "rows=" + std::to_string(t->num_rows());
+    EXPECT_EQ(IsPSensitive(*t, Keys(*t), {99}, 2).status().code(),
+              StatusCode::kOutOfRange)
+        << what;
+    EXPECT_EQ(SensitivityP(*t, Keys(*t), {99}).status().code(),
+              StatusCode::kOutOfRange)
+        << what;
+    EXPECT_EQ(CountAttributeDisclosures(*t, Keys(*t), {99}).status().code(),
+              StatusCode::kOutOfRange)
+        << what;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Attribute disclosures
 

@@ -3,11 +3,15 @@
 
 // Goldens for the release-equivalence suites: what one run produced,
 // recorded as plain values — release digest, node, suppression count, every
-// SearchStats work counter, the guard verdict — so a suite can pin a run
-// without keeping a second implementation around to re-derive it. The
-// values in the suites were captured from the Value-path evaluator and the
-// eager CSV parser before those were retired; the encoded core and the
-// streaming reader matched them exactly then, and must keep matching.
+// SearchStats work counter, the guard verdict, the scorecard — so a suite
+// can pin a run without keeping a second implementation around to
+// re-derive it. The values in the suites were captured from the Value-path
+// evaluator and the eager CSV parser before those were retired; the
+// encoded core and the streaming reader matched them exactly then, and
+// must keep matching. The scorecard's attribute disclosures, marketer
+// risk and C_AVG were captured later, while each scorecard quantity still
+// ran its own group-by, before they all became reads of one release
+// profile.
 
 #include <gtest/gtest.h>
 
@@ -132,7 +136,8 @@ struct GuardGolden {
 };
 
 /// One Anonymizer::Run. `node` is empty for local-recoding engines, which
-/// release no lattice node.
+/// release no lattice node. The scorecard fields are compared exactly,
+/// doubles included.
 struct ReportGolden {
   AnonymizationAlgorithm algorithm;
   uint64_t release_digest;
@@ -142,6 +147,9 @@ struct ReportGolden {
   size_t achieved_p;
   double precision;
   uint64_t discernibility;
+  size_t attribute_disclosures;
+  double reidentification_risk;
+  double normalized_avg_group_size;
   AnonymizationAlgorithm algorithm_used;
   GuardGolden guard;
   StatsGolden stats;
@@ -162,6 +170,10 @@ inline void ExpectReportMatches(const AnonymizationReport& got,
   EXPECT_EQ(got.achieved_p, want.achieved_p) << what;
   EXPECT_EQ(got.precision, want.precision) << what;
   EXPECT_EQ(got.discernibility, want.discernibility) << what;
+  EXPECT_EQ(got.attribute_disclosures, want.attribute_disclosures) << what;
+  EXPECT_EQ(got.reidentification_risk, want.reidentification_risk) << what;
+  EXPECT_EQ(got.normalized_avg_group_size, want.normalized_avg_group_size)
+      << what;
   EXPECT_EQ(got.algorithm_used, want.algorithm_used) << what;
   EXPECT_EQ(got.guard.passed, want.guard.passed) << what;
   EXPECT_EQ(got.guard.observed_k, want.guard.observed_k) << what;

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -23,6 +25,7 @@
 #include "psk/common/failpoint.h"
 #include "psk/common/memory_budget.h"
 #include "psk/datagen/adult.h"
+#include "psk/hierarchy/hierarchy.h"
 #include "psk/table/csv.h"
 #include "test_util.h"
 
@@ -750,22 +753,50 @@ TEST(SchedulerTest, WatchdogHardCancelsAHungJobAndKeepsScheduling) {
 // ---------------------------------------------------------------------------
 // Degradation ladder.
 
+// Delegates to `inner`, except that the first Generalize call waits until
+// `resume()` holds. Anonymizer::Run makes that call in its preflight: after
+// it has charged its input to the job's budget, before any search work.
+class ParkingHierarchy : public AttributeHierarchy {
+ public:
+  ParkingHierarchy(std::shared_ptr<const AttributeHierarchy> inner,
+                   std::function<bool()> resume)
+      : inner_(std::move(inner)), resume_(std::move(resume)) {}
+
+  const std::string& attribute_name() const override {
+    return inner_->attribute_name();
+  }
+  int num_levels() const override { return inner_->num_levels(); }
+  std::string LevelName(int level) const override {
+    return inner_->LevelName(level);
+  }
+  Result<Value> Generalize(const Value& value, int level) const override {
+    if (!parked_.exchange(true)) {
+      while (!resume_()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return inner_->Generalize(value, level);
+  }
+
+ private:
+  std::shared_ptr<const AttributeHierarchy> inner_;
+  std::function<bool()> resume_;
+  mutable std::atomic<bool> parked_{false};
+};
+
 TEST(SchedulerTest, DegradationLadderEndsInAPartialRelease) {
-  // Large enough that the sweep outlasts three watchdog dwells: the
-  // ladder's rung 3 must land while the search is still charging its
-  // budget, or the stop has nothing left to interrupt.
   JobSpec spec = MakeSpec(12000, 11, AnonymizationAlgorithm::kExhaustive);
   spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
 
   SchedulerOptions options;
   options.watchdog_interval = std::chrono::milliseconds(1);
-  // The job's *sustained* footprint is its verdict cache (~12KB for the
-  // Adult lattice); the encode and group-by charges are transient spikes
-  // the watchdog never samples. Pin the soft limit (1% of the quota =
-  // 7KB) below the rung-1 cache cap of 8KB, so even the shrunken cache
-  // keeps the job over-soft and the watchdog walks every rung; the hard
-  // limit stays far above the ~500KB transient peak so nothing trips
-  // until rung 3 forces exhaustion.
+  // A parked job makes no progress: keep the hang watchdog out of it.
+  options.hung_timeout = std::chrono::seconds(60);
+  // From the moment the run charges its input (~400KB), the job sits far
+  // over its soft limit (1% of the quota = 7KB, below the rung-1 cache
+  // cap of 8KB, so shrinking the cache cannot bring it back under), and
+  // the watchdog climbs one rung per tick. The hard limit stays above
+  // the input, so nothing trips until rung 3 forces exhaustion.
   options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;
   JobScheduler scheduler(options);
@@ -773,6 +804,15 @@ TEST(SchedulerTest, DegradationLadderEndsInAPartialRelease) {
   request.name = "hog";
   request.spec = spec;
   request.memory_quota = 700 * 1024;
+  // Park the run in its preflight until rung 3 has landed — deterministic,
+  // instead of racing three watchdog ticks against a search that may end
+  // first under load. The exhaustive stage then fails its first budget
+  // charge (kResourceExhausted) and the budget-exempt full-suppression
+  // stage releases.
+  request.spec.hierarchies[0] = std::make_shared<ParkingHierarchy>(
+      request.spec.hierarchies[0], [&scheduler] {
+        return scheduler.stats().degrade_force_exhausted > 0;
+      });
   uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
   SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
 
