@@ -5,7 +5,7 @@
 //
 //   bench_parallel_scaling [--trace] [--threads=1,2,4,8] [rows] [out.json]
 //
-// Defaults: 4000 rows, ./BENCH_parallel.json, threads 1/2/4/8. With
+// Defaults: 100000 rows, ./BENCH_parallel.json, threads 1/2/4/8. With
 // --trace, one extra (untimed) traced run per engine at the highest
 // thread count writes the merged span trees to <out>.trace.json; the
 // timed runs stay untraced.
@@ -123,7 +123,7 @@ int Main(int argc, char** argv) {
   }
   size_t rows = positional.size() > 0
                     ? static_cast<size_t>(std::atoll(positional[0]))
-                    : 4000;
+                    : 100000;
   std::string out_path =
       positional.size() > 1 ? positional[1] : "BENCH_parallel.json";
 

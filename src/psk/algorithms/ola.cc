@@ -67,6 +67,21 @@ void EnumerateInterval(const LatticeNode& bottom, const LatticeNode& top,
   partial->levels[attr] = bottom.levels[attr];
 }
 
+// Discernibility of the release that suppresses every group smaller than
+// k, read off the node's partition: sum of |G|^2 over the groups of at
+// least k rows, plus `total_rows` for each suppressed row. Equals
+// DiscernibilityMetric over the decoded release (k == 0 suppresses
+// nothing, as in Materialize).
+uint64_t SuppressedDiscernibility(const EncodedGroups& groups, size_t k,
+                                  size_t total_rows) {
+  uint64_t dm = 0;
+  for (uint32_t size : groups.group_sizes) {
+    if (size >= k) dm += static_cast<uint64_t>(size) * size;
+  }
+  return dm + static_cast<uint64_t>(groups.RowsInGroupsSmallerThan(k)) *
+                  total_rows;
+}
+
 std::vector<LatticeNode> NodesAtIntervalHeight(const LatticeNode& bottom,
                                                const LatticeNode& top,
                                                int h) {
@@ -258,27 +273,20 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     return result;
   }
 
-  // Metric-optimal node among the minimal ones.
+  // Metric-optimal node among the minimal ones, ties to the first. Each
+  // node is scored from its encoded partition; only the winner is decoded.
   TraceSpan metric_span(trace, "metrics");
   metric_span.Counter("minimal_nodes", result.minimal_nodes.size());
-  bool first = true;
+  EncodedWorkspace ws;
+  const LatticeNode* best = nullptr;
   for (const LatticeNode& node : result.minimal_nodes) {
-    Result<MaskedMicrodata> materialized = evaluator.Materialize(node);
-    if (!materialized.ok()) {
-      return materialized.status();
-    }
-    MaskedMicrodata mm = std::move(materialized).value();
     double metric;
     switch (options.metric) {
-      case OlaMetric::kDiscernibility: {
-        PSK_ASSIGN_OR_RETURN(
-            uint64_t dm,
-            DiscernibilityMetric(mm.table, mm.table.schema().KeyIndices(),
-                                 mm.suppressed,
-                                 initial_microdata.num_rows()));
-        metric = static_cast<double>(dm);
+      case OlaMetric::kDiscernibility:
+        PSK_RETURN_IF_ERROR(evaluator.encoded_table()->GroupByNode(node, &ws));
+        metric = static_cast<double>(SuppressedDiscernibility(
+            ws.groups, options.search.k, initial_microdata.num_rows()));
         break;
-      }
       case OlaMetric::kPrecision:
         // Negate so smaller-is-better uniformly.
         metric = -Precision(node, hierarchies);
@@ -286,14 +294,15 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
       default:
         return Status::Internal("unhandled OLA metric");
     }
-    if (first || metric < result.optimal_metric) {
-      result.optimal = node;
+    if (best == nullptr || metric < result.optimal_metric) {
+      best = &node;
       result.optimal_metric = metric;
-      result.masked = std::move(mm.table);
-      result.suppressed = mm.suppressed;
-      first = false;
     }
   }
+  PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm, evaluator.Materialize(*best));
+  result.optimal = *best;
+  result.masked = std::move(mm.table);
+  result.suppressed = mm.suppressed;
   result.found = true;
   result.stats = sweeper.MergedStats();
   return result;

@@ -1,6 +1,8 @@
 #include "psk/table/group_by.h"
 
 #include <algorithm>
+#include <bit>
+#include <unordered_map>
 
 #include "psk/common/check.h"
 #include "psk/common/thread_pool.h"
@@ -228,61 +230,105 @@ size_t EncodedGroups::GroupsAtLeast(size_t k) const {
   return count;
 }
 
+namespace {
+
+/// Translated code of `row` in column `c` — the actual grouping key digit.
+inline uint32_t TranslatedCode(const CodeColumnView& c, size_t row) {
+  uint32_t code = c.codes[row];
+  return c.map != nullptr ? c.map[code] : code;
+}
+
+}  // namespace
+
 void GroupByCodes(const std::vector<CodeColumnView>& columns, size_t num_rows,
                   GroupByScratch* scratch, EncodedGroups* out) {
-  // Refine the partition one column at a time: the running group id and
-  // the column's code combine into a key that is densified in row order,
-  // so group ids stay numbered by first occurrence after every column —
-  // and therefore match the Value-keyed FrequencySet's group order.
+  // Partition refinement, a block of columns per pass. Every pass renumbers
+  // its keys by first occurrence in row order, so after each pass a row's
+  // id is the first-occurrence index of its code tuple over the columns
+  // seen so far — which is why the final numbering does not depend on how
+  // the columns were blocked, and matches the Value-keyed FrequencySet.
   out->row_gid.assign(num_rows, 0);
-  size_t num_groups = num_rows > 0 ? 1 : 0;
+  std::vector<uint32_t>& row_gid = out->row_gid;
+  uint64_t num_groups = num_rows > 0 ? 1 : 0;
 
-  // Combined keys resolve through a stamped flat array while the key space
-  // is small (the overwhelmingly common case: groups x level-cardinality);
-  // beyond that, a hashed 64-bit-key map.
+  // Keys resolve through a generation-stamped flat array while the key
+  // space fits; beyond that, through the open-addressing table.
   constexpr uint64_t kDenseKeyLimit = uint64_t{1} << 20;
 
-  for (const CodeColumnView& column : columns) {
-    if (num_rows == 0) break;
-    PSK_DCHECK(column.codes != nullptr);
-    uint64_t key_space =
-        static_cast<uint64_t>(num_groups) * column.cardinality;
+  size_t next_col = 0;
+  while (num_rows > 0 && next_col < columns.size()) {
+    // Collect the block: the longest run of splitting columns whose key
+    // space fits the dense limit. Cardinality-1 columns are constant.
+    const size_t block_begin = next_col;
+    uint64_t key_space = num_groups;
+    for (; next_col < columns.size(); ++next_col) {
+      const uint64_t cardinality = columns[next_col].cardinality;
+      PSK_DCHECK(columns[next_col].codes != nullptr && cardinality > 0);
+      if (cardinality == 1) continue;
+      if (key_space * cardinality > kDenseKeyLimit) break;
+      key_space *= cardinality;
+    }
     uint32_t next = 0;
-    if (key_space <= kDenseKeyLimit) {
-      uint32_t gen =
-          scratch->NextGeneration(static_cast<size_t>(key_space));
-      for (size_t row = 0; row < num_rows; ++row) {
-        uint32_t code = column.codes[row];
-        if (column.map != nullptr) code = column.map[code];
-        PSK_DCHECK(code < column.cardinality);
-        uint64_t key = static_cast<uint64_t>(out->row_gid[row]) *
-                           column.cardinality +
-                       code;
-        if (scratch->remap_gen_[key] != gen) {
-          scratch->remap_gen_[key] = gen;
-          scratch->remap_[key] = next++;
+
+    if (key_space > num_groups) {
+      // Mixed-radix key of the block, built in place: each column turns
+      // id into id * cardinality + code, bounded by key_space <= 2^20.
+      for (size_t c = block_begin; c < next_col; ++c) {
+        const CodeColumnView& column = columns[c];
+        if (column.cardinality == 1) continue;
+        for (size_t row = 0; row < num_rows; ++row) {
+          const uint32_t code = TranslatedCode(column, row);
+          PSK_DCHECK(code < column.cardinality);
+          row_gid[row] = row_gid[row] * column.cardinality + code;
         }
-        out->row_gid[row] = scratch->remap_[key];
+      }
+      // Densify once, in row order.
+      const uint32_t gen = scratch->NextGeneration(key_space);
+      uint64_t* dense = scratch->dense_.data();
+      for (size_t row = 0; row < num_rows; ++row) {
+        uint64_t& slot = dense[row_gid[row]];
+        if ((slot >> 32) != gen) slot = (uint64_t{gen} << 32) | next++;
+        row_gid[row] = static_cast<uint32_t>(slot);
+      }
+    } else if (next_col < columns.size()) {
+      // The next splitting column alone leaves the dense range: refine it
+      // through a flat open-addressing table over 64-bit (group, code)
+      // keys. A key is below groups x cardinality < 2^64 - 1, so
+      // UINT64_MAX marks a free slot; at most num_rows distinct keys keep
+      // the load factor at or below 1/2.
+      const CodeColumnView& column = columns[next_col++];
+      const int bits = std::max<int>(4, std::bit_width(2 * num_rows - 1));
+      const size_t capacity = size_t{1} << bits;
+      scratch->sparse_keys_.assign(capacity, UINT64_MAX);
+      scratch->sparse_ids_.resize(capacity);
+      uint64_t* keys = scratch->sparse_keys_.data();
+      uint32_t* ids = scratch->sparse_ids_.data();
+      const size_t mask = capacity - 1;
+      for (size_t row = 0; row < num_rows; ++row) {
+        const uint32_t code = TranslatedCode(column, row);
+        PSK_DCHECK(code < column.cardinality);
+        const uint64_t key =
+            uint64_t{row_gid[row]} * column.cardinality + code;
+        // Fibonacci hashing: the top bits of key * 2^64/phi.
+        size_t slot = static_cast<size_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+        while (keys[slot] != key && keys[slot] != UINT64_MAX) {
+          slot = (slot + 1) & mask;
+        }
+        if (keys[slot] == UINT64_MAX) {
+          keys[slot] = key;
+          ids[slot] = next++;
+        }
+        row_gid[row] = ids[slot];
       }
     } else {
-      scratch->sparse_.clear();
-      scratch->sparse_.reserve(num_rows);
-      for (size_t row = 0; row < num_rows; ++row) {
-        uint32_t code = column.codes[row];
-        if (column.map != nullptr) code = column.map[code];
-        uint64_t key = static_cast<uint64_t>(out->row_gid[row]) *
-                           column.cardinality +
-                       code;
-        auto [it, inserted] = scratch->sparse_.try_emplace(key, next);
-        if (inserted) ++next;
-        out->row_gid[row] = it->second;
-      }
+      break;  // only cardinality-1 columns were left
     }
     num_groups = next;
   }
 
   out->group_sizes.assign(num_groups, 0);
-  for (uint32_t gid : out->row_gid) ++out->group_sizes[gid];
+  for (uint32_t gid : row_gid) ++out->group_sizes[gid];
 }
 
 size_t ParallelGroupByScratch::ApproxBytes() const {
@@ -316,16 +362,6 @@ void EvenSliceEnds(size_t num_rows, size_t slices, std::vector<size_t>* ends) {
     ends->push_back(num_rows * s / slices);
   }
 }
-
-namespace {
-
-/// Translated code of `row` in column `c` — the actual grouping key digit.
-inline uint32_t TranslatedCode(const CodeColumnView& c, size_t row) {
-  uint32_t code = c.codes[row];
-  return c.map != nullptr ? c.map[code] : code;
-}
-
-}  // namespace
 
 void GroupByCodesSliced(const std::vector<CodeColumnView>& columns,
                         size_t num_rows, const std::vector<size_t>& slice_ends,

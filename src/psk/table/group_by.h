@@ -1,8 +1,8 @@
 #ifndef PSK_TABLE_GROUP_BY_H_
 #define PSK_TABLE_GROUP_BY_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "psk/common/result.h"
@@ -172,26 +172,19 @@ struct CodeColumnView {
   uint32_t cardinality = 0;
 };
 
-/// Reusable buffers for GroupByCodes. One instance per worker thread;
-/// generation-stamped so repeated calls pay no clearing cost.
+/// Reusable buffers for GroupByCodes. One instance per worker thread.
+/// The dense table is generation-stamped, so repeated calls pay no
+/// clearing cost; the open-addressing table is reset per column that
+/// needs it, in time proportional to the rows.
 class GroupByScratch {
  public:
   GroupByScratch() = default;
 
-  /// Heap footprint of the owned buffers (capacities plus an estimate of
-  /// the sparse map's nodes and its bucket array). Memory-accounting seam
-  /// for per-job MemoryBudget charging.
+  /// Heap footprint of the owned buffers (capacity, not size). Memory-
+  /// accounting seam for per-job MemoryBudget charging.
   size_t ApproxBytes() const {
-    // unordered_map node: key + value + hash bucket/next pointers. The
-    // bucket array itself (one pointer-sized head per bucket) is charged
-    // too — it is the allocation that actually blows up when the key
-    // space leaves the dense range, which is exactly when accurate
-    // charging matters.
-    constexpr size_t kSparseNodeBytes =
-        sizeof(uint64_t) + sizeof(uint32_t) + 3 * sizeof(void*);
-    return (remap_.capacity() + remap_gen_.capacity()) * sizeof(uint32_t) +
-           sparse_.size() * kSparseNodeBytes +
-           sparse_.bucket_count() * sizeof(void*);
+    return (dense_.capacity() + sparse_keys_.capacity()) * sizeof(uint64_t) +
+           sparse_ids_.capacity() * sizeof(uint32_t);
   }
 
  private:
@@ -199,32 +192,39 @@ class GroupByScratch {
                            size_t num_rows, GroupByScratch* scratch,
                            EncodedGroups* out);
 
-  /// Claims a generation for a dense remap of `key_space` slots; entries
-  /// whose stamp differs from the returned generation are free.
+  /// Claims a generation for a dense table of `key_space` slots; a slot
+  /// whose high 32 bits differ from the returned generation is free.
   uint32_t NextGeneration(size_t key_space) {
-    if (remap_gen_.size() < key_space) {
-      remap_gen_.resize(key_space, 0);
-      remap_.resize(key_space);
-    }
+    if (dense_.size() < key_space) dense_.resize(key_space, 0);
     if (++generation_ == 0) {  // wrapped: stamps are ambiguous, reset
-      std::fill(remap_gen_.begin(), remap_gen_.end(), 0u);
+      std::fill(dense_.begin(), dense_.end(), uint64_t{0});
       generation_ = 1;
     }
     return generation_;
   }
 
-  std::vector<uint32_t> remap_;
-  std::vector<uint32_t> remap_gen_;
+  /// Dense key -> (generation << 32 | group id).
+  std::vector<uint64_t> dense_;
   uint32_t generation_ = 0;
-  std::unordered_map<uint64_t, uint32_t> sparse_;
+  /// Open-addressing table over 64-bit (group, code) keys, for a column
+  /// whose key space alone leaves the dense range: power-of-two capacity
+  /// of at least twice the rows, UINT64_MAX = empty slot.
+  std::vector<uint64_t> sparse_keys_;
+  std::vector<uint32_t> sparse_ids_;
 };
 
 /// Code-keyed fast path of FrequencySet::Compute: groups rows by the tuple
 /// of (translated) codes across `columns`, assigning dense group ids
 /// numbered by first occurrence in row order — identical group ordering
-/// semantics to the Value-keyed FrequencySet. Single pass per column,
-/// no hashing at all while the running (groups x cardinality) key space
-/// stays small. Zero columns put every row in one group.
+/// semantics to the Value-keyed FrequencySet. Columns of cardinality 1
+/// cannot split a group and are skipped. The rest are refined in blocks:
+/// each block is the longest run of columns whose key space (groups so
+/// far x product of their cardinalities) fits the dense limit, 2^20; its
+/// mixed-radix key is built in place in `out->row_gid` and densified in
+/// one pass, with no hashing. A column whose key space alone exceeds the
+/// limit is refined on its own through an open-addressing table. The
+/// numbering depends only on the final partition, never on the blocking.
+/// Zero columns put every row in one group.
 void GroupByCodes(const std::vector<CodeColumnView>& columns, size_t num_rows,
                   GroupByScratch* scratch, EncodedGroups* out);
 

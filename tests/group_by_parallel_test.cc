@@ -1,9 +1,9 @@
 // Row-range-parallel GroupByCodes: GroupByCodesSliced must produce
 // byte-identical row_gid / group_sizes to the sequential path for any
 // slice layout — even slices, adversarial boundaries (a group straddling
-// every cut, empty slices, single-row slices), sparse-map fallback — and
-// for any worker count, because group ids are renumbered through a global
-// first-occurrence-ordered merge map.
+// every cut, empty slices, single-row slices), the open-addressing path
+// past the dense limit — and for any worker count, because group ids are
+// renumbered through a global first-occurrence-ordered merge map.
 
 #include "psk/table/group_by.h"
 
@@ -118,8 +118,8 @@ TEST(GroupByCodesSlicedTest, EmptyAndSingleRowSlices) {
 }
 
 TEST(GroupByCodesSlicedTest, SparseFallbackMatches) {
-  // Cardinality past the dense-key limit (2^20) forces the sparse
-  // unordered_map refinement path inside each slice.
+  // Cardinality past the dense-key limit (2^20) forces the
+  // open-addressing refinement path inside each slice.
   const size_t rows = 20000;
   const uint32_t cardinality = (1u << 20) + 7919;
   std::vector<uint32_t> codes = RandomCodes(rows, cardinality, 99);
@@ -184,11 +184,12 @@ TEST(EvenSliceEndsTest, CoversAllRowsInOrder) {
   for (size_t i = 1; i < ends.size(); ++i) EXPECT_LE(ends[i - 1], ends[i]);
 }
 
-TEST(GroupByScratchMemoryTest, SparseFallbackChargesBucketArray) {
-  // ApproxBytes must grow with the sparse map's footprint — including its
-  // bucket array, the allocation that actually dominates once the key
-  // space leaves the dense range. With max_load_factor <= 1 the map holds
-  // at least one bucket per entry, so the floor below is conservative.
+TEST(GroupByScratchMemoryTest, SparseFallbackChargesOpenAddressingTable) {
+  // Past the dense limit a column is refined through an open-addressing
+  // table of at least 2 * rows slots, each a 64-bit key plus a 32-bit id.
+  // ApproxBytes must charge at least those arrays — they are the
+  // allocation that appears exactly when the key space leaves the dense
+  // range.
   const size_t rows = 50000;
   const uint32_t cardinality = (1u << 20) + 1;
   std::vector<uint32_t> codes = RandomCodes(rows, cardinality, 3);
@@ -197,14 +198,8 @@ TEST(GroupByScratchMemoryTest, SparseFallbackChargesBucketArray) {
   GroupByScratch scratch;
   EncodedGroups out;
   GroupByCodes(views, rows, &scratch, &out);
-  constexpr size_t kSparseNodeBytes =
-      sizeof(uint64_t) + sizeof(uint32_t) + 3 * sizeof(void*);
-  const size_t distinct = out.num_groups();
-  // Node bytes alone would be distinct * kSparseNodeBytes; the bucket
-  // array adds >= distinct * sizeof(void*) on top. Undercounting it (the
-  // old bug) fails this bound.
   EXPECT_GE(scratch.ApproxBytes(),
-            distinct * (kSparseNodeBytes + sizeof(void*)));
+            2 * rows * (sizeof(uint64_t) + sizeof(uint32_t)));
 }
 
 TEST(ParallelScratchMemoryTest, ApproxBytesCoversSliceBuffers) {

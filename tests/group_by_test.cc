@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -165,6 +169,155 @@ TEST(DescendingValueFrequenciesTest, Example1MatchesTable5) {
             (std::vector<size_t>{500, 300, 100, 40, 35, 25}));
   EXPECT_EQ(DescendingValueFrequencies(table, s3),
             (std::vector<size_t>{700, 200, 50, 10, 10, 10, 10, 5, 3, 2}));
+}
+
+// --- GroupByCodes against a naive oracle --------------------------------
+//
+// The oracle groups rows by their translated code tuple in a std::map and
+// numbers groups by first occurrence in row order; it shares nothing with
+// the blocked kernel. Layouts sit on every blocking boundary: constant
+// columns between splitting ones, key spaces of exactly 2^20 and 2^20 + 1,
+// a product past 2^32, and columns past the dense limit.
+
+struct OracleColumn {
+  std::vector<uint32_t> codes;
+  std::vector<uint32_t> map;  // empty: codes are the keys themselves
+  uint32_t cardinality = 0;
+};
+
+// Random codes of `cardinality`, or random ground codes through a
+// translation map into [0, cardinality) that is onto whenever the ground
+// space is large enough. The last row always carries the top translated
+// code, so the largest key of a layout is reached.
+OracleColumn MakeOracleColumn(size_t rows, uint32_t cardinality, bool mapped,
+                              std::mt19937_64* rng) {
+  OracleColumn column;
+  column.cardinality = cardinality;
+  if (!mapped) {
+    column.codes.resize(rows);
+    for (uint32_t& code : column.codes) code = (*rng)() % cardinality;
+    if (rows > 0) column.codes.back() = cardinality - 1;
+    return column;
+  }
+  const uint32_t ground =
+      static_cast<uint32_t>(std::min<uint64_t>(2ull * cardinality, 4096));
+  const uint32_t top_ground = std::min(cardinality, ground) - 1;
+  column.map.resize(ground);
+  for (uint32_t g = 0; g < ground; ++g) {
+    column.map[g] = g < cardinality ? g : (*rng)() % cardinality;
+  }
+  column.map[top_ground] = cardinality - 1;
+  column.codes.resize(rows);
+  for (uint32_t& code : column.codes) code = (*rng)() % ground;
+  if (rows > 0) column.codes.back() = top_ground;
+  return column;
+}
+
+std::vector<CodeColumnView> OracleViews(
+    const std::vector<OracleColumn>& columns) {
+  std::vector<CodeColumnView> views;
+  for (const OracleColumn& c : columns) {
+    views.push_back(CodeColumnView{
+        c.codes.data(), c.map.empty() ? nullptr : c.map.data(),
+        c.cardinality});
+  }
+  return views;
+}
+
+EncodedGroups NaiveGroupBy(const std::vector<OracleColumn>& columns,
+                           size_t rows) {
+  std::map<std::vector<uint32_t>, uint32_t> first_seen;
+  EncodedGroups out;
+  for (size_t row = 0; row < rows; ++row) {
+    std::vector<uint32_t> key;
+    for (const OracleColumn& c : columns) {
+      uint32_t code = c.codes[row];
+      key.push_back(c.map.empty() ? code : c.map[code]);
+    }
+    auto [it, inserted] = first_seen.emplace(
+        key, static_cast<uint32_t>(first_seen.size()));
+    if (inserted) out.group_sizes.push_back(0);
+    out.row_gid.push_back(it->second);
+    ++out.group_sizes[it->second];
+  }
+  return out;
+}
+
+TEST(GroupByCodesOracleTest, MatchesNaiveGroupingOnBoundaryLayouts) {
+  struct Layout {
+    const char* name;
+    std::vector<uint32_t> cardinalities;
+    size_t rows;
+  };
+  const std::vector<Layout> layouts = {
+      {"constant column between others", {7, 1, 5}, 3000},
+      {"only constant columns", {1, 1}, 500},
+      {"key space exactly 2^20", {16, 65536}, 4000},
+      {"one column of exactly 2^20", {1u << 20}, 4000},
+      {"key space 2^20 + 1 after a block", {17, 61681}, 4000},
+      {"one column of 2^20 + 1", {(1u << 20) + 1}, 4000},
+      {"product past 2^32: several blocks", {100, 100, 100, 100, 100}, 3000},
+      {"column past the limit between others", {5, 1u << 21, 1, 3}, 3000},
+      {"two columns past the limit", {(1u << 20) + 7919, 1u << 22}, 2000},
+      {"zero columns", {}, 100},
+      {"zero columns, one row", {}, 1},
+      {"zero columns, no rows", {}, 0},
+      {"one row", {7, 1, 5}, 1},
+      {"no rows", {7, 1, 5}, 0},
+  };
+  // One scratch across every layout and mode as well as a fresh one per
+  // run: reuse must not leak generations or table contents between calls.
+  GroupByScratch shared;
+  uint64_t seed = 1;
+  for (const Layout& layout : layouts) {
+    for (bool mapped : {false, true}) {
+      std::mt19937_64 rng(seed++);
+      std::vector<OracleColumn> columns;
+      for (uint32_t cardinality : layout.cardinalities) {
+        columns.push_back(
+            MakeOracleColumn(layout.rows, cardinality, mapped, &rng));
+      }
+      const EncodedGroups expected = NaiveGroupBy(columns, layout.rows);
+      const std::vector<CodeColumnView> views = OracleViews(columns);
+      GroupByScratch fresh;
+      EncodedGroups actual;
+      GroupByCodes(views, layout.rows, &fresh, &actual);
+      EXPECT_EQ(actual.row_gid, expected.row_gid)
+          << layout.name << " mapped=" << mapped;
+      EXPECT_EQ(actual.group_sizes, expected.group_sizes)
+          << layout.name << " mapped=" << mapped;
+      EncodedGroups reused;
+      GroupByCodes(views, layout.rows, &shared, &reused);
+      EXPECT_EQ(reused.row_gid, expected.row_gid)
+          << layout.name << " mapped=" << mapped << " (shared scratch)";
+      EXPECT_EQ(reused.group_sizes, expected.group_sizes)
+          << layout.name << " mapped=" << mapped << " (shared scratch)";
+    }
+  }
+}
+
+TEST(GroupByCodesOracleTest, MatchesNaiveGroupingOnRandomLayouts) {
+  // Random column counts and cardinalities spanning both sides of the
+  // dense limit, each checked with and without translation maps.
+  std::mt19937_64 rng(2024);
+  const std::vector<uint32_t> cardinalities = {
+      1, 2, 3, 16, 97, 1000, 4096, 65536, (1u << 20) + 1, 3000000};
+  GroupByScratch scratch;
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t rows = rng() % 2000;
+    const size_t num_columns = rng() % 7;
+    const bool mapped = trial % 2 == 1;
+    std::vector<OracleColumn> columns;
+    for (size_t c = 0; c < num_columns; ++c) {
+      columns.push_back(MakeOracleColumn(
+          rows, cardinalities[rng() % cardinalities.size()], mapped, &rng));
+    }
+    const EncodedGroups expected = NaiveGroupBy(columns, rows);
+    EncodedGroups actual;
+    GroupByCodes(OracleViews(columns), rows, &scratch, &actual);
+    ASSERT_EQ(actual.row_gid, expected.row_gid) << "trial " << trial;
+    ASSERT_EQ(actual.group_sizes, expected.group_sizes) << "trial " << trial;
+  }
 }
 
 }  // namespace

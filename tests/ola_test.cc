@@ -86,6 +86,12 @@ TEST(OlaTest, OptimalBeatsEveryOtherMinimalNodeOnMetric) {
   options.metric = OlaMetric::kDiscernibility;
   OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
   ASSERT_TRUE(result.found);
+  // The metric OLA scored from the encoded partition is exactly the
+  // discernibility of the release it materialized.
+  EXPECT_EQ(result.optimal_metric,
+            static_cast<double>(UnwrapOk(DiscernibilityMetric(
+                result.masked, result.masked.schema().KeyIndices(),
+                result.suppressed, im.num_rows()))));
   for (const LatticeNode& node : result.minimal_nodes) {
     MaskedMicrodata mm = UnwrapOk(Mask(im, hierarchies, node, 3));
     uint64_t dm = UnwrapOk(DiscernibilityMetric(
