@@ -42,9 +42,6 @@ namespace psk {
 namespace {
 
 constexpr size_t kChunkRows = 64 * 1024;
-/// Self-reported bytes of one in-flight chunk cell (Value + small-string
-/// slack) — the same coarse unit the CSV reader charges.
-constexpr size_t kChunkCellBytes = sizeof(Value) + 16;
 
 size_t PeakRssBytes() {
   struct rusage usage;
@@ -98,8 +95,8 @@ ScaleResult RunScale(size_t rows, uint64_t seed) {
     auto produced = gen.NextChunk(kChunkRows, &chunk);
     PSK_CHECK(produced.ok());
     if (*produced == 0) break;
-    size_t chunk_bytes =
-        *produced * gen.schema().num_attributes() * kChunkCellBytes;
+    // The chunk's own footprint, the same charge the CSV reader makes.
+    size_t chunk_bytes = chunk.ApproxBytes();
     PSK_CHECK(chunk_charge.Reserve(budget, chunk_bytes).ok());
     r.chunk_buffer_bytes = std::max(r.chunk_buffer_bytes, chunk_bytes);
     PSK_CHECK(table.AppendChunk(&chunk).ok());

@@ -41,6 +41,17 @@ Result<std::shared_ptr<TaxonomyHierarchy>> BuildBalancedHierarchy(
 
 }  // namespace
 
+SyntheticChunkGenerator::SyntheticChunkGenerator(SyntheticSpec spec,
+                                                 Schema schema, uint64_t seed)
+    : spec_(std::move(spec)),
+      schema_(std::move(schema)),
+      rng_(seed),
+      chunk_ranks_(spec_.attributes.size()) {
+  for (const SyntheticAttribute& attr : spec_.attributes) {
+    rank_codes_.emplace_back(attr.cardinality, kNoCode);
+  }
+}
+
 Result<SyntheticChunkGenerator> SyntheticChunkGenerator::Create(
     const SyntheticSpec& spec, uint64_t seed) {
   if (spec.attributes.empty()) {
@@ -65,15 +76,27 @@ Result<size_t> SyntheticChunkGenerator::NextChunk(size_t max_rows,
   size_t remaining = spec_.num_rows - rows_generated_;
   size_t rows = std::min(max_rows, remaining);
   chunk->Reset(schema_, rows);
+  // Codes are chunk-local: forget the previous chunk's ranks.
+  for (size_t c = 0; c < spec_.attributes.size(); ++c) {
+    for (size_t rank : chunk_ranks_[c]) rank_codes_[c][rank] = kNoCode;
+    chunk_ranks_[c].clear();
+  }
   // Row-major draw order (attributes inner) is the determinism contract:
   // it matches the legacy one-Rng-per-table row loop exactly, so chunk
-  // sizing can never change the generated data.
+  // sizing can never change the generated data. Each rank becomes a
+  // dictionary entry on its first draw in the chunk.
   for (size_t row = 0; row < rows; ++row) {
     for (size_t c = 0; c < spec_.attributes.size(); ++c) {
       const SyntheticAttribute& attr = spec_.attributes[c];
       size_t rank = rng_.Zipf(attr.cardinality, attr.zipf_theta);
-      chunk->columns[c].push_back(
-          Value(attr.name + "_v" + std::to_string(rank)));
+      uint32_t& code = rank_codes_[c][rank];
+      if (code == kNoCode) {
+        code = static_cast<uint32_t>(chunk_ranks_[c].size());
+        chunk_ranks_[c].push_back(rank);
+        chunk->dictionary[c].push_back(
+            Value(attr.name + "_v" + std::to_string(rank)));
+      }
+      chunk->codes[c].push_back(code);
     }
   }
   rows_generated_ += rows;

@@ -73,13 +73,18 @@ class SyntheticChunkGenerator {
   Result<HierarchySet> BuildHierarchies() const;
 
  private:
-  SyntheticChunkGenerator(SyntheticSpec spec, Schema schema, uint64_t seed)
-      : spec_(std::move(spec)), schema_(std::move(schema)), rng_(seed) {}
+  SyntheticChunkGenerator(SyntheticSpec spec, Schema schema, uint64_t seed);
+
+  static constexpr uint32_t kNoCode = 0xFFFFFFFFu;
 
   SyntheticSpec spec_;
   Schema schema_;
   Rng rng_;
   size_t rows_generated_ = 0;
+  /// Per attribute: each rank's code in the current chunk's dictionary
+  /// (kNoCode until drawn), and the drawn ranks in code order.
+  std::vector<std::vector<uint32_t>> rank_codes_;
+  std::vector<std::vector<size_t>> chunk_ranks_;
 };
 
 /// Generates a table and a matching hierarchy per key attribute,

@@ -21,7 +21,9 @@ namespace psk {
 /// Pull-based source of input rows for streaming ingest: fills the chunk
 /// with up to max_rows rows and returns the count, 0 at end-of-input.
 /// CsvChunkReader::NextChunk and SyntheticChunkGenerator::NextChunk both
-/// bind directly.
+/// bind directly; a hand-written source can Reset the chunk for the
+/// schema and Append one Value per cell. A malformed chunk fails the
+/// job's ingest with InvalidArgument (see Table::AppendChunk).
 using IngestChunkSource =
     std::function<Result<size_t>(size_t max_rows, IngestChunk* chunk)>;
 
@@ -31,11 +33,12 @@ using IngestChunkSource =
 /// spec or input no longer matches what the journal recorded.
 struct JobSpec {
   Table input;
-  /// Optional streaming input. When set, `input` must be an empty table
-  /// carrying the schema; MaterializeJobInput drains the source into it
-  /// in ingest_chunk_rows batches, chunk-metering the growth against the
-  /// job's MemoryBudget so an over-quota input fails during ingest, not
-  /// after the whole table landed. One-shot: the scheduler drains it on
+  /// Optional streaming input (see IngestChunkSource). When set, `input`
+  /// must be an empty table carrying the schema; MaterializeJobInput
+  /// drains the source into it in ingest_chunk_rows batches,
+  /// chunk-metering the growth against the job's MemoryBudget so an
+  /// over-quota input fails during ingest, not after the whole table
+  /// landed. One-shot: the scheduler drains it on
   /// the job's first attempt and clears it, so retries and the journal's
   /// input digest see an ordinary materialized input. Excluded from
   /// JobSpecHash (like trace_path): chunk sizing never changes the

@@ -1,6 +1,7 @@
 #include "psk/table/csv.h"
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
 #include <sstream>
 
@@ -19,70 +20,104 @@ constexpr size_t kReadBlockBytes = 256 * 1024;
 /// cap on the rows one IngestChunk reserves up front.
 constexpr size_t kReadChunkRows = 64 * 1024;
 
-/// Nominal in-memory cost of one parsed chunk cell (same stable-accounting
-/// convention as EncodedTable::ApproxBytes).
-constexpr size_t kChunkCellBytes = sizeof(Value) + 16;
-
 // Splits one logical CSV record into fields, honoring quotes. `pos` points
 // at the start of the record and is advanced past its trailing newline.
 // `start_line` (1-based) is where this record begins; `lines_consumed`
 // receives the number of newlines swallowed, counting those embedded in
 // quoted fields, so callers can keep reported line numbers accurate.
-Result<std::vector<std::string>> ParseRecord(std::string_view text,
-                                             size_t* pos, char sep,
-                                             size_t start_line,
-                                             size_t* lines_consumed) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
+//
+// Each field views `text` while its bytes are contiguous there (quotes
+// around the whole field and a dropped trailing CR keep them so); a
+// doubled quote, quotes around only part of the field or a CR inside it
+// move the field into a copy in `*copies`. The views live until `text`
+// changes or the next call.
+Status ParseRecord(std::string_view text, size_t* pos, char sep,
+                   size_t start_line, size_t* lines_consumed,
+                   std::vector<std::string_view>* fields,
+                   std::deque<std::string>* copies) {
+  fields->clear();
+  copies->clear();
+  // The current field: text[begin, end) until a gap forces `copy`.
+  size_t begin = *pos;
+  size_t end = *pos;
+  std::string* copy = nullptr;
+  // Appends text[from, to) to the current field.
+  auto append = [&](size_t from, size_t to) {
+    if (copy != nullptr) {
+      copy->append(text.substr(from, to - from));
+    } else if (begin == end) {
+      begin = from;
+      end = to;
+    } else if (from == end) {
+      end = to;
+    } else {
+      copy = &copies->emplace_back(text.substr(begin, end - begin));
+      copy->append(text.substr(from, to - from));
+    }
+  };
+  auto finish_field = [&] {
+    fields->push_back(copy != nullptr ? std::string_view(*copy)
+                                      : text.substr(begin, end - begin));
+    copy = nullptr;
+    begin = end;
+  };
   *lines_consumed = 0;
   size_t i = *pos;
-  for (; i < text.size(); ++i) {
+  while (i < text.size()) {
     char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
+    if (c == '"') {
+      // Quoted: everything up to the closing quote is content, a doubled
+      // quote standing for one.
+      ++i;
+      while (true) {
+        size_t quote = text.find('"', i);
+        if (quote == std::string_view::npos) {
+          return Status::InvalidArgument(
+              "unterminated quoted field in CSV record starting at line " +
+              std::to_string(start_line));
         }
-      } else {
-        if (c == '\n') ++*lines_consumed;
-        field.push_back(c);
+        *lines_consumed += static_cast<size_t>(
+            std::count(text.begin() + i, text.begin() + quote, '\n'));
+        append(i, quote);
+        if (quote + 1 < text.size() && text[quote + 1] == '"') {
+          append(quote, quote + 1);
+          i = quote + 2;
+        } else {
+          i = quote + 1;
+          break;
+        }
       }
-    } else if (c == '"') {
-      in_quotes = true;
     } else if (c == sep) {
-      fields.push_back(std::move(field));
-      field.clear();
+      finish_field();
+      ++i;
     } else if (c == '\n') {
       ++*lines_consumed;
       ++i;
       break;
     } else if (c == '\r') {
-      // Swallow; \r\n handled by the \n branch next iteration.
+      ++i;  // dropped; a \r\n ends the record at its \n
     } else {
-      field.push_back(c);
+      size_t run = i + 1;
+      while (run < text.size() && text[run] != sep && text[run] != '"' &&
+             text[run] != '\n' && text[run] != '\r') {
+        ++run;
+      }
+      append(i, run);
+      i = run;
     }
   }
-  if (in_quotes) {
-    return Status::InvalidArgument(
-        "unterminated quoted field in CSV record starting at line " +
-        std::to_string(start_line));
-  }
-  fields.push_back(std::move(field));
+  finish_field();
   *pos = i;
-  return fields;
+  return Status::OK();
 }
 
 /// Matches a parsed header against the schema: file column j maps to
 /// schema attribute result[j].
-Result<std::vector<size_t>> MapHeader(const std::vector<std::string>& header,
-                                      const Schema& schema) {
+Result<std::vector<size_t>> MapHeader(
+    const std::vector<std::string_view>& header, const Schema& schema) {
   std::vector<size_t> file_to_schema;
   std::vector<bool> seen(schema.num_attributes(), false);
-  for (const std::string& name : header) {
+  for (std::string_view name : header) {
     auto idx_result = schema.IndexOf(Trim(name));
     if (!idx_result.ok()) {
       return Status::InvalidArgument("CSV header (line 1): " +
@@ -148,7 +183,9 @@ Result<Table> DrainReader(CsvChunkReader reader, const Schema& schema,
 }  // namespace
 
 CsvChunkReader::CsvChunkReader(const Schema& schema, CsvOptions options)
-    : schema_(&schema), options_(std::move(options)) {}
+    : schema_(&schema),
+      options_(std::move(options)),
+      text_codes_(schema.num_attributes()) {}
 
 Result<CsvChunkReader> CsvChunkReader::OpenFile(const std::string& path,
                                                 const Schema& schema,
@@ -231,19 +268,18 @@ Status CsvChunkReader::ParseHeader() {
     return Status::InvalidArgument("CSV is empty but a header was expected");
   }
   size_t consumed = 0;
-  PSK_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(buffer_view_, &pos_, options_.separator,
-                                   line_, &consumed));
-  PSK_ASSIGN_OR_RETURN(file_to_schema_, MapHeader(header, *schema_));
+  PSK_RETURN_IF_ERROR(ParseRecord(buffer_view_, &pos_, options_.separator,
+                                  line_, &consumed, &fields_,
+                                  &field_copies_));
+  PSK_ASSIGN_OR_RETURN(file_to_schema_, MapHeader(fields_, *schema_));
   line_ += consumed;
   return Status::OK();
 }
 
-Status CsvChunkReader::ChargeBuffers(size_t chunk_cells) {
+Status CsvChunkReader::ChargeBuffers(const IngestChunk& chunk) {
   if (options_.ingest_budget == nullptr) return Status::OK();
   return ingest_reservation_.Reserve(
-      options_.ingest_budget,
-      buffer_.capacity() + chunk_cells * kChunkCellBytes);
+      options_.ingest_budget, buffer_.capacity() + chunk.ApproxBytes());
 }
 
 Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
@@ -253,6 +289,8 @@ Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
         "CsvChunkReader::NextChunk: max_rows must be > 0");
   }
   chunk->Reset(*schema_, std::min(max_rows, kReadChunkRows));
+  // Codes are chunk-local: each chunk starts its dictionaries afresh.
+  for (TextCodes& text_codes : text_codes_) text_codes.clear();
   size_t rows = 0;
   size_t consumed = 0;
   while (rows < max_rows) {
@@ -269,31 +307,49 @@ Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
       ++pos_;
       continue;
     }
-    PSK_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(buffer_view_, &pos_, options_.separator,
-                                     line_, &consumed));
-    if (fields.size() != file_to_schema_.size()) {
+    PSK_RETURN_IF_ERROR(ParseRecord(buffer_view_, &pos_, options_.separator,
+                                    line_, &consumed, &fields_,
+                                    &field_copies_));
+    if (fields_.size() != file_to_schema_.size()) {
       return Status::InvalidArgument(
           "CSV line " + std::to_string(line_) + " has " +
-          std::to_string(fields.size()) + " fields; expected " +
+          std::to_string(fields_.size()) + " fields; expected " +
           std::to_string(file_to_schema_.size()));
     }
-    for (size_t j = 0; j < fields.size(); ++j) {
+    for (size_t j = 0; j < fields_.size(); ++j) {
       size_t attr = file_to_schema_[j];
-      auto value = Value::Parse(fields[j], schema_->attribute(attr).type);
-      if (!value.ok()) {
-        return Status::InvalidArgument(
-            "CSV line " + std::to_string(line_) + ", column '" +
-            schema_->attribute(attr).name + "': " + value.status().message());
+      TextCodes& text_codes = text_codes_[attr];
+      std::vector<Value>& entries = chunk->dictionary[attr];
+      auto it = text_codes.find(fields_[j]);
+      if (it == text_codes.end()) {
+        // First sighting of this text in the chunk: parse it once. A text
+        // that fails fails here, on the first row holding it.
+        auto value = Value::Parse(fields_[j], schema_->attribute(attr).type);
+        if (!value.ok()) {
+          return Status::InvalidArgument(
+              "CSV line " + std::to_string(line_) + ", column '" +
+              schema_->attribute(attr).name +
+              "': " + value.status().message());
+        }
+        it = text_codes
+                 .emplace(std::string(fields_[j]),
+                          static_cast<uint32_t>(entries.size()))
+                 .first;
+        entries.push_back(std::move(value).value());
       }
-      chunk->columns[attr].push_back(std::move(value).value());
+      chunk->codes[attr].push_back(it->second);
     }
     line_ += consumed > 0 ? consumed : 1;
     ++rows;
   }
   rows_read_ += rows;
-  PSK_RETURN_IF_ERROR(
-      ChargeBuffers(rows * schema_->num_attributes()));
+  if (rows == 0) {
+    // End of input: no refill follows, so free the chunk and the text
+    // maps, and let the reservation fall back to the I/O buffer.
+    *chunk = IngestChunk();
+    for (TextCodes& text_codes : text_codes_) text_codes = TextCodes();
+  }
+  PSK_RETURN_IF_ERROR(ChargeBuffers(*chunk));
   return rows;
 }
 

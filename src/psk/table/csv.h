@@ -1,10 +1,15 @@
 #ifndef PSK_TABLE_CSV_H_
 #define PSK_TABLE_CSV_H_
 
+#include <cstdint>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "psk/common/memory_budget.h"
 #include "psk/common/result.h"
@@ -65,8 +70,10 @@ class CsvChunkReader {
   CsvChunkReader& operator=(CsvChunkReader&&) noexcept = default;
 
   /// Parses up to `max_rows` records into `chunk` (reshaped for the
-  /// schema; previous contents dropped). Returns the number of rows
-  /// produced; 0 means end of input. Fails with line-accurate
+  /// schema; previous contents dropped), dictionary-encoding each column:
+  /// every distinct field text of the chunk is parsed once. Returns the
+  /// number of rows produced; 0 means end of input, and the chunk comes
+  /// back empty with its buffers freed. Fails with line-accurate
   /// InvalidArgument errors, with InvalidArgument when `max_rows` is 0
   /// (the reader is left untouched), or with kResourceExhausted when the
   /// configured ingest budget refuses the buffers.
@@ -82,7 +89,20 @@ class CsvChunkReader {
   /// pos_ (or all remaining input). Returns false at end of input.
   Result<bool> FillRecord();
   Status ParseHeader();
-  Status ChargeBuffers(size_t chunk_bytes);
+  /// Reserves the I/O buffer plus `chunk`'s footprint against the ingest
+  /// budget, when one is configured.
+  Status ChargeBuffers(const IngestChunk& chunk);
+
+  /// Maps a field's text to its code in the chunk's dictionary; looked up
+  /// by string_view without building a string.
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+  using TextCodes =
+      std::unordered_map<std::string, uint32_t, TextHash, std::equal_to<>>;
 
   const Schema* schema_;
   CsvOptions options_;
@@ -95,6 +115,14 @@ class CsvChunkReader {
   size_t line_ = 1;
   bool source_exhausted_ = false;
   std::vector<size_t> file_to_schema_;
+  /// Per schema attribute, the current chunk's distinct field texts and
+  /// their codes: Value::Parse runs once per distinct text per chunk. The
+  /// keys are owned, because a file source compacts buffer_ mid-chunk.
+  std::vector<TextCodes> text_codes_;
+  /// The record being read: its fields, viewing buffer_view_ or
+  /// field_copies_ (reused across records).
+  std::vector<std::string_view> fields_;
+  std::deque<std::string> field_copies_;
   size_t rows_read_ = 0;
   MemoryReservation ingest_reservation_;
 };

@@ -10,16 +10,31 @@ namespace psk {
 
 void IngestChunk::Reset(const Schema& schema, size_t rows_hint) {
   types.resize(schema.num_attributes());
-  columns.resize(schema.num_attributes());
+  codes.resize(schema.num_attributes());
+  dictionary.resize(schema.num_attributes());
   for (size_t i = 0; i < schema.num_attributes(); ++i) {
     types[i] = schema.attribute(i).type;
-    columns[i].clear();
-    columns[i].reserve(rows_hint);
+    codes[i].clear();
+    codes[i].reserve(rows_hint);
+    dictionary[i].clear();
   }
 }
 
 void IngestChunk::Clear() {
-  for (auto& column : columns) column.clear();
+  for (auto& column : codes) column.clear();
+  for (auto& entries : dictionary) entries.clear();
+}
+
+size_t IngestChunk::ApproxBytes() const {
+  constexpr size_t kEntryBytes = 2 * (sizeof(Value) + 16);
+  size_t bytes = 0;
+  for (const auto& column : codes) {
+    bytes += column.capacity() * sizeof(uint32_t);
+  }
+  for (const auto& entries : dictionary) {
+    bytes += entries.size() * kEntryBytes;
+  }
+  return bytes;
 }
 
 Table::Table(Schema schema)
@@ -83,38 +98,64 @@ Status Table::AppendRow(std::vector<Value> row) {
 }
 
 Status Table::AppendChunk(IngestChunk* chunk) {
-  if (chunk->columns.size() != schema_.num_attributes()) {
+  const size_t num_columns = schema_.num_attributes();
+  if (chunk->types.size() != num_columns ||
+      chunk->codes.size() != num_columns ||
+      chunk->dictionary.size() != num_columns) {
     return Status::InvalidArgument(
-        "chunk has " + std::to_string(chunk->columns.size()) +
-        " columns; schema has " + std::to_string(schema_.num_attributes()) +
+        "chunk has " + std::to_string(chunk->codes.size()) +
+        " columns; schema has " + std::to_string(num_columns) +
         " attributes");
   }
-  size_t rows = chunk->num_rows();
-  // One validation per column per chunk: the producer's element type tag
-  // must match the schema, and all columns must be the same length. The
-  // per-cell type branch of AppendRow is skipped in release builds.
-  for (size_t c = 0; c < chunk->columns.size(); ++c) {
-    if (chunk->types[c] != schema_.attribute(c).type) {
+  const size_t rows = chunk->num_rows();
+  // Validate the whole chunk before appending anything: a user
+  // JobSpec::input_source is outside input, so these checks hold in every
+  // build. Types cost one compare per distinct value, codes one per cell.
+  for (size_t c = 0; c < num_columns; ++c) {
+    const std::string& name = schema_.attribute(c).name;
+    const ValueType type = schema_.attribute(c).type;
+    if (chunk->types[c] != type) {
       return Status::InvalidArgument(
-          "type mismatch in chunk column '" + schema_.attribute(c).name +
-          "': expected " +
-          std::string(ValueTypeToString(schema_.attribute(c).type)) +
-          ", got " + std::string(ValueTypeToString(chunk->types[c])));
+          "type mismatch in chunk column '" + name + "': expected " +
+          std::string(ValueTypeToString(type)) + ", got " +
+          std::string(ValueTypeToString(chunk->types[c])));
     }
-    if (chunk->columns[c].size() != rows) {
+    const std::vector<uint32_t>& codes = chunk->codes[c];
+    if (codes.size() != rows) {
       return Status::InvalidArgument(
-          "ragged chunk: column '" + schema_.attribute(c).name + "' has " +
-          std::to_string(chunk->columns[c].size()) + " cells; expected " +
+          "ragged chunk: column '" + name + "' has " +
+          std::to_string(codes.size()) + " codes; expected " +
           std::to_string(rows));
     }
+    const std::vector<Value>& entries = chunk->dictionary[c];
+    for (size_t e = 0; e < entries.size(); ++e) {
+      if (!entries[e].is_null() && entries[e].type() != type) {
+        return Status::InvalidArgument(
+            "type mismatch in chunk column '" + name + "': entry " +
+            std::to_string(e) + " is " +
+            std::string(ValueTypeToString(entries[e].type())) +
+            "; expected " + std::string(ValueTypeToString(type)));
+      }
+    }
+    for (size_t row = 0; row < rows; ++row) {
+      if (codes[row] >= entries.size()) {
+        return Status::InvalidArgument(
+            "chunk column '" + name + "': code " +
+            std::to_string(codes[row]) + " at row " + std::to_string(row) +
+            " is past its " + std::to_string(entries.size()) +
+            "-entry dictionary");
+      }
+    }
   }
-  for (size_t c = 0; c < chunk->columns.size(); ++c) {
+  std::vector<ValueId> entry_ids;
+  for (size_t c = 0; c < num_columns; ++c) {
+    entry_ids.clear();
+    for (const Value& entry : chunk->dictionary[c]) {
+      entry_ids.push_back(store_->Intern(entry));
+    }
     std::vector<ValueId>& ids = columns_[c];
     ids.reserve(num_rows_ + rows);
-    for (const Value& v : chunk->columns[c]) {
-      PSK_DCHECK(v.is_null() || v.type() == chunk->types[c]);
-      ids.push_back(store_->Intern(v));
-    }
+    for (uint32_t code : chunk->codes[c]) ids.push_back(entry_ids[code]);
   }
   num_rows_ += rows;
   chunk->Clear();

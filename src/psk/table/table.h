@@ -14,27 +14,49 @@
 namespace psk {
 
 /// One columnar batch of rows in flight between a streaming producer (CSV
-/// chunk reader, synthetic generator) and Table::AppendChunk. The chunk
-/// carries a per-column element type tag set by the producer; AppendChunk
-/// validates the tag against the schema once per column, trusting the
-/// producer that every cell is null or of the tagged type (re-checked per
-/// cell only in debug builds) — the per-cell type branch was the ingest
-/// hot-loop cost at 10M rows.
+/// chunk reader, synthetic generator, a JobSpec::input_source) and
+/// Table::AppendChunk, dictionary-encoded per column: codes[c] holds one
+/// code per row, indexing dictionary[c]. AppendChunk interns each
+/// dictionary entry once and gathers ids by code, so ingest costs one
+/// intern per distinct value per chunk, not one per cell.
+///
+/// Producers list entries in first-occurrence order, which makes the
+/// store assign ValueIds exactly as a row-by-row append would. Entries may
+/// repeat a Value (two CSV texts such as "5" and "05", or a producer that
+/// calls Append once per cell); every entry is interned, so each should be
+/// referenced by some code.
 struct IngestChunk {
-  /// Element type of each column; cells must be null or this type.
+  /// Element type of each column; dictionary entries must be null or this
+  /// type.
   std::vector<ValueType> types;
-  /// columns[c] holds the chunk's cells for attribute c, all of equal
-  /// length, in schema attribute order.
-  std::vector<std::vector<Value>> columns;
+  /// codes[c][r] is row r's index into dictionary[c]. All columns have
+  /// equal length, in schema attribute order.
+  std::vector<std::vector<uint32_t>> codes;
+  /// The chunk's Values for each column, in first-occurrence order.
+  std::vector<std::vector<Value>> dictionary;
 
-  size_t num_rows() const { return columns.empty() ? 0 : columns[0].size(); }
-  size_t num_columns() const { return columns.size(); }
+  size_t num_rows() const { return codes.empty() ? 0 : codes[0].size(); }
+  size_t num_columns() const { return codes.size(); }
+
+  /// Appends one cell to column `col` as a dictionary entry of its own.
+  void Append(size_t col, Value value) {
+    codes[col].push_back(static_cast<uint32_t>(dictionary[col].size()));
+    dictionary[col].push_back(std::move(value));
+  }
 
   /// Shapes the chunk for `schema` with every column empty, reserving
-  /// `rows_hint` cells per column. Reusable across refills.
+  /// `rows_hint` codes per column. Reusable across refills.
   void Reset(const Schema& schema, size_t rows_hint);
-  /// Drops the cells but keeps the column buffers for refill.
+  /// Drops the rows and entries but keeps the buffers for refill.
   void Clear();
+
+  /// Approximate heap footprint, the one chunk charge ingest meters: code
+  /// capacity at 4 bytes, plus each dictionary entry at twice the nominal
+  /// cell cost (sizeof(Value) + 16, EncodedTable::ApproxBytes'
+  /// convention) — once for the Value, once for the key its producer
+  /// finds it by (the CSV reader's per-column text map holds one owned
+  /// text per entry).
+  size_t ApproxBytes() const;
 };
 
 /// Columnar in-memory microdata table over an interned value store.
@@ -66,7 +88,7 @@ class Table {
   /// suppression) that gather ids directly instead of appending Value
   /// rows. Columns must be parallel (one per schema attribute, equal
   /// lengths) and every id must come from `store`; cell/type agreement is
-  /// the producer's contract (like AppendChunk's tagged columns).
+  /// the producer's contract.
   static Result<Table> FromColumns(Schema schema,
                                    std::shared_ptr<ValueStore> store,
                                    std::vector<std::vector<ValueId>> columns);
@@ -88,10 +110,13 @@ class Table {
   /// attribute type.)
   Status AppendRow(std::vector<Value> row);
 
-  /// Appends a columnar chunk. Type agreement is validated once per
-  /// column per chunk against the chunk's type tags (per-cell re-check in
-  /// debug builds only); all columns must have equal length. The chunk's
-  /// cells are consumed; its buffers survive for Clear()+refill.
+  /// Appends a dictionary-encoded chunk: interns each dictionary entry
+  /// once, then gathers ids by code. The whole chunk is validated first,
+  /// in every build — each column's type tag against the schema, equal
+  /// code lengths, every code inside its dictionary, every entry null or
+  /// of the tagged type — so a malformed chunk fails with InvalidArgument
+  /// naming the column and appends nothing. The chunk's rows are
+  /// consumed; its buffers survive for Clear()+refill.
   Status AppendChunk(IngestChunk* chunk);
 
   /// Cell accessors; indices are bounds-checked with PSK_CHECK in debug

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,8 +21,10 @@
 #include "psk/api/anonymizer.h"
 #include "psk/api/spec_parser.h"
 #include "psk/common/memory_budget.h"
+#include "psk/common/random.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/synthetic.h"
+#include "psk/jobs/job.h"
 #include "psk/table/csv.h"
 #include "psk/table/table.h"
 #include "release_golden.h"
@@ -268,6 +273,84 @@ TEST(ChunkedIngestTest, IngestFailsWhenInputExceedsHardQuota) {
 }
 
 // ---------------------------------------------------------------------------
+// AppendChunk: dictionary chunks intern like per-cell appends, and a
+// malformed chunk is refused whole, in every build.
+
+// Rows [begin, end) of `table`, one dictionary entry per cell.
+IngestChunk PerCellChunk(const Table& table, size_t begin, size_t end) {
+  IngestChunk chunk;
+  chunk.Reset(table.schema(), end - begin);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    for (size_t r = begin; r < end; ++r) chunk.Append(c, table.Get(r, c));
+  }
+  return chunk;
+}
+
+TEST(ChunkedIngestTest, DictionaryChunksAssignThePerCellIds) {
+  Fixture fixture(300, 13);
+  for (size_t chunk_rows : kChunkSizes) {
+    Table from_csv = UnwrapOk(
+        ReadStringInChunks(fixture.csv, fixture.table.schema(), chunk_rows));
+    Table per_cell(fixture.table.schema());
+    for (size_t begin = 0; begin < fixture.table.num_rows();) {
+      size_t end = std::min(fixture.table.num_rows(), begin + chunk_rows);
+      IngestChunk chunk = PerCellChunk(fixture.table, begin, end);
+      PSK_ASSERT_OK(per_cell.AppendChunk(&chunk));
+      begin = end;
+    }
+    ASSERT_EQ(from_csv.store()->size(), per_cell.store()->size());
+    for (size_t c = 0; c < from_csv.num_columns(); ++c) {
+      EXPECT_EQ(from_csv.column_ids(c), per_cell.column_ids(c))
+          << "column " << c << " chunk_rows=" << chunk_rows;
+    }
+  }
+}
+
+TEST(ChunkedIngestTest, AppendChunkRefusesMalformedChunksWhole) {
+  Fixture fixture(40, 12);
+  Table table = fixture.table;
+  const size_t rows_before = table.num_rows();
+  const size_t store_before = table.store()->size();
+  std::vector<std::vector<ValueId>> ids_before;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    ids_before.push_back(table.column_ids(c));
+  }
+  // Column 1 (MaritalStatus) is a string column; column 0 (Age) int64.
+  struct Hostile {
+    const char* what;
+    const char* column;
+    void (*corrupt)(IngestChunk*);
+  };
+  const Hostile hostile[] = {
+      {"wrong-typed entry", "MaritalStatus",
+       [](IngestChunk* chunk) { chunk->dictionary[1][2] = Value(int64_t{7}); }},
+      {"code past the dictionary", "Age",
+       [](IngestChunk* chunk) {
+         chunk->codes[0][3] =
+             static_cast<uint32_t>(chunk->dictionary[0].size());
+       }},
+      {"ragged codes", "Sex",
+       [](IngestChunk* chunk) { chunk->codes[3].pop_back(); }},
+  };
+  for (const Hostile& h : hostile) {
+    Table source = UnwrapOk(AdultGenerate(5, 99));
+    IngestChunk chunk = PerCellChunk(source, 0, 5);
+    h.corrupt(&chunk);
+    Status status = table.AppendChunk(&chunk);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << h.what;
+    EXPECT_NE(status.message().find("'" + std::string(h.column) + "'"),
+              std::string::npos)
+        << h.what << ": " << status.message();
+    EXPECT_EQ(table.num_rows(), rows_before) << h.what;
+    EXPECT_EQ(table.store()->size(), store_before) << h.what;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      EXPECT_EQ(table.column_ids(c), ids_before[c])
+          << h.what << " column " << c;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Streaming synthetic generator: chunk sizing never changes the data.
 
 TEST(ChunkedIngestTest, SyntheticChunkGeneratorMatchesEagerGenerate) {
@@ -288,6 +371,282 @@ TEST(ChunkedIngestTest, SyntheticChunkGeneratorMatchesEagerGenerate) {
     EXPECT_EQ(WriteCsvString(table), want_csv)
         << "chunk_rows=" << chunk_rows;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the reader against a naive reference parser.
+// Seeded generated texts mix quoted separators, doubled quotes, CRLF and
+// bare CR, newlines inside quotes, blank lines, and texts that parse to
+// one Value ("5"/"05"/"+5", "0.0"/"-0.0"); some carry a ragged row, an
+// unparseable number or an unterminated quote. Every chunk size, from a
+// string or a file, must yield the reference's table or its exact error.
+
+Schema MixedSchema() {
+  return UnwrapOk(Schema::Create(
+      {{"N", ValueType::kInt64, AttributeRole::kKey},
+       {"X", ValueType::kDouble, AttributeRole::kOther},
+       {"S", ValueType::kString, AttributeRole::kKey},
+       {"T", ValueType::kString, AttributeRole::kConfidential}}));
+}
+
+// The reference: the whole text in one pass, one std::string per field
+// and one AppendRow per record — no chunks, views, dictionaries or
+// refills. The header is trusted (the generator writes valid ones).
+Result<Table> ReferenceReadCsv(std::string_view text, const Schema& schema) {
+  size_t pos = 0;
+  size_t line = 1;
+  std::vector<std::string> fields;
+  size_t newlines = 0;
+  // Reads the record at `pos`, counting the line breaks it consumes.
+  auto read_record = [&]() -> Status {
+    fields.assign(1, std::string());
+    newlines = 0;
+    bool quoted = false;
+    while (pos < text.size()) {
+      char c = text[pos++];
+      if (quoted) {
+        if (c != '"') {
+          if (c == '\n') ++newlines;
+          fields.back() += c;
+        } else if (pos < text.size() && text[pos] == '"') {
+          fields.back() += '"';
+          ++pos;
+        } else {
+          quoted = false;
+        }
+      } else if (c == '"') {
+        quoted = true;
+      } else if (c == ',') {
+        fields.emplace_back();
+      } else if (c == '\n') {
+        ++newlines;
+        return Status::OK();
+      } else if (c != '\r') {
+        fields.back() += c;
+      }
+    }
+    if (quoted) {
+      return Status::InvalidArgument(
+          "unterminated quoted field in CSV record starting at line " +
+          std::to_string(line));
+    }
+    return Status::OK();
+  };
+  PSK_RETURN_IF_ERROR(read_record());
+  line += newlines;
+  std::vector<size_t> attr_of;
+  for (const std::string& name : fields) {
+    PSK_ASSIGN_OR_RETURN(size_t attr, schema.IndexOf(name));
+    attr_of.push_back(attr);
+  }
+  Table table(schema);
+  while (pos < text.size()) {
+    if (text[pos] == '\n') {  // blank line
+      ++pos;
+      ++line;
+      continue;
+    }
+    if (text[pos] == '\r') {
+      ++pos;
+      continue;
+    }
+    PSK_RETURN_IF_ERROR(read_record());
+    if (fields.size() != attr_of.size()) {
+      return Status::InvalidArgument(
+          "CSV line " + std::to_string(line) + " has " +
+          std::to_string(fields.size()) + " fields; expected " +
+          std::to_string(attr_of.size()));
+    }
+    std::vector<Value> row(attr_of.size());
+    for (size_t j = 0; j < fields.size(); ++j) {
+      const Attribute& attr = schema.attribute(attr_of[j]);
+      Result<Value> value = Value::Parse(fields[j], attr.type);
+      if (!value.ok()) {
+        return Status::InvalidArgument(
+            "CSV line " + std::to_string(line) + ", column '" + attr.name +
+            "': " + value.status().message());
+      }
+      row[attr_of[j]] = std::move(value).value();
+    }
+    PSK_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
+    line += newlines > 0 ? newlines : 1;
+  }
+  return table;
+}
+
+enum class CsvFault { kNone, kRagged, kBadInt, kBadDouble, kUnterminated };
+
+// Raw field bytes per MixedSchema column, as they appear in the file.
+const std::vector<std::string> kFieldPools[] = {
+    {"5", "05", "+5", "\"5\"", " 5", "-3", "0", "12", "", "\"\"", "1\r2"},
+    {"0.0", "-0.0", "\"-0.0\"", "1.5", "1.50", "2", "1e3", "", "0\r.5"},
+    {"a", "b b", "\"x,y\"", "\"say \"\"hi\"\"\"", "\"two\nlines\"",
+     "\"crlf\r\ninside\"", "mid\rcr", "ab\"c,d\"e", "", "\"\"", " pad ",
+     "\"\"\"\"", "\"cr\rquoted\""},
+    {"p", "q", "\"r,\"", "\"\n\"", "", "t t", "p\r"},
+};
+const std::vector<std::string> kBadInts = {"5x", "abc", "1.5",
+                                           "99999999999999999999"};
+const std::vector<std::string> kBadDoubles = {"1.5.5", "nan", "x1", "inf"};
+
+constexpr size_t kFileBlock = 256 * 1024;
+
+// A quoted field of about `bytes` bytes mixing CRLFs, bare newlines and
+// doubled quotes.
+std::string QuotedRun(size_t bytes) {
+  std::string field = "\"";
+  while (field.size() < bytes) {
+    field += "straddles a block\n" + std::string(60, 'x') +
+             "\r\n\"\"quoted\"\", here\n";
+  }
+  return field + "\"";
+}
+
+// A seeded CSV text over MixedSchema: the header in a seeded column
+// order, then `rows` records. `fault` corrupts record `fault_row` (an
+// unterminated quote always goes last). The first record starting within
+// 150 bytes of each 256 KiB file block boundary carries `straddle` as
+// its S field, so that field straddles the reader's refill.
+std::string GenerateCsv(uint64_t seed, size_t rows, CsvFault fault,
+                        size_t fault_row,
+                        const std::string& straddle = QuotedRun(200)) {
+  Rng rng(seed);
+  auto pick = [&](const std::vector<std::string>& pool) -> const std::string& {
+    return pool[rng.Uniform(pool.size())];
+  };
+  std::vector<size_t> order = {0, 1, 2, 3};
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.Uniform(i + 1)]);
+  }
+  const char* names[] = {"N", "X", "S", "T"};
+  std::string text;
+  for (size_t j = 0; j < order.size(); ++j) {
+    text += (j > 0 ? "," : "") + std::string(names[order[j]]);
+  }
+  text += rng.Bernoulli(0.3) ? "\r\n" : "\n";
+  size_t next_block = kFileBlock;
+  if (fault == CsvFault::kUnterminated) fault_row = rows - 1;
+  for (size_t row = 0; row < rows; ++row) {
+    if (rng.Bernoulli(0.04)) text += rng.Bernoulli(0.5) ? "\n" : "\r\n";
+    if (rng.Bernoulli(0.02)) text += "\r";
+    bool planted = text.size() + 150 > next_block;
+    std::vector<std::string> fields(order.size());
+    for (size_t j = 0; j < order.size(); ++j) {
+      size_t col = order[j];
+      fields[j] = planted && col == 2 ? straddle : pick(kFieldPools[col]);
+    }
+    if (row == fault_row) {
+      switch (fault) {
+        case CsvFault::kNone:
+          break;
+        case CsvFault::kRagged:
+          if (rng.Bernoulli(0.5)) {
+            fields.pop_back();
+          } else {
+            fields.push_back("extra");
+          }
+          break;
+        case CsvFault::kBadInt:
+          for (size_t j = 0; j < order.size(); ++j) {
+            if (order[j] == 0) fields[j] = pick(kBadInts);
+          }
+          break;
+        case CsvFault::kBadDouble:
+          for (size_t j = 0; j < order.size(); ++j) {
+            if (order[j] == 1) fields[j] = pick(kBadDoubles);
+          }
+          break;
+        case CsvFault::kUnterminated:
+          fields.back() = "\"open";
+          break;
+      }
+    }
+    for (size_t j = 0; j < fields.size(); ++j) {
+      text += (j > 0 ? "," : "") + fields[j];
+    }
+    if (row + 1 < rows || rng.Bernoulli(0.5)) {
+      text += rng.Bernoulli(0.25) ? "\r\n" : "\n";
+    }
+    if (planted) next_block = (text.size() / kFileBlock + 1) * kFileBlock;
+  }
+  return text;
+}
+
+void ExpectSameOutcome(const Result<Table>& got, const Result<Table>& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << label << ": " << (got.ok() ? want : got).status().ToString();
+  if (want.ok()) {
+    EXPECT_EQ(got->num_rows(), want->num_rows()) << label;
+    EXPECT_EQ(TableDigest(*got), TableDigest(*want)) << label;
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << label;
+    EXPECT_EQ(got.status().message(), want.status().message()) << label;
+  }
+}
+
+// Reads `text` at every chunk size through OpenString and ReadCsvString,
+// and through OpenFile and ReadCsvFile when `path` holds it too.
+void ExpectReaderMatchesReference(const std::string& text,
+                                  const std::string& path,
+                                  const std::string& label) {
+  Schema schema = MixedSchema();
+  Result<Table> want = ReferenceReadCsv(text, schema);
+  ExpectSameOutcome(ReadCsvString(text, schema), want, label + " 64Ki");
+  if (!path.empty()) {
+    ExpectSameOutcome(ReadCsvFile(path, schema), want, label + " file 64Ki");
+  }
+  for (size_t chunk_rows : kChunkSizes) {
+    std::string at = " chunk_rows=" + std::to_string(chunk_rows);
+    ExpectSameOutcome(ReadStringInChunks(text, schema, chunk_rows), want,
+                      label + at);
+    if (!path.empty()) {
+      CsvChunkReader reader = UnwrapOk(CsvChunkReader::OpenFile(path, schema));
+      ExpectSameOutcome(DrainInChunks(std::move(reader), schema, chunk_rows),
+                        want, label + " file" + at);
+    }
+  }
+}
+
+TEST(ChunkedIngestTest, ReaderMatchesReferenceParserOnGeneratedText) {
+  const CsvFault faults[] = {CsvFault::kNone, CsvFault::kNone,
+                             CsvFault::kRagged, CsvFault::kBadInt,
+                             CsvFault::kBadDouble, CsvFault::kUnterminated};
+  size_t clean = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    CsvFault fault = faults[seed % std::size(faults)];
+    size_t rows = 1 + seed % 37;
+    std::string text = GenerateCsv(seed, rows, fault, seed % rows);
+    if (ReferenceReadCsv(text, MixedSchema()).ok()) ++clean;
+    ExpectReaderMatchesReference(text, "", "seed=" + std::to_string(seed));
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(clean, 20u);
+  EXPECT_LT(clean, 100u);
+}
+
+TEST(ChunkedIngestTest, FileReaderMatchesReferenceAcrossBlockRefills) {
+  std::string path = testing::TempDir() + "/chunked_ingest_refill.csv";
+  // The last case plants one record longer than a whole block.
+  const struct {
+    const char* name;
+    CsvFault fault;
+    std::string straddle;
+  } cases[] = {{"clean", CsvFault::kNone, QuotedRun(200)},
+               {"bad double", CsvFault::kBadDouble, QuotedRun(200)},
+               {"record over a block", CsvFault::kNone,
+                QuotedRun(kFileBlock + kFileBlock / 8)}};
+  for (const auto& [name, fault, straddle] : cases) {
+    const size_t rows = 22000;
+    std::string text = GenerateCsv(2024, rows, fault, rows - 3, straddle);
+    ASSERT_GT(text.size(), kFileBlock + kFileBlock / 4);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    ExpectReaderMatchesReference(text, path, name);
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -489,7 +489,7 @@ TEST(SchedulerTest, ShedsWhenInFlightMemoryExceedsTheCap) {
     chunk->Reset(source_table->schema(), rows);
     for (size_t c = 0; c < source_table->num_columns(); ++c) {
       for (size_t r = 0; r < rows; ++r) {
-        chunk->columns[c].push_back(source_table->Get(*pos + r, c));
+        chunk->Append(c, source_table->Get(*pos + r, c));
       }
     }
     *pos += rows;
@@ -879,7 +879,7 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
     chunk->Reset(source_table->schema(), rows);
     for (size_t c = 0; c < source_table->num_columns(); ++c) {
       for (size_t r = 0; r < rows; ++r) {
-        chunk->columns[c].push_back(source_table->Get(*pos + r, c));
+        chunk->Append(c, source_table->Get(*pos + r, c));
       }
     }
     *pos += rows;

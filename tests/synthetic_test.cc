@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "psk/generalize/generalize.h"
+#include "psk/jobs/job.h"
 #include "psk/lattice/lattice.h"
 #include "test_util.h"
 
@@ -26,6 +28,30 @@ TEST(SyntheticTest, Deterministic) {
       ASSERT_EQ(a.table.Get(r, c), b.table.Get(r, c));
     }
   }
+}
+
+// The generator's output, pinned by digest: a change to the drawn data
+// or to the values a rank renders as fails here, whatever the chunking.
+// Hierarchy depth draws nothing, so both specs yield one table; the
+// generalized digests pin the 3- and 4-level hierarchies.
+TEST(SyntheticTest, OutputMatchesPinnedDigests) {
+  SyntheticSpec spec = MakeUniformSpec(500, 3, 8, 1, 12, 0.5);
+  SyntheticSpec deep = spec;
+  for (SyntheticAttribute& attr : deep.attributes) {
+    if (attr.role == AttributeRole::kKey) attr.hierarchy_levels = 4;
+  }
+  SyntheticData plain_data = UnwrapOk(SyntheticGenerate(spec, 42));
+  SyntheticData deep_data = UnwrapOk(SyntheticGenerate(deep, 42));
+  EXPECT_EQ(TableDigest(plain_data.table), 0xdcf5bf09ad1fa58eULL);
+  EXPECT_EQ(TableDigest(deep_data.table), 0xdcf5bf09ad1fa58eULL);
+  EXPECT_EQ(TableDigest(UnwrapOk(ApplyGeneralization(
+                plain_data.table, plain_data.hierarchies,
+                LatticeNode{{1, 0, 1}}))),
+            0xea4970feb1a94380ULL);
+  EXPECT_EQ(TableDigest(UnwrapOk(ApplyGeneralization(
+                deep_data.table, deep_data.hierarchies,
+                LatticeNode{{1, 2, 1}}))),
+            0xbfb7cc9b8bcef506ULL);
 }
 
 TEST(SyntheticTest, CardinalityRespected) {
