@@ -1,16 +1,9 @@
 #include "psk/algorithms/incognito.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
-
-#include "psk/anonymity/psensitive.h"
-#include "psk/common/thread_pool.h"
-#include "psk/table/encoded.h"
-#include "psk/table/group_by.h"
 
 namespace psk {
 namespace {
@@ -28,23 +21,6 @@ std::vector<std::vector<int>> SubLatticeNodes(
     nodes.push_back(node.levels);
   }
   return nodes;
-}
-
-// Snapshot fact key for one subset-phase verdict — distinct from full-node
-// verdict keys so the two caches can share one SearchSnapshot.
-std::string SubsetFactKey(const std::vector<size_t>& attrs,
-                          const std::vector<int>& levels) {
-  std::string key = "s";
-  for (size_t a : attrs) {
-    key.push_back(':');
-    key += std::to_string(a);
-  }
-  key.push_back('|');
-  for (size_t i = 0; i < levels.size(); ++i) {
-    if (i > 0) key.push_back(',');
-    key += std::to_string(levels[i]);
-  }
-  return key;
 }
 
 // All subsets of {0..m-1} of the given size, each sorted ascending.
@@ -87,39 +63,13 @@ Result<MinimalSetResult> IncognitoSearch(
     return result;
   }
 
-  // The subset phases run on the sweeper's shared encoded core.
-  const EncodedTable* encoded = evaluator.encoded_table().get();
   std::vector<int> max_levels = hierarchies.MaxLevels();
   size_t m = max_levels.size();
   SearchStats* stats = evaluator.mutable_stats();
-  // The subset phases bypass NodeEvaluator, so they shard over the pool
-  // directly. Like the node sweeps, parallelism engages only when
-  // checkpointing is off (subset facts feed the sequential snapshot).
-  bool checkpointed = options.restore != nullptr ||
-                      options.checkpoint_sink != nullptr;
-  size_t subset_workers =
-      (checkpointed || options.threads <= 1) ? 1 : options.threads;
-  // Per-worker grouping scratch (workspace reuse across waves; the encoded
-  // table itself is immutable and shared).
-  std::vector<EncodedWorkspace> subset_ws(subset_workers);
-  std::vector<EncodedDistinctScratch> subset_scratch(subset_workers);
-  // One subset check: group by the projected (attr, level) pairs, gate on
-  // the suppression budget, then (optionally) the subset p-sensitivity
-  // prune. Sound as a pruning predicate only without suppression — see
+  // The subset p-prune is sound only without suppression — see
   // IncognitoOptions::prune_p_on_subsets.
-  auto subset_ok = [&](const std::vector<size_t>& attrs,
-                       const std::vector<int>& levels, size_t worker) {
-    EncodedWorkspace& ws = subset_ws[worker];
-    encoded->GroupBySubset(attrs, levels, &ws);
-    size_t violating = ws.groups.RowsInGroupsSmallerThan(options.k);
-    bool ok = violating <= options.max_suppression;
-    if (ok && incognito_options.prune_p_on_subsets && options.p >= 2 &&
-        options.max_suppression == 0) {
-      ok = IsPSensitiveEncoded(ws.groups, *encoded, options.p,
-                               /*min_group_size=*/1, &subset_scratch[worker]);
-    }
-    return ok;
-  };
+  const bool prune_p = incognito_options.prune_p_on_subsets &&
+                       options.p >= 2 && options.max_suppression == 0;
 
   // sat[subset] = level vectors (over that subset) that are k-anonymous
   // within the suppression budget.
@@ -149,8 +99,8 @@ Result<MinimalSetResult> IncognitoSearch(
       // The sublattice is enumerated height-major; nodes at one height are
       // independent (apriori consults finished subsets, rollup consults
       // strictly lower heights), so each height segment is filtered
-      // sequentially and the surviving nodes are scanned as one parallel
-      // wave. The evaluated set is identical for every thread count.
+      // sequentially and the surviving nodes are swept as one wave. The
+      // evaluated set is identical for every thread count.
       size_t seg_begin = 0;
       while (seg_begin < nodes.size() && !stopped) {
         int height = level_height(nodes[seg_begin]);
@@ -159,8 +109,8 @@ Result<MinimalSetResult> IncognitoSearch(
                level_height(nodes[seg_end]) == height) {
           ++seg_end;
         }
-        std::vector<const std::vector<int>*> pending;
-        for (size_t n = seg_begin; n < seg_end && !stopped; ++n) {
+        std::vector<std::vector<int>> pending;
+        for (size_t n = seg_begin; n < seg_end; ++n) {
           const std::vector<int>& levels = nodes[n];
           // Apriori: every (size-1)-subset projection must have satisfied.
           bool pruned = false;
@@ -194,108 +144,23 @@ Result<MinimalSetResult> IncognitoSearch(
             ++stats->nodes_skipped;
             continue;
           }
-          if (checkpointed) {
-            std::string fact_key = SubsetFactKey(attrs, levels);
-            bool ok;
-            if (evaluator.LookupFact(fact_key, &ok)) {
-              // Resume fast-forward: this subset node was decided by the
-              // interrupted run — reuse its verdict without re-scanning
-              // the encoded table or charging the budget. Deadline and
-              // cancellation are still polled so a replay of a large
-              // snapshot can be stopped.
-              Status replay = evaluator.TickReplay();
-              if (!replay.ok()) {
-                if (!AbsorbBudgetStop(replay, stats)) {
-                  return replay;
-                }
-                stopped = true;
-                break;
-              }
-              ++stats->subset_nodes_evaluated;
-              evaluator.TickCheckpoint();
-              if (ok) satisfied.insert(levels);
-              continue;
-            }
-          }
-          pending.push_back(&levels);
+          pending.push_back(levels);
         }
-
-        // Scan the wave: each check scans the whole encoded table, charged
-        // directly against the shared enforcer.
-        size_t wave_workers = std::min(subset_workers, pending.size());
-        // Underfilled wave (fewer checks than lanes, on a table big
-        // enough to row-slice): run the checks sequentially on the
-        // control thread and spend the lanes *inside* each group-by
-        // instead (fine axis, bit-identical output). Otherwise the wave
-        // runs subset_ok inside pool tasks, where the workspaces must
-        // stay sequential — a nested ParallelFor can deadlock the pool.
-        subset_ws[0].min_rows_per_slice = options.min_rows_per_slice;
-        if (wave_workers > 0 && wave_workers < subset_workers &&
-            GroupBySliceCount(encoded->num_rows(), subset_workers,
-                              options.min_rows_per_slice) >= 2) {
-          wave_workers = 1;
-          subset_ws[0].row_workers =
-              ThreadPool::Shared().FairShareWorkers(subset_workers);
-        } else {
-          subset_ws[0].row_workers = 1;
-        }
-        if (wave_workers <= 1) {
-          for (const std::vector<int>* levels : pending) {
-            if (stopped) break;
-            Status charged =
-                evaluator.enforcer()->Charge(1, encoded->num_rows());
-            if (!charged.ok()) {
-              if (!AbsorbBudgetStop(charged, stats)) {
-                return charged;
-              }
-              // Entries already in `sat` were fully verified, so the
-              // final phase can still mine them for (possibly incomplete)
-              // minimal nodes.
-              stopped = true;
-              break;
-            }
-            ++stats->subset_nodes_evaluated;
-            bool ok = subset_ok(attrs, *levels, /*worker=*/0);
-            evaluator.RecordFact(SubsetFactKey(attrs, *levels), ok);
-            evaluator.TickCheckpoint();
-            if (ok) satisfied.insert(*levels);
-          }
-        } else if (!pending.empty()) {
-          std::vector<char> ok_flags(pending.size(), 0);
-          std::vector<char> scanned(pending.size(), 0);
-          std::atomic<bool> stop{false};
-          std::vector<Status> worker_status(wave_workers, Status::OK());
-          ThreadPool::Shared().ParallelFor(
-              pending.size(), wave_workers,
-              [&](size_t worker, size_t index) {
-                if (stop.load(std::memory_order_relaxed)) return;
-                Status charged =
-                    evaluator.enforcer()->Charge(1, encoded->num_rows());
-                if (!charged.ok()) {
-                  if (worker_status[worker].ok()) {
-                    worker_status[worker] = charged;
-                  }
-                  stop.store(true, std::memory_order_relaxed);
-                  return;
-                }
-                ok_flags[index] =
-                    subset_ok(attrs, *pending[index], worker) ? 1 : 0;
-                scanned[index] = 1;
-              });
-          // Merge the wave: counters and satisfied verdicts first, so a
-          // budget stop never discards completed work.
+        if (!pending.empty()) {
+          std::vector<std::optional<bool>> passed;
+          Status swept =
+              sweeper.SweepSubsets(attrs, pending, prune_p, &passed);
+          // Merge before absorbing a budget stop: every verdict in `sat`
+          // was fully verified, so the final phase can still mine them
+          // for (possibly incomplete) minimal nodes.
           for (size_t i = 0; i < pending.size(); ++i) {
-            if (scanned[i] == 0) continue;
-            ++stats->subset_nodes_evaluated;
-            if (ok_flags[i] != 0) satisfied.insert(*pending[i]);
+            if (passed[i].value_or(false)) satisfied.insert(pending[i]);
           }
-          for (const Status& status : worker_status) {
-            if (status.ok()) continue;
-            if (!AbsorbBudgetStop(status, stats)) {
-              return status;
+          if (!swept.ok()) {
+            if (!AbsorbBudgetStop(swept, stats)) {
+              return swept;
             }
             stopped = true;
-            break;
           }
         }
         seg_begin = seg_end;
@@ -365,6 +230,9 @@ Result<MinimalSetResult> IncognitoSearch(
     if (!pending.empty()) {
       std::vector<std::optional<NodeEvaluation>> evals;
       Status swept = sweeper.Sweep(pending, &evals);
+      // A finished height is the final phase's crash-recovery boundary, so
+      // a complete run's last snapshot holds every verdict.
+      evaluator.FlushCheckpoint();
       if (!swept.ok()) {
         if (!AbsorbBudgetStop(swept, stats)) {
           return swept;

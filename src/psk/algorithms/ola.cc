@@ -102,10 +102,10 @@ class OlaDriver {
       ++sweeper_.primary().mutable_stats()->nodes_skipped;
       return tag == TagStore::Tag::kSatisfied;
     }
-    PSK_ASSIGN_OR_RETURN(NodeEvaluation eval,
-                         sweeper_.primary().Evaluate(node));
-    tags_.Record(node, eval.satisfied);
-    return eval.satisfied;
+    std::vector<std::optional<NodeEvaluation>> evals;
+    PSK_RETURN_IF_ERROR(sweeper_.Sweep({node}, &evals));
+    tags_.Record(node, evals[0]->satisfied);
+    return evals[0]->satisfied;
   }
 
   // Recursive bisection of the sub-lattice [bottom, top]; `bottom` is
@@ -187,12 +187,9 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   LatticeNode bottom = lattice.Bottom();
   LatticeNode top = lattice.Top();
   RunTrace* trace = options.search.trace;
-  // The check/verify phases evaluate through the primary directly, so each
-  // phase flushes the pending worker events before its span closes.
   Result<bool> top_ok = [&] {
     TraceSpan span(trace, "check_top");
     Result<bool> ok = driver.Satisfies(top);
-    sweeper.FlushTraceEvents();
     return ok;
   }();
   if (!top_ok.ok()) {
@@ -211,7 +208,6 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   Result<bool> bottom_ok = [&] {
     TraceSpan span(trace, "check_bottom");
     Result<bool> ok = driver.Satisfies(bottom);
-    sweeper.FlushTraceEvents();
     return ok;
   }();
   if (!bottom_ok.ok()) {
@@ -227,7 +223,6 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     Status bisected = [&] {
       TraceSpan span(trace, "bisect");
       Status status = driver.Bisect(bottom, top, &candidates);
-      sweeper.FlushTraceEvents();
       return status;
     }();
     // Bisection is the bulk of OLA's work; make its verdicts durable
@@ -265,7 +260,6 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
       }
       if (*ok) verified.push_back(node);
     }
-    sweeper.FlushTraceEvents();
   }
   result.minimal_nodes = MinimalNodes(verified);
   if (result.minimal_nodes.empty()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 namespace psk {
@@ -22,18 +21,11 @@ constexpr size_t kProbeChunk = 64;
 // node-at-a-time scan produced). A probed height is a natural
 // crash-recovery boundary: its verdicts decide one whole step of the
 // binary search, so they are flushed together.
-//
-// `probed` dedups the height counter: a height the binary search already
-// probed is not counted again by the confirmation scan (its node verdicts
-// are re-served by the VerdictCache without re-generalizing the table).
 Result<std::optional<LatticeNode>> ProbeHeight(
-    NodeSweeper& sweeper, const GeneralizationLattice& lattice, int h,
-    std::unordered_set<int>& probed) {
+    NodeSweeper& sweeper, const GeneralizationLattice& lattice, int h) {
   TraceSpan span(sweeper.primary().trace(), "probe_height");
   span.Attr("height", std::to_string(h));
-  if (probed.insert(h).second) {
-    ++sweeper.primary().mutable_stats()->heights_probed;
-  }
+  ++sweeper.primary().mutable_stats()->heights_probed;
   std::vector<LatticeNode> nodes = lattice.NodesAtHeight(h);
   std::vector<std::optional<NodeEvaluation>> evals;
   for (size_t begin = 0; begin < nodes.size(); begin += kProbeChunk) {
@@ -73,14 +65,13 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
   int high = lattice.height();
   std::optional<LatticeNode> best;
   bool stopped = false;
-  std::unordered_set<int> probed;
 
   {
     TraceSpan phase(options.trace, "binary_search");
     while (low < high) {
       int mid = (low + high) / 2;
       Result<std::optional<LatticeNode>> hit =
-          ProbeHeight(sweeper, lattice, mid, probed);
+          ProbeHeight(sweeper, lattice, mid);
       if (!hit.ok()) {
         // A budget stop keeps the best satisfying node seen so far (it is a
         // valid, if possibly non-minimal, solution); hard errors propagate.
@@ -99,28 +90,18 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
     }
   }
 
-  // `low` is the candidate minimal height. If the last successful probe was
-  // exactly at `low` we already hold a witness; otherwise probe it (this
-  // also covers the case where the loop never probed height(GL)). Any
-  // height the binary search touched resolves from the verdict cache
-  // without re-generalizing a single node.
-  if (!stopped && (!best.has_value() || best->Height() != low)) {
+  // Every probed mid lies below `high`, and a successful probe lowers
+  // `high` to its own height, so if any probe succeeded `best` is already
+  // a witness at `low`. Otherwise `low` is height(GL), a height no probe
+  // reached: probe the lattice top.
+  if (!stopped && !best.has_value()) {
     TraceSpan phase(options.trace, "confirm");
-    for (int h = low; h <= lattice.height(); ++h) {
-      Result<std::optional<LatticeNode>> hit =
-          ProbeHeight(sweeper, lattice, h, probed);
-      if (!hit.ok()) {
-        if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
-          return hit.status();
-        }
-        break;
-      }
-      if (hit->has_value()) {
-        best = *hit;
-        break;
-      }
-      // Reaching here means the property is non-monotone (p >= 2 with
-      // suppression) or unsatisfiable; keep scanning upward.
+    Result<std::optional<LatticeNode>> hit =
+        ProbeHeight(sweeper, lattice, lattice.height());
+    if (hit.ok()) {
+      best = *hit;
+    } else if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
+      return hit.status();
     }
   }
 

@@ -26,9 +26,9 @@ namespace psk {
 /// k-anonymity *without* suppression, but suppression can break
 /// monotonicity for p >= 2 in corner cases (a group assembled entirely
 /// from suppressed fragments may have < p distinct values). The paper's
-/// Algorithm 3 inherits the same assumption. This implementation verifies
-/// the final height and, if the binary search was misled, falls back to
-/// scanning heights upward, so it always returns a correct (if possibly
+/// Algorithm 3 inherits the same assumption. When no probed height
+/// satisfies, this implementation still probes the lattice top, so a
+/// lattice whose top satisfies always yields a correct (if possibly
 /// non-minimal) answer.
 Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
                                     const HierarchySet& hierarchies,

@@ -85,6 +85,21 @@ std::string SnapshotNodeKey(const LatticeNode& node) {
   return key;
 }
 
+std::string SubsetFactKey(const std::vector<size_t>& attrs,
+                          const std::vector<int>& levels) {
+  std::string key = "s";
+  for (size_t a : attrs) {
+    key.push_back(':');
+    key += std::to_string(a);
+  }
+  key.push_back('|');
+  for (size_t i = 0; i < levels.size(); ++i) {
+    if (i > 0) key.push_back(',');
+    key += std::to_string(levels[i]);
+  }
+  return key;
+}
+
 bool AbsorbBudgetStop(const Status& status, SearchStats* stats) {
   if (!IsBudgetExhausted(status)) return false;
   if (!stats->partial) {
@@ -186,18 +201,6 @@ Status NodeEvaluator::Init() {
   if (options_.restore != nullptr) snapshot_ = *options_.restore;
   initialized_ = true;
   return Status::OK();
-}
-
-bool NodeEvaluator::LookupFact(const std::string& key, bool* value) const {
-  auto it = snapshot_.facts.find(key);
-  if (it == snapshot_.facts.end()) return false;
-  *value = it->second;
-  return true;
-}
-
-void NodeEvaluator::RecordFact(const std::string& key, bool value) {
-  if (!checkpointing_) return;
-  snapshot_.facts[key] = value;
 }
 
 Status NodeEvaluator::TickReplay() {
@@ -325,13 +328,10 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
   return eval;
 }
 
-Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
-    const LatticeNode& node) {
-  // Budget checkpoint: every node evaluation groups the whole table, so
-  // this is the natural unit of work to account.
+Status NodeEvaluator::BeginGroupBy() {
+  // Budget checkpoint: every evaluation groups the whole table, so this is
+  // the natural unit of work to account.
   PSK_RETURN_IF_ERROR(enforcer_->Charge(1, im_.num_rows()));
-  ++stats_.nodes_generalized;
-  ++stats_.nodes_evaluated_encoded;
   // Fine decomposition axis: grant the group-by its row workers, resolved
   // against the pool's current fair share so a saturated pool degrades to
   // the sequential path instead of queueing. Verdicts are identical at
@@ -341,6 +341,51 @@ Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
       row_worker_cap_ <= 1
           ? 1
           : ThreadPool::Shared().FairShareWorkers(row_worker_cap_);
+  return Status::OK();
+}
+
+Result<bool> NodeEvaluator::EvaluateSubset(const std::vector<size_t>& attrs,
+                                           const std::vector<int>& levels,
+                                           bool prune_p) {
+  if (!initialized_) {
+    return Status::FailedPrecondition("NodeEvaluator::Init was not called");
+  }
+  std::string key;
+  if (checkpointing_) {
+    key = SubsetFactKey(attrs, levels);
+    auto fact = snapshot_.facts.find(key);
+    if (fact != snapshot_.facts.end()) {
+      // Resume fast-forward: the interrupted run decided this subset node,
+      // so reuse its verdict without scanning the table or charging the
+      // budget (deadline and cancellation are still polled).
+      PSK_RETURN_IF_ERROR(TickReplay());
+      ++stats_.subset_nodes_evaluated;
+      TickCheckpoint();
+      return fact->second;
+    }
+  }
+  PSK_RETURN_IF_ERROR(BeginGroupBy());
+  ++stats_.subset_nodes_evaluated;
+  encoded_->GroupBySubset(attrs, levels, &ws_);
+  PSK_RETURN_IF_ERROR(scratch_reservation_.Resize(ws_.ApproxBytes()));
+  bool ok = ws_.groups.RowsInGroupsSmallerThan(options_.k) <=
+            options_.max_suppression;
+  // The subset p-prune is sound only without suppression; the caller
+  // decides (see IncognitoOptions::prune_p_on_subsets).
+  if (ok && prune_p) {
+    ok = IsPSensitiveEncoded(ws_.groups, *encoded_, options_.p,
+                             /*min_group_size=*/1, &distinct_scratch_);
+  }
+  if (checkpointing_) snapshot_.facts.emplace(std::move(key), ok);
+  TickCheckpoint();
+  return ok;
+}
+
+Result<NodeEvaluation> NodeEvaluator::EvaluateEncoded(
+    const LatticeNode& node) {
+  PSK_RETURN_IF_ERROR(BeginGroupBy());
+  ++stats_.nodes_generalized;
+  ++stats_.nodes_evaluated_encoded;
   PSK_RETURN_IF_ERROR(encoded_->GroupByNode(node, &ws_));
   // GroupByCodes scratch memory seam: charge only growth (the buffers are
   // reused across evaluations, so this settles after warm-up). Exceeding
@@ -458,12 +503,6 @@ Status NodeSweeper::Init() {
     workers_.front()->set_trace(options_.trace, &trace_buffers_[0]);
   }
   PSK_RETURN_IF_ERROR(workers_.front()->Init());
-  if (num_workers > 1) {
-    // Direct primary() evaluations (e.g. OLA's per-node probes) run on
-    // the control thread between sweeps, so they may use the fine axis
-    // by default; SweepNodes lowers the cap to 1 around its pool regions.
-    workers_.front()->set_row_workers(num_workers);
-  }
 
   // Secondary workers share the primary's enforcer (limits stay global)
   // and cache; they never checkpoint (num_workers > 1 implies
@@ -487,18 +526,26 @@ Status NodeSweeper::Init() {
 
 Status NodeSweeper::Sweep(const std::vector<LatticeNode>& nodes,
                           std::vector<std::optional<NodeEvaluation>>* evals) {
-  RunTrace* trace = options_.trace;
-  if (trace == nullptr) return SweepNodes(nodes, evals);
+  evals->assign(nodes.size(), std::nullopt);
+  return Drive(nodes.size(), [&](NodeEvaluator& worker, size_t index) {
+    Result<NodeEvaluation> eval = worker.Evaluate(nodes[index]);
+    if (!eval.ok()) return eval.status();
+    (*evals)[index] = *eval;
+    return Status::OK();
+  });
+}
 
-  // Events still pending from direct primary() evaluations belong to the
-  // engine's enclosing span, not to this sweep.
-  FlushTraceEvents();
-  trace->Begin("sweep");
-  trace->Counter("nodes", nodes.size());
-  Status status = SweepNodes(nodes, evals);
-  FlushTraceEvents();
-  trace->End();
-  return status;
+Status NodeSweeper::SweepSubsets(const std::vector<size_t>& attrs,
+                                 const std::vector<std::vector<int>>& levels,
+                                 bool prune_p,
+                                 std::vector<std::optional<bool>>* passed) {
+  passed->assign(levels.size(), std::nullopt);
+  return Drive(levels.size(), [&](NodeEvaluator& worker, size_t index) {
+    Result<bool> ok = worker.EvaluateSubset(attrs, levels[index], prune_p);
+    if (!ok.ok()) return ok.status();
+    (*passed)[index] = *ok;
+    return Status::OK();
+  });
 }
 
 size_t NodeSweeper::BatchSize(size_t count, size_t active) const {
@@ -535,140 +582,115 @@ void UpdateThroughput(size_t evaluated, size_t lanes,
 
 }  // namespace
 
-Status NodeSweeper::SweepNodes(
-    const std::vector<LatticeNode>& nodes,
-    std::vector<std::optional<NodeEvaluation>>* evals) {
-  evals->assign(nodes.size(), std::nullopt);
-  size_t active = std::min(workers_.size(), nodes.size());
+Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
+  RunTrace* trace = options_.trace;
+  TraceSpan span(trace, "sweep");
+  span.Counter("nodes", count);
+  const auto sweep_begin = std::chrono::steady_clock::now();
+  size_t active = std::min(workers_.size(), count);
   // Fair-share: when other sweeps are on the pool, take only an equal
   // split of it. Safe for correctness by the determinism contract (the
   // release and stats are identical for any worker count).
   if (active > 1) {
     active = ThreadPool::Shared().FairShareWorkers(active);
   }
-  RunTrace* trace = options_.trace;
-  const auto sweep_begin = std::chrono::steady_clock::now();
+  Status status = Status::OK();
+  // Items completed per lane; each slot is written only by its lane.
+  std::vector<size_t> evaluated(std::max<size_t>(active, 1), 0);
 
   if (active <= 1) {
-    // Sequential over nodes, on the control thread — so the fine axis may
+    // Sequential over items, on the control thread — so the fine axis may
     // engage: when parallelism was requested but this sweep is too narrow
-    // to shard (fewer nodes than workers, or the pool's fair share is
-    // down to one lane right now), spend the lanes *inside* each node's
-    // group-by instead. The cap is resolved against the live fair share
-    // per evaluation; only a control thread may do this (a nested
-    // ParallelFor from a pool task can deadlock).
-    NodeEvaluator& evaluator = *workers_.front();
-    const size_t row_cap = workers_.size() > 1 ? workers_.size() : 1;
-    evaluator.set_row_workers(row_cap);
-    if (trace != nullptr && row_cap > 1) {
-      trace->Timing("row_workers", row_cap);
+    // to shard (one item, or the pool's fair share is down to one lane
+    // right now), spend the lanes *inside* each group-by instead. The cap
+    // is resolved against the live fair share per evaluation; only a
+    // control thread may do this (a nested ParallelFor from a pool task
+    // can deadlock).
+    NodeEvaluator& primary = *workers_.front();
+    primary.set_row_workers(workers_.size());
+    if (trace != nullptr && workers_.size() > 1) {
+      trace->Timing("row_workers", workers_.size());
     }
-    Status status = Status::OK();
-    size_t evaluated = 0;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      Result<NodeEvaluation> eval = evaluator.Evaluate(nodes[i]);
-      if (!eval.ok()) {
-        status = eval.status();
-        break;
-      }
-      (*evals)[i] = *eval;
-      ++evaluated;
+    for (size_t index = 0; index < count && status.ok(); ++index) {
+      status = evaluate(primary, index);
+      if (status.ok()) ++evaluated[0];
     }
-    UpdateThroughput(evaluated, 1, sweep_begin, &nodes_per_sec_);
-    return status;
-  }
-
-  // Coarse axis: nodes grouped into per-task batches (BatchSize) so one
-  // pool dispatch amortizes over >= ~10ms of work. Dynamic scheduling is
-  // safe for determinism because every node is evaluated regardless of
-  // which worker draws which batch; verdicts land in per-index slots and
-  // counter sums are order-independent. The primary evaluates inside the
-  // pool region here, so its row-worker cap must be 1.
-  workers_.front()->set_row_workers(1);
-  const size_t batch = BatchSize(nodes.size(), active);
-  const size_t num_batches = (nodes.size() + batch - 1) / batch;
-  std::atomic<bool> stop{false};
-  std::vector<Status> worker_status(active, Status::OK());
-  // Per-worker busy time; written only by the worker owning the slot.
-  // Measured once per *batch*, so per-task dispatch overhead is counted
-  // exactly once per batch rather than accumulating per node.
-  std::vector<int64_t> busy_ns(trace != nullptr ? active : 0, 0);
-  if (trace != nullptr) {
-    // Scheduling observations are Timings (non-structural): batch size
-    // and lane count depend on measured throughput and pool load, and
-    // must never enter the StructureSignature.
-    trace->Timing("workers", active);
-    trace->Timing("queue_depth", ThreadPool::Shared().ApproxQueueDepth());
-    trace->Timing("batch_size", batch);
-    trace->Timing("batches", num_batches);
-  }
-  // Shards carry the owning job's CancelToken: a pool worker that draws a
-  // shard of a cancelled job observes the token before doing any work and
-  // drains it immediately, so one dead job's queued shards can never
-  // stall a neighbor sharing the pool.
-  const CancelToken* cancel = options_.budget.cancel.get();
-  ThreadPool::Shared().ParallelFor(
-      num_batches, active, [&](size_t worker, size_t b) {
-        if (stop.load(std::memory_order_relaxed)) return;  // drain fast
-        const size_t begin = b * batch;
-        const size_t end = std::min(begin + batch, nodes.size());
-        int64_t begin_ns = trace != nullptr ? trace->NowNs() : 0;
-        for (size_t index = begin; index < end; ++index) {
-          // Re-check between nodes so a long batch drains mid-flight —
-          // batching must not widen cancellation latency past one node.
-          if (stop.load(std::memory_order_relaxed)) break;
-          if (cancel != nullptr && cancel->cancelled()) {
-            if (worker_status[worker].ok()) {
-              worker_status[worker] = Status::Cancelled(
-                  "run cancelled by caller");
+  } else {
+    // Coarse axis: items grouped into per-task batches (BatchSize) so one
+    // pool dispatch amortizes over >= ~10ms of work. Dynamic scheduling is
+    // safe for determinism because every item is evaluated regardless of
+    // which worker draws which batch; results land in per-index slots and
+    // counter sums are order-independent. The primary evaluates inside the
+    // pool region here, so its row-worker cap must be 1.
+    workers_.front()->set_row_workers(1);
+    const size_t batch = BatchSize(count, active);
+    const size_t num_batches = (count + batch - 1) / batch;
+    std::atomic<bool> stop{false};
+    std::vector<Status> worker_status(active, Status::OK());
+    // Per-worker busy time; written only by the worker owning the slot.
+    // Measured once per *batch*, so per-task dispatch overhead is counted
+    // exactly once per batch rather than accumulating per item.
+    std::vector<int64_t> busy_ns(trace != nullptr ? active : 0, 0);
+    if (trace != nullptr) {
+      // Scheduling observations are Timings (non-structural): batch size
+      // and lane count depend on measured throughput and pool load, and
+      // must never enter the StructureSignature.
+      trace->Timing("workers", active);
+      trace->Timing("queue_depth", ThreadPool::Shared().ApproxQueueDepth());
+      trace->Timing("batch_size", batch);
+      trace->Timing("batches", num_batches);
+    }
+    // Shards carry the owning job's CancelToken: a pool worker that draws
+    // a shard of a cancelled job observes the token before doing any work
+    // and drains it immediately, so one dead job's queued shards can never
+    // stall a neighbor sharing the pool.
+    const CancelToken* cancel = options_.budget.cancel.get();
+    ThreadPool::Shared().ParallelFor(
+        num_batches, active, [&](size_t worker, size_t b) {
+          if (stop.load(std::memory_order_relaxed)) return;  // drain fast
+          const size_t begin = b * batch;
+          const size_t end = std::min(begin + batch, count);
+          int64_t begin_ns = trace != nullptr ? trace->NowNs() : 0;
+          for (size_t index = begin; index < end; ++index) {
+            // Re-check between items so a long batch drains mid-flight —
+            // batching must not widen cancellation latency past one item.
+            if (stop.load(std::memory_order_relaxed)) break;
+            Status item = cancel != nullptr && cancel->cancelled()
+                              ? Status::Cancelled("run cancelled by caller")
+                              : evaluate(*workers_[worker], index);
+            if (!item.ok()) {
+              if (worker_status[worker].ok()) worker_status[worker] = item;
+              // A tripped enforcer poisons every later Charge anyway; the
+              // flag just skips the pointless evaluations in between.
+              stop.store(true, std::memory_order_relaxed);
+              break;
             }
-            stop.store(true, std::memory_order_relaxed);
-            break;
+            ++evaluated[worker];
           }
-          Result<NodeEvaluation> eval =
-              workers_[worker]->Evaluate(nodes[index]);
-          if (!eval.ok()) {
-            if (worker_status[worker].ok()) {
-              worker_status[worker] = eval.status();
-            }
-            // A tripped enforcer poisons every later Charge anyway; the
-            // flag just skips the pointless evaluations in between.
-            stop.store(true, std::memory_order_relaxed);
-            break;
+          if (trace != nullptr) {
+            busy_ns[worker] += trace->NowNs() - begin_ns;
           }
-          (*evals)[index] = *eval;
-        }
-        if (trace != nullptr) {
-          busy_ns[worker] += trace->NowNs() - begin_ns;
-        }
-      });
-  // Restore the primary's control-thread default for the direct
-  // evaluations engines make between sweeps.
-  workers_.front()->set_row_workers(workers_.size());
-  if (trace != nullptr) {
+        });
     for (size_t w = 0; w < busy_ns.size(); ++w) {
       trace->Timing("w" + std::to_string(w) + "_busy_ns",
                     static_cast<uint64_t>(busy_ns[w]));
     }
-  }
-  size_t evaluated = 0;
-  for (const std::optional<NodeEvaluation>& eval : *evals) {
-    if (eval.has_value()) ++evaluated;
-  }
-  UpdateThroughput(evaluated, active, sweep_begin, &nodes_per_sec_);
-
-  // Hard errors (first by worker order) outrank budget stops: they must
-  // propagate, while a budget stop is a valid partial result.
-  Status budget_stop = Status::OK();
-  for (const Status& status : worker_status) {
-    if (status.ok()) continue;
-    if (IsBudgetExhausted(status)) {
-      if (budget_stop.ok()) budget_stop = status;
-    } else {
-      return status;
+    // Hard errors (first by worker order) outrank budget stops: they must
+    // propagate, while a budget stop is a valid partial result.
+    for (const Status& worker_stop : worker_status) {
+      if (worker_stop.ok()) continue;
+      if (!IsBudgetExhausted(worker_stop)) {
+        status = worker_stop;
+        break;
+      }
+      if (status.ok()) status = worker_stop;
     }
   }
-  return budget_stop;
+  size_t total = 0;
+  for (size_t done : evaluated) total += done;
+  UpdateThroughput(total, active, sweep_begin, &nodes_per_sec_);
+  FlushTraceEvents();
+  return status;
 }
 
 void NodeSweeper::FlushTraceEvents() {

@@ -39,14 +39,13 @@ struct NodeEvaluation {
 /// Durable search state for crash-safe checkpoint/resume (see psk/jobs).
 ///
 /// `verdicts` holds every completed node evaluation, keyed by
-/// SnapshotNodeKey; `facts` holds engine-specific boolean conclusions
-/// (e.g. Incognito's subset-phase k-anonymity verdicts) under
-/// engine-chosen keys. A verdict is a pure function of (initial microdata,
-/// hierarchies, k, p, TS), independent of which engine asked — so one
-/// snapshot stays valid across every lattice engine and every stage of a
-/// fallback chain, and a resumed run that replays its deterministic
-/// enumeration against the snapshot reaches the exact state the
-/// interrupted run was in.
+/// SnapshotNodeKey; `facts` holds every completed subset-node verdict
+/// (Incognito's subset phases), keyed by SubsetFactKey. A verdict is a
+/// pure function of (initial microdata, hierarchies, k, p, TS),
+/// independent of which engine asked — so one snapshot stays valid across
+/// every lattice engine and every stage of a fallback chain, and a resumed
+/// run that replays its deterministic enumeration against the snapshot
+/// reaches the exact state the interrupted run was in.
 struct SearchSnapshot {
   std::unordered_map<std::string, NodeEvaluation> verdicts;
   std::unordered_map<std::string, bool> facts;
@@ -57,13 +56,20 @@ struct SearchSnapshot {
 /// Snapshot key of a lattice node: its levels joined with ',' ("1,0,2").
 std::string SnapshotNodeKey(const LatticeNode& node);
 
+/// Snapshot fact key of a subset node: "s:<slots>|<levels>", e.g.
+/// "s:0:1|2,0" for QI slots {0, 1} at levels (2, 0). The "s" prefix keeps
+/// it apart from SnapshotNodeKey, so both share one SearchSnapshot.
+std::string SubsetFactKey(const std::vector<size_t>& attrs,
+                          const std::vector<int>& levels);
+
 /// Thread-safe in-memory verdict cache, shared by every NodeEvaluator of
 /// one search (all workers of a parallel sweep, and every phase of a
 /// multi-phase engine). A verdict is a pure function of (initial
 /// microdata, hierarchies, k, p, TS), so once any worker has evaluated a
-/// node, no other request in the same search ever generalizes the table
-/// for it again — e.g. Samarati's confirmation scan resolves heights the
-/// binary search already probed for free.
+/// node, no other request through the same cache ever generalizes the
+/// table for it again. No engine asks for one node twice within a search,
+/// so hits come from an externally owned cache that outlives one search
+/// (SearchOptions::verdict_cache).
 ///
 /// Unlike the crash-recovery snapshot (whose hits *recount* stats so a
 /// resumed run converges on the uninterrupted run's counters), a cache hit
@@ -258,9 +264,8 @@ struct SearchStats {
   /// counted is gone, so it stays 0. Kept declared for callers that still
   /// name it.
   size_t nodes_evaluated_legacy = 0;
-  /// Budget-free fast-forwards (snapshot replays, cache re-serves, engine
-  /// fact fast-forwards) counted by TickReplay — how much already-known
-  /// work the run skipped.
+  /// Budget-free fast-forwards (snapshot verdict and subset-fact replays,
+  /// cache re-serves) — how much already-known work the run skipped.
   size_t replay_ticks = 0;
   /// Lattice heights probed (binary search).
   size_t heights_probed = 0;
@@ -313,9 +318,12 @@ void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 /// suppress up to TS, then test p-sensitive k-anonymity, with Condition 1
 /// checked once up front and Condition 2 applied per node (Theorems 1-2
 /// justify computing both bounds on the initial microdata only).
+/// EvaluateSubset answers the TS gate for Incognito's nodes over a subset
+/// of the quasi-identifier.
 ///
 /// All searches in this library share this component so that their work
-/// counters are comparable.
+/// counters are comparable. The four NodeSweeper engines evaluate only
+/// through a sweep; bottom-up drives a bare evaluator.
 class NodeEvaluator {
  public:
   /// `initial_microdata` and `hierarchies` must outlive the evaluator.
@@ -384,8 +392,8 @@ class NodeEvaluator {
   /// and options().min_rows_per_slice. MUST stay 1 (the default) on any
   /// evaluator whose Evaluate runs inside a ThreadPool task — a nested
   /// ParallelFor can deadlock the pool — so NodeSweeper grants a cap only
-  /// to the primary, and only while no coarse sweep region is active.
-  /// Verdicts and stats are identical at any cap.
+  /// to the primary, and only on its sequential branch. Verdicts and stats
+  /// are identical at any cap.
   void set_row_workers(size_t cap) { row_worker_cap_ = cap; }
   size_t row_workers() const { return row_worker_cap_; }
 
@@ -404,34 +412,25 @@ class NodeEvaluator {
   /// into the snapshot for the next checkpoint.
   Result<NodeEvaluation> Evaluate(const LatticeNode& node);
 
-  /// Engine-specific snapshot facts (e.g. Incognito's subset verdicts).
-  /// Only meaningful while checkpointing is active; LookupFact always
-  /// misses otherwise.
-  bool LookupFact(const std::string& key, bool* value) const;
-  void RecordFact(const std::string& key, bool value);
+  /// Evaluates one Incognito subset node — QI slots `attrs` generalized to
+  /// `levels` — counting SearchStats::subset_nodes_evaluated: true when
+  /// suppressing every group smaller than k removes at most TS rows and,
+  /// with `prune_p`, every group also holds p distinct values of each
+  /// confidential attribute. The budget and the memory budget are charged
+  /// as for Evaluate. When checkpointing, a subset node already in the
+  /// snapshot's facts replays from it, and fresh verdicts are recorded
+  /// there under SubsetFactKey.
+  Result<bool> EvaluateSubset(const std::vector<size_t>& attrs,
+                              const std::vector<int>& levels, bool prune_p);
 
-  /// Counts one budget-free fast-forward (a snapshot replay hit or a
-  /// VerdictCache hit) and polls BudgetEnforcer::Check() every
-  /// kReplayCheckInterval hits — without charging node/row budget — so a
-  /// resume replaying a large snapshot still honors its deadline and can
-  /// be cancelled before the first uncached node. Evaluate calls this on
-  /// its own hit paths; engines call it for fast-forwards that bypass
-  /// Evaluate (Incognito's subset facts). A non-OK status is a budget stop
-  /// to absorb (or a hard enforcer error to propagate).
-  Status TickReplay();
-
-  /// Fast-forwards between budget polls in TickReplay. Small enough that
-  /// even a replay cancelled immediately does at most this many map
+  /// Snapshot replays between budget polls (see TickReplay). Small enough
+  /// that even a replay cancelled immediately does at most this many map
   /// lookups past the request.
   static constexpr uint64_t kReplayCheckInterval = 32;
 
-  /// Counts one completed unit of search work toward the checkpoint
-  /// cadence, invoking options().checkpoint_sink when due. Evaluate calls
-  /// this itself; engines call it for work units that bypass Evaluate.
-  void TickCheckpoint();
   /// Invokes the sink immediately (engines call this at coarse boundaries
-  /// — after a probed height, a finished subset phase — so a crash loses
-  /// at most one boundary's work).
+  /// — after a probed height, a finished subset, a final-phase height — so
+  /// a crash loses at most one boundary's work).
   void FlushCheckpoint();
 
   /// The accumulated crash-recovery state (empty unless checkpointing).
@@ -450,6 +449,22 @@ class NodeEvaluator {
   /// The charged evaluation body behind Evaluate (cache/checkpoint
   /// handling lives in Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
+
+  /// Charges the budget for one group-by over the whole table and grants
+  /// it its row workers; the caller then groups into ws_.
+  Status BeginGroupBy();
+
+  /// Counts one budget-free fast-forward (a snapshot replay or a
+  /// VerdictCache hit) and polls BudgetEnforcer::Check() every
+  /// kReplayCheckInterval of them — without charging node/row budget — so
+  /// a resume replaying a large snapshot still honors its deadline and can
+  /// be cancelled before the first uncached node. A non-OK status is a
+  /// budget stop to absorb (or a hard enforcer error to propagate).
+  Status TickReplay();
+
+  /// Counts one completed evaluation toward the checkpoint cadence,
+  /// invoking options().checkpoint_sink when due.
+  void TickCheckpoint();
 
   /// Records one per-node trace event into trace_buffer_ (caller checked
   /// it is non-null). `path` is "encoded"/"cache"/"replay".
@@ -471,8 +486,8 @@ class NodeEvaluator {
   size_t row_worker_cap_ = 1;
   /// Memory-budget charges: the self-built encoding (only when this
   /// evaluator built its own — an external one is charged by its owner)
-  /// and the scratch buffers, delta-resized after every encoded
-  /// evaluation. No-ops when options().budget.memory is unset.
+  /// and the scratch buffers, delta-resized after every group-by. No-ops
+  /// when options().budget.memory is unset.
   MemoryReservation encoded_reservation_;
   MemoryReservation scratch_reservation_;
   bool initialized_ = false;
@@ -490,16 +505,19 @@ class NodeEvaluator {
 };
 
 /// Parallel (or sequential) evaluator over batches of independent lattice
-/// nodes — the shared engine room of every lattice search.
+/// nodes — the only executor of lattice work in Samarati, exhaustive, OLA
+/// and Incognito. Sweep runs full lattice nodes (NodeEvaluator::Evaluate);
+/// SweepSubsets runs one height of an Incognito subset lattice
+/// (NodeEvaluator::EvaluateSubset). Both run through the same private
+/// Drive loop and record one "sweep" trace span each.
 ///
 /// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") holds
 /// the checkpointing state and is the evaluator engines use for
-/// engine-level bookkeeping (heights_probed, snapshot facts, Materialize).
-/// All workers share the primary's BudgetEnforcer (limits stay global) and
-/// one VerdictCache (no node is generalized twice in a search, regardless
-/// of which worker or phase asks).
+/// engine-level bookkeeping (heights_probed, nodes_skipped, checkpoint
+/// flushes, Materialize). All workers share the primary's BudgetEnforcer
+/// (limits stay global) and one VerdictCache.
 ///
-/// Determinism contract: Sweep evaluates *every* node it is given (no
+/// Determinism contract: a sweep evaluates *every* item it is given (no
 /// early exit), so the set of evaluated nodes — and therefore the merged
 /// SearchStats and the engine's release — is identical for every thread
 /// count. Engines that want early exit batch their nodes into fixed-size
@@ -507,14 +525,14 @@ class NodeEvaluator {
 /// Checkpointed runs (restore / checkpoint_sink set) get exactly one
 /// worker, preserving the sequential deterministic-replay guarantee.
 ///
-/// Work decomposition (two axes, chosen per sweep): normally nodes are
+/// Work decomposition (two axes, chosen per sweep): normally items are
 /// grouped into per-task batches sized by measured throughput (coarse
 /// axis, >= ~10ms of work per pool task so dispatch amortizes); when a
-/// sweep has fewer nodes than workers, the sweep instead runs nodes
-/// sequentially on the primary and parallelizes *inside* each node's
-/// group-by by row range (fine axis, see GroupByCodesSliced). Both axes
-/// preserve the contract — batch size and slice count never change any
-/// verdict or merged counter.
+/// sweep can use only one lane (a single item, one worker, or a pool whose
+/// fair share is down to one lane), the sweep instead runs its items on
+/// the primary and parallelizes *inside* each group-by by row range (fine
+/// axis, see GroupByCodesSliced). Both axes preserve the contract — batch
+/// size and slice count never change any verdict or merged counter.
 class NodeSweeper {
  public:
   /// `initial_microdata` and `hierarchies` must outlive the sweeper.
@@ -528,9 +546,6 @@ class NodeSweeper {
   /// counters. Valid after Init.
   NodeEvaluator& primary() { return *workers_.front(); }
 
-  /// True when Sweep may use more than one worker.
-  bool parallel() const { return workers_.size() > 1; }
-
   /// Evaluates every node, writing per-node verdicts into (*evals)[i]
   /// (nullopt = not evaluated because the sweep stopped early). Returns:
   ///  - OK when every node was evaluated;
@@ -542,21 +557,31 @@ class NodeSweeper {
   Status Sweep(const std::vector<LatticeNode>& nodes,
                std::vector<std::optional<NodeEvaluation>>* evals);
 
+  /// Evaluates every subset node — QI slots `attrs` at each level vector
+  /// of `levels` — through NodeEvaluator::EvaluateSubset, writing
+  /// (*passed)[i] (nullopt = not evaluated because the sweep stopped
+  /// early). Returns like Sweep.
+  Status SweepSubsets(const std::vector<size_t>& attrs,
+                      const std::vector<std::vector<int>>& levels,
+                      bool prune_p, std::vector<std::optional<bool>>* passed);
+
   /// Work counters summed over every worker (deterministic: per-counter
   /// sums are order-independent; partial/stop_reason are first-wins in
   /// worker order).
   SearchStats MergedStats() const;
 
-  /// Merges every pending per-worker trace event into the innermost open
-  /// span of options().trace, sorted by node key. Sweep does this on its
-  /// own span; engines call it before closing a phase span in which they
-  /// evaluated through primary() directly (no-op without tracing).
-  void FlushTraceEvents();
-
  private:
-  /// The untraced sweep body (Sweep wraps it in the "sweep" span).
-  Status SweepNodes(const std::vector<LatticeNode>& nodes,
-                    std::vector<std::optional<NodeEvaluation>>* evals);
+  /// Evaluates one item of a sweep on `worker`; called once per index.
+  using ItemFn = std::function<Status(NodeEvaluator& worker, size_t index)>;
+
+  /// The loop behind Sweep and SweepSubsets: runs `evaluate` for every
+  /// index in [0, count) inside one "sweep" trace span, on one of the two
+  /// decomposition axes, and returns as Sweep documents.
+  Status Drive(size_t count, const ItemFn& evaluate);
+
+  /// Merges every pending per-worker trace event into the innermost open
+  /// span of options().trace, sorted by node key (no-op without tracing).
+  void FlushTraceEvents();
 
   /// Nodes per pool task for a sweep of `count` nodes over `active`
   /// workers (coarse decomposition axis): sized from the measured

@@ -431,17 +431,8 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
     }
     if (guard_enabled_) {
       TraceSpan span(trace, "guard");
-      GuardPolicy policy;
-      if (guard_policy_.has_value()) {
-        policy = *guard_policy_;
-      } else {
-        policy.k = k_;
-        policy.p = p_;
-        policy.max_suppression = max_suppression_;
-        // p-sensitivity with p >= 2 implies zero attribute disclosures;
-        // hold every release to that.
-        if (p_ >= 2) policy.max_attribute_disclosures = 0;
-      }
+      GuardPolicy policy = guard_policy_.value_or(
+          DefaultGuardPolicy(k_, p_, max_suppression_));
       // Guard refusal is final — a violating release must not escape, and
       // falling back to a *weaker* algorithm could not fix it anyway.
       PSK_RETURN_IF_ERROR(EnforceRelease(report.masked, n, policy,

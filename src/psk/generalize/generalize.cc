@@ -185,41 +185,28 @@ Result<MaskedMicrodata> Mask(const Table& initial_microdata,
   return DecodeMasked(encoded, node, k, &ws);
 }
 
-Result<EncodedMaskResult> MaskEncoded(const EncodedTable& encoded,
-                                      const LatticeNode& node, size_t k,
-                                      EncodedWorkspace* ws) {
-  EncodedMaskResult result;
-  if (k == 0) {
-    // k == 0 applies no suppression at all; still produce the
-    // partition, which callers use for group-level checks.
-    PSK_RETURN_IF_ERROR(encoded.GroupByNode(node, ws));
-    result.groups = ws->groups;
-    return result;
-  }
-  PSK_RETURN_IF_ERROR(encoded.GroupByNode(node, ws));
-  result.groups = ws->groups;
-  result.keep.assign(encoded.num_rows(), false);
-  for (size_t row = 0; row < encoded.num_rows(); ++row) {
-    uint32_t gid = result.groups.row_gid[row];
-    if (result.groups.group_sizes[gid] >= k) {
-      result.keep[row] = true;
-    } else {
-      ++result.suppressed;
-    }
-  }
-  result.surviving_groups = result.groups.GroupsAtLeast(k);
-  return result;
-}
-
 Result<MaskedMicrodata> DecodeMasked(const EncodedTable& encoded,
                                      const LatticeNode& node, size_t k,
                                      EncodedWorkspace* ws) {
-  PSK_ASSIGN_OR_RETURN(EncodedMaskResult mask,
-                       MaskEncoded(encoded, node, k, ws));
-  PSK_ASSIGN_OR_RETURN(
-      Table table,
-      encoded.Decode(node, mask.keep.empty() ? nullptr : &mask.keep));
-  return MaskedMicrodata{std::move(table), node, mask.suppressed};
+  PSK_RETURN_IF_ERROR(encoded.GroupByNode(node, ws));
+  const EncodedGroups& groups = ws->groups;
+  // keep[row] == false where suppression removes the row; k == 0
+  // suppresses nothing.
+  std::vector<bool> keep;
+  size_t suppressed = 0;
+  if (k > 0) {
+    keep.assign(encoded.num_rows(), false);
+    for (size_t row = 0; row < encoded.num_rows(); ++row) {
+      if (groups.group_sizes[groups.row_gid[row]] >= k) {
+        keep[row] = true;
+      } else {
+        ++suppressed;
+      }
+    }
+  }
+  PSK_ASSIGN_OR_RETURN(Table table,
+                       encoded.Decode(node, k > 0 ? &keep : nullptr));
+  return MaskedMicrodata{std::move(table), node, suppressed};
 }
 
 Result<size_t> CountTuplesViolatingK(const Table& table,

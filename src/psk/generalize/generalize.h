@@ -55,33 +55,13 @@ Result<MaskedMicrodata> Mask(const Table& initial_microdata,
                              const HierarchySet& hierarchies,
                              const LatticeNode& node, size_t k = 0);
 
-/// Code-path masking result: the grouping and suppression decisions of
-/// the masking pipeline computed entirely over dictionary codes — group
-/// ids and a keep mask instead of a materialized table.
-struct EncodedMaskResult {
-  /// QI-partition of the rows at the node (all key attributes; group ids
-  /// numbered by first occurrence, matching FrequencySet order).
-  EncodedGroups groups;
-  /// keep[row] == false where suppression removes the row. Empty when
-  /// k == 0 (Mask applies no suppression then).
-  std::vector<bool> keep;
-  size_t suppressed = 0;        ///< rows suppression removes
-  size_t surviving_groups = 0;  ///< groups of size >= k (0 when k == 0)
-};
-
-/// Grouping + suppression step of the masking pipeline: partitions
-/// the encoded rows at `node` and computes the keep mask for groups of
-/// size >= k, without constructing a single Value. `ws` is the caller's
-/// reusable workspace. Counts agree exactly with ApplyGeneralization +
-/// SuppressUndersizedGroups.
-Result<EncodedMaskResult> MaskEncoded(const EncodedTable& encoded,
-                                      const LatticeNode& node, size_t k,
-                                      EncodedWorkspace* ws);
-
-/// Full code-path masking pipeline: MaskEncoded + EncodedTable::Decode,
-/// producing a MaskedMicrodata byte-identical to ApplyGeneralization +
-/// SuppressUndersizedGroups over the same inputs. This is how a search's
-/// winning node is materialized exactly once, and what Mask() runs.
+/// Code-path masking pipeline: partitions the encoded rows at `node`
+/// (into `ws`, the caller's reusable workspace), drops the rows of groups
+/// smaller than `k` (none when k == 0), and decodes the survivors with
+/// EncodedTable::Decode — a MaskedMicrodata byte-identical to
+/// ApplyGeneralization + SuppressUndersizedGroups over the same inputs.
+/// This is how a search's winning node is materialized exactly once, and
+/// what Mask() runs.
 Result<MaskedMicrodata> DecodeMasked(const EncodedTable& encoded,
                                      const LatticeNode& node, size_t k,
                                      EncodedWorkspace* ws);

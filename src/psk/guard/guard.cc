@@ -15,6 +15,15 @@ void AddViolation(GuardReport* report, GuardCheck check,
 
 }  // namespace
 
+GuardPolicy DefaultGuardPolicy(size_t k, size_t p, size_t max_suppression) {
+  GuardPolicy policy;
+  policy.k = k;
+  policy.p = p;
+  policy.max_suppression = max_suppression;
+  if (p >= 2) policy.max_attribute_disclosures = 0;
+  return policy;
+}
+
 const char* GuardCheckName(GuardCheck check) {
   switch (check) {
     case GuardCheck::kKAnonymity:

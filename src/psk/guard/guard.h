@@ -33,6 +33,11 @@ struct GuardPolicy {
   std::optional<size_t> max_attribute_disclosures;
 };
 
+/// The policy a run with requirements (k, p, TS) holds its release to:
+/// k, p and the suppression cap TS, plus zero attribute disclosures when
+/// p >= 2 (p-sensitivity with p >= 2 implies there are none).
+GuardPolicy DefaultGuardPolicy(size_t k, size_t p, size_t max_suppression);
+
 /// The individual checks the guard runs, in order.
 enum class GuardCheck {
   kKAnonymity = 0,

@@ -4,78 +4,33 @@
 #include <optional>
 #include <sstream>
 
-#include "psk/common/string_util.h"
+#include "psk/table/csv.h"
 
 namespace psk {
-namespace {
-
-// Minimal CSV record splitter with quote support (the table CSV reader is
-// schema-driven; hierarchy files are schemaless so they get their own).
-Result<std::vector<std::string>> SplitRecord(std::string_view line,
-                                             char separator) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == separator) {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c != '\r') {
-      field.push_back(c);
-    }
-  }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quote in hierarchy CSV");
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-}  // namespace
 
 Result<std::shared_ptr<TaxonomyHierarchy>> LoadTaxonomyCsv(
     std::string_view text, std::string attribute_name, char separator) {
-  std::vector<std::string> lines = Split(text, '\n');
+  PSK_ASSIGN_OR_RETURN(std::vector<CsvRecord> records,
+                       ReadCsvRecords(text, separator));
   int num_levels = -1;
-  size_t line_no = 0;
   std::optional<TaxonomyHierarchy::Builder> builder;
-  // Two passes folded into one: the first non-blank line fixes the level
-  // count.
-  std::vector<std::vector<std::string>> records;
-  for (const std::string& raw : lines) {
-    ++line_no;
-    if (Trim(raw).empty()) continue;
-    PSK_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         SplitRecord(raw, separator));
+  // The first record fixes the level count.
+  for (const CsvRecord& record : records) {
+    const std::vector<std::string>& fields = record.fields;
     if (num_levels < 0) {
       num_levels = static_cast<int>(fields.size());
     } else if (fields.size() != static_cast<size_t>(num_levels)) {
       return Status::InvalidArgument(
-          "hierarchy CSV line " + std::to_string(line_no) + " has " +
+          "hierarchy CSV line " + std::to_string(record.line) + " has " +
           std::to_string(fields.size()) + " fields; expected " +
           std::to_string(num_levels));
     }
-    records.push_back(std::move(fields));
   }
   if (records.empty()) {
     return Status::InvalidArgument("hierarchy CSV contains no records");
   }
   builder.emplace(std::move(attribute_name), num_levels);
-  for (auto& record : records) {
+  for (auto& [line, record] : records) {
     std::string ground = std::move(record[0]);
     std::vector<std::string> ancestors(record.begin() + 1, record.end());
     builder->AddValue(std::move(ground), std::move(ancestors));
@@ -103,18 +58,7 @@ Result<std::string> SaveHierarchyCsv(const AttributeHierarchy& hierarchy,
       if (level > 0) os << separator;
       PSK_ASSIGN_OR_RETURN(Value v, hierarchy.Generalize(ground, level));
       std::string field = v.ToString();
-      bool needs_quote = field.find(separator) != std::string::npos ||
-                         field.find('"') != std::string::npos;
-      if (needs_quote) {
-        os << '"';
-        for (char c : field) {
-          if (c == '"') os << "\"\"";
-          else os << c;
-        }
-        os << '"';
-      } else {
-        os << field;
-      }
+      os << (NeedsQuoting(field, separator) ? QuoteField(field) : field);
     }
     os << '\n';
   }

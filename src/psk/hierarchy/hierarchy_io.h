@@ -20,7 +20,9 @@ namespace psk {
 ///   Never-married;Single;*
 ///   Married-civ-spouse;Married;*
 ///
-/// Blank lines are skipped. Quoted fields follow CSV conventions.
+/// Blank lines are skipped. Records are read by ReadCsvRecords (see
+/// psk/table/csv.h), so a quoted field may hold the separator, doubled
+/// quotes and line breaks.
 Result<std::shared_ptr<TaxonomyHierarchy>> LoadTaxonomyCsv(
     std::string_view text, std::string attribute_name, char separator = ';');
 
@@ -32,7 +34,8 @@ Result<std::shared_ptr<TaxonomyHierarchy>> LoadTaxonomyCsvFile(
 /// Serializes any attribute hierarchy to the same CSV format by expanding
 /// its value generalization hierarchy over the given ground values (useful
 /// to export interval/prefix hierarchies for inspection or for other
-/// tools). Fails if some ground value cannot be generalized.
+/// tools). Fields are quoted like WriteCsvString's, so every value loads
+/// back unchanged. Fails if some ground value cannot be generalized.
 Result<std::string> SaveHierarchyCsv(const AttributeHierarchy& hierarchy,
                                      const std::vector<Value>& ground_values,
                                      char separator = ';');

@@ -441,9 +441,7 @@ Result<JobOutcome> JobRunner::Resume(const JobSpec& spec) {
   return outcome;
 }
 
-Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
-                                      const SearchSnapshot* restore) {
-  uint64_t spec_hash = JobSpecHash(spec);
+Anonymizer MakeJobAnonymizer(const JobSpec& spec) {
   Anonymizer anonymizer(spec.input);
   for (const auto& hierarchy : spec.hierarchies) {
     anonymizer.AddHierarchy(hierarchy);
@@ -452,15 +450,18 @@ Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
       .set_p(spec.p)
       .set_max_suppression(spec.max_suppression)
       .set_algorithm(spec.algorithm)
+      .set_fallback_chain(spec.fallback_chain)
       .set_budget(spec.budget)
       .set_threads(spec.threads)
-      .set_guard_enabled(spec.guard_enabled);
-  if (spec.verdict_cache != nullptr) {
-    anonymizer.set_verdict_cache(spec.verdict_cache);
-  }
-  if (!spec.fallback_chain.empty()) {
-    anonymizer.set_fallback_chain(spec.fallback_chain);
-  }
+      .set_guard_enabled(spec.guard_enabled)
+      .set_verdict_cache(spec.verdict_cache);
+  return anonymizer;
+}
+
+Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
+                                      const SearchSnapshot* restore) {
+  uint64_t spec_hash = JobSpecHash(spec);
+  Anonymizer anonymizer = MakeJobAnonymizer(spec);
   if (restore != nullptr) {
     anonymizer.set_restore_snapshot(restore);
   }
@@ -568,13 +569,10 @@ Result<JobOutcome> JobRunner::VerifyCommitted(const JobSpec& spec) {
     // Re-verify the committed artifact itself — the file's own bytes, not
     // the in-memory table the original run released — so a corrupted or
     // tampered release.csv is refused instead of handed back.
-    GuardPolicy policy;
-    policy.k = spec.k;
-    policy.p = spec.p;
-    policy.max_suppression = spec.max_suppression;
-    if (spec.p >= 2) policy.max_attribute_disclosures = 0;
-    PSK_RETURN_IF_ERROR(EnforceRelease(masked, spec.input.num_rows(), policy,
-                                       &outcome.report.guard));
+    PSK_RETURN_IF_ERROR(EnforceRelease(
+        masked, spec.input.num_rows(),
+        DefaultGuardPolicy(spec.k, spec.p, spec.max_suppression),
+        &outcome.report.guard));
   }
 
   PSK_ASSIGN_OR_RETURN(std::string report_json,

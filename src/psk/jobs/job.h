@@ -94,6 +94,12 @@ struct JobSpec {
 /// in the journal and in every checkpoint.
 uint64_t JobSpecHash(const JobSpec& spec);
 
+/// An Anonymizer configured from `spec`: its input, hierarchies, k, p, TS,
+/// algorithm, fallback chain, budget, threads, guard switch and verdict
+/// cache. Checkpointing, tracing and progress hooks are left to the
+/// caller.
+Anonymizer MakeJobAnonymizer(const JobSpec& spec);
+
 /// Drains spec->input_source (if any) into spec->input in
 /// spec->ingest_chunk_rows batches, then clears the source. Each batch
 /// re-charges the table's footprint against `memory` (null = unmetered),

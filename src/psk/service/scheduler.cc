@@ -231,21 +231,7 @@ Status RunAttempt(const SchedulerOptions& options, SchedulerJob& job,
   if (job.job_dir.empty()) {
     // In-memory job: no journal, no checkpoints — the retry path simply
     // re-runs (the engines are deterministic).
-    Anonymizer anonymizer(spec.input);
-    for (const auto& hierarchy : spec.hierarchies) {
-      anonymizer.AddHierarchy(hierarchy);
-    }
-    anonymizer.set_k(spec.k)
-        .set_p(spec.p)
-        .set_max_suppression(spec.max_suppression)
-        .set_algorithm(spec.algorithm)
-        .set_budget(spec.budget)
-        .set_threads(spec.threads)
-        .set_guard_enabled(spec.guard_enabled);
-    anonymizer.set_verdict_cache(spec.verdict_cache);
-    if (!spec.fallback_chain.empty()) {
-      anonymizer.set_fallback_chain(spec.fallback_chain);
-    }
+    Anonymizer anonymizer = MakeJobAnonymizer(spec);
     Result<AnonymizationReport> run = anonymizer.Run();
     if (!run.ok()) return run.status();
     *report = std::move(*run);

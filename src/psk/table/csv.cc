@@ -141,23 +141,6 @@ Result<std::vector<size_t>> MapHeader(
   return file_to_schema;
 }
 
-bool NeedsQuoting(const std::string& field, char sep) {
-  for (char c : field) {
-    if (c == sep || c == '"' || c == '\n' || c == '\r') return true;
-  }
-  return false;
-}
-
-std::string QuoteField(const std::string& field) {
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out += "\"";
-  return out;
-}
-
 /// Streams every chunk of `reader` into a fresh table. When `budget` is
 /// set, the growing table (id columns + interned store) stays reserved
 /// against it for the duration of the read — a transient ingest meter;
@@ -351,6 +334,48 @@ Result<size_t> CsvChunkReader::NextChunk(size_t max_rows, IngestChunk* chunk) {
   }
   PSK_RETURN_IF_ERROR(ChargeBuffers(*chunk));
   return rows;
+}
+
+Result<std::vector<CsvRecord>> ReadCsvRecords(std::string_view text,
+                                              char separator) {
+  std::vector<CsvRecord> records;
+  std::vector<std::string_view> fields;
+  std::deque<std::string> copies;
+  size_t pos = 0;
+  size_t line = 1;
+  while (pos < text.size()) {
+    size_t eol = text.find('\n', pos);
+    size_t next = eol == std::string_view::npos ? text.size() : eol + 1;
+    if (Trim(text.substr(pos, next - pos)).empty()) {
+      pos = next;
+      ++line;
+      continue;
+    }
+    size_t consumed = 0;
+    PSK_RETURN_IF_ERROR(ParseRecord(text, &pos, separator, line, &consumed,
+                                    &fields, &copies));
+    records.push_back(CsvRecord{
+        line, std::vector<std::string>(fields.begin(), fields.end())});
+    line += consumed;
+  }
+  return records;
+}
+
+bool NeedsQuoting(const std::string& field, char sep) {
+  for (char c : field) {
+    if (c == sep || c == '"' || c == '\n' || c == '\r') return true;
+  }
+  return false;
+}
+
+std::string QuoteField(const std::string& field) {
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += "\"\"";
+    else out.push_back(c);
+  }
+  out += "\"";
+  return out;
 }
 
 Result<Table> ReadCsvString(std::string_view text, const Schema& schema,

@@ -142,6 +142,27 @@ Result<Table> ReadCsvString(std::string_view text, const Schema& schema,
 Result<Table> ReadCsvFile(const std::string& path, const Schema& schema,
                           const CsvOptions& options = {});
 
+/// One record of a schemaless CSV text (see ReadCsvRecords).
+struct CsvRecord {
+  size_t line = 0;  ///< 1-based line on which the record starts
+  std::vector<std::string> fields;
+};
+
+/// Splits CSV text that has no schema (hierarchy files) into records,
+/// with the table reader's record parser: a quoted field may hold the
+/// separator, doubled quotes and line breaks, and a CR outside quotes is
+/// dropped. Lines holding nothing but spaces, tabs and CRs are skipped.
+/// Fails with InvalidArgument on an unterminated quote.
+Result<std::vector<CsvRecord>> ReadCsvRecords(std::string_view text,
+                                              char separator);
+
+/// True when `field` must be quoted to survive a CSV round trip: it holds
+/// the separator, a quote, or a line break (LF or CR).
+bool NeedsQuoting(const std::string& field, char sep);
+
+/// `field` wrapped in quotes, inner quotes doubled.
+std::string QuoteField(const std::string& field);
+
 /// Serializes a table as CSV (header + rows). Fields containing the
 /// separator, quotes, or newlines are quoted.
 std::string WriteCsvString(const Table& table, const CsvOptions& options = {});

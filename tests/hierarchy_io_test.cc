@@ -102,6 +102,32 @@ TEST(SaveHierarchyCsvTest, RoundTripsTaxonomy) {
   }
 }
 
+TEST(SaveHierarchyCsvTest, RoundTripsSeparatorsQuotesAndLineBreaks) {
+  // Values holding the separator, quotes, LF, CRLF and a lone CR, written
+  // as quoted fields.
+  auto h = UnwrapOk(LoadTaxonomyCsv("\"a,b\",\"say \"\"hi\"\"\",*\n"
+                                    "\"two\nlines\",\"crlf\r\ninside\",*\n"
+                                    "\"cr\ronly\",\"say \"\"hi\"\"\",*\n",
+                                    "X", ','));
+  EXPECT_EQ(h->GroundValues(),
+            (std::vector<std::string>{"a,b", "two\nlines", "cr\ronly"}));
+  EXPECT_EQ(UnwrapOk(h->Generalize(Value("two\nlines"), 1)).AsString(),
+            "crlf\r\ninside");
+  EXPECT_EQ(UnwrapOk(h->Generalize(Value("a,b"), 1)).AsString(),
+            "say \"hi\"");
+  std::vector<Value> ground;
+  for (const std::string& v : h->GroundValues()) ground.push_back(Value(v));
+  std::string csv = UnwrapOk(SaveHierarchyCsv(*h, ground, ','));
+  auto reloaded = UnwrapOk(LoadTaxonomyCsv(csv, "X", ','));
+  EXPECT_EQ(reloaded->GroundValues(), h->GroundValues());
+  for (const Value& v : ground) {
+    for (int level = 0; level < h->num_levels(); ++level) {
+      EXPECT_EQ(UnwrapOk(reloaded->Generalize(v, level)),
+                UnwrapOk(h->Generalize(v, level)));
+    }
+  }
+}
+
 TEST(SaveHierarchyCsvTest, ExportsIntervalHierarchy) {
   auto age = UnwrapOk(IntervalHierarchy::Create(
       "Age", {IntervalHierarchy::Level::Bands(10),

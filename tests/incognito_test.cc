@@ -6,6 +6,7 @@
 #include "psk/datagen/adult.h"
 #include "psk/datagen/paper_tables.h"
 #include "psk/datagen/synthetic.h"
+#include "psk/table/encoded.h"
 #include "test_util.h"
 
 namespace psk {
@@ -152,6 +153,28 @@ TEST(IncognitoTest, SingleAttributeQuasiIdentifier) {
   // At level 0, group 48201 has 1 row -> suppressible within budget.
   EXPECT_EQ(result.minimal_nodes,
             (std::vector<LatticeNode>{LatticeNode{{0}}}));
+}
+
+// The subset phases group through the sweeper's evaluators, so their
+// scratch is charged to the job's MemoryBudget. At p = 1 the final phase
+// evaluates no full node, so only subset scratch can lift the high-water
+// mark above the shared encoding's charge.
+TEST(IncognitoTest, SubsetScratchIsChargedToTheMemoryBudget) {
+  Table im = UnwrapOk(AdultGenerate(1500, /*seed=*/2));
+  HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
+  SearchOptions options;
+  options.k = 3;
+  options.p = 1;
+  options.max_suppression = 40;
+  auto memory = std::make_shared<MemoryBudget>();
+  options.budget.memory = memory;
+  MinimalSetResult result =
+      UnwrapOk(IncognitoSearch(im, hierarchies, options));
+  ASSERT_FALSE(result.minimal_nodes.empty());
+  ASSERT_GT(result.stats.subset_nodes_evaluated, 0u);
+  EXPECT_EQ(result.stats.nodes_generalized, 0u);
+  EncodedTable encoded = UnwrapOk(EncodedTable::Build(im, hierarchies));
+  EXPECT_GT(memory->high_water(), encoded.ApproxBytes());
 }
 
 }  // namespace

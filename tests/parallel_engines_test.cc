@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "psk/algorithms/bottom_up.h"
 #include "psk/algorithms/exhaustive.h"
 #include "psk/algorithms/incognito.h"
 #include "psk/algorithms/ola.h"
@@ -19,7 +20,8 @@ namespace {
 
 // Full-field stats comparison: the determinism contract promises every
 // counter — not just the result nodes — is independent of the thread
-// count.
+// count. replay_ticks is left out: it counts snapshot fast-forwards, which
+// only a resumed run makes.
 void ExpectStatsEq(const SearchStats& a, const SearchStats& b,
                    const std::string& what) {
   EXPECT_EQ(a.nodes_generalized, b.nodes_generalized) << what;
@@ -30,6 +32,9 @@ void ExpectStatsEq(const SearchStats& a, const SearchStats& b,
   EXPECT_EQ(a.nodes_satisfied, b.nodes_satisfied) << what;
   EXPECT_EQ(a.nodes_skipped, b.nodes_skipped) << what;
   EXPECT_EQ(a.nodes_cache_hits, b.nodes_cache_hits) << what;
+  EXPECT_EQ(a.nodes_cache_misses, b.nodes_cache_misses) << what;
+  EXPECT_EQ(a.nodes_evaluated_encoded, b.nodes_evaluated_encoded) << what;
+  EXPECT_EQ(a.nodes_evaluated_legacy, b.nodes_evaluated_legacy) << what;
   EXPECT_EQ(a.heights_probed, b.heights_probed) << what;
   EXPECT_EQ(a.subset_nodes_evaluated, b.subset_nodes_evaluated) << what;
   EXPECT_EQ(a.partial, b.partial) << what;
@@ -189,6 +194,97 @@ TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
 }
 
 // --------------------------------------------------------------------------
+// The last snapshot a complete run hands its checkpoint sink holds every
+// verdict the run reached, in every lattice engine: a resume from it with
+// no node budget at all replays the whole search and finishes complete,
+// with the uninterrupted run's result and counters.
+
+class CompleteSnapshotTest : public ::testing::Test {
+ protected:
+  CompleteSnapshotTest()
+      : im_(UnwrapOk(AdultGenerate(1500, /*seed=*/2))),
+        hierarchies_(UnwrapOk(AdultHierarchies(im_.schema()))) {
+    options_.k = 3;
+    options_.p = 2;
+    options_.max_suppression = 40;
+  }
+
+  // Runs `search` uninterrupted, recording its last snapshot, then
+  // resumes from that snapshot with max_nodes_expanded = 0 and checks the
+  // resumed run is complete with equal counters.
+  template <typename Search>
+  auto RunAndResume(Search search) {
+    SearchSnapshot last;
+    SearchOptions record = options_;
+    record.checkpoint_sink = [&last](const SearchSnapshot& snapshot) {
+      last = snapshot;
+    };
+    auto full = UnwrapOk(search(record));
+    SearchOptions resume = options_;
+    resume.restore = &last;
+    resume.budget.max_nodes_expanded = 0;
+    auto resumed = UnwrapOk(search(resume));
+    EXPECT_FALSE(full.stats.partial);
+    EXPECT_FALSE(resumed.stats.partial);
+    EXPECT_EQ(resumed.stats.stop_reason, StatusCode::kOk);
+    ExpectStatsEq(resumed.stats, full.stats, "resumed");
+    return std::make_pair(std::move(full), std::move(resumed));
+  }
+
+  Table im_;
+  HierarchySet hierarchies_;
+  SearchOptions options_;
+};
+
+TEST_F(CompleteSnapshotTest, Samarati) {
+  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
+    return SamaratiSearch(im_, hierarchies_, options);
+  });
+  ASSERT_TRUE(full.found);
+  EXPECT_TRUE(resumed.found);
+  EXPECT_EQ(resumed.node, full.node);
+}
+
+TEST_F(CompleteSnapshotTest, Exhaustive) {
+  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
+    return ExhaustiveSearch(im_, hierarchies_, options);
+  });
+  ASSERT_FALSE(full.minimal_nodes.empty());
+  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
+  EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes);
+}
+
+TEST_F(CompleteSnapshotTest, BottomUp) {
+  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
+    return BottomUpSearch(im_, hierarchies_, options);
+  });
+  ASSERT_FALSE(full.minimal_nodes.empty());
+  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
+  EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes);
+}
+
+TEST_F(CompleteSnapshotTest, Ola) {
+  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
+    OlaOptions ola;
+    ola.search = options;
+    return OlaSearch(im_, hierarchies_, ola);
+  });
+  ASSERT_TRUE(full.found);
+  EXPECT_TRUE(resumed.found);
+  EXPECT_EQ(resumed.optimal, full.optimal);
+  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
+}
+
+TEST_F(CompleteSnapshotTest, Incognito) {
+  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
+    return IncognitoSearch(im_, hierarchies_, options);
+  });
+  ASSERT_FALSE(full.minimal_nodes.empty());
+  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
+  EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes);
+}
+
+// --------------------------------------------------------------------------
 // Satellite 3 regression: no node is ever generalized twice in one search.
 
 TEST(VerdictCacheTest, SecondEvaluateIsACacheHit) {
@@ -221,11 +317,10 @@ TEST(SamaratiNoReevaluationTest, ConfirmationScanUsesCache) {
   options.p = 2;
   options.max_suppression = 4;
   SearchResult result = UnwrapOk(SamaratiSearch(im, hierarchies, options));
-  // Each lattice node is generalized at most once: the confirmation scan
-  // resolves heights the binary search already probed from the verdict
-  // cache instead of re-generalizing them.
+  // Each lattice node is generalized at most once: the confirmation step
+  // probes only the lattice top, a height the binary search never reaches.
   EXPECT_LE(result.stats.nodes_generalized, lattice.NumNodes());
-  // And probed heights are counted once, even when revisited.
+  // And each height is probed at most once.
   EXPECT_LE(result.stats.heights_probed,
             static_cast<size_t>(lattice.height()) + 1);
 }

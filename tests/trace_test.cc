@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "psk/api/anonymizer.h"
+#include "psk/api/spec_parser.h"
 #include "psk/common/durable_file.h"
 #include "psk/datagen/adult.h"
 #include "psk/jobs/job.h"
@@ -166,31 +167,42 @@ TEST(TraceIntegrationTest, DisabledByDefault) {
 
 TEST(TraceIntegrationTest, StructureIdenticalAcrossThreadCounts) {
   AdultFixture fixture;
-  std::string baseline;
-  for (size_t threads : {1, 2, 8}) {
-    Anonymizer anonymizer = fixture.MakeAnonymizer();
-    anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_threads(threads);
-    anonymizer.set_trace_enabled(true);
-    AnonymizationReport report = UnwrapOk(anonymizer.Run());
-    ASSERT_TRUE(report.node.has_value());
-    std::shared_ptr<RunTrace> trace = anonymizer.last_trace();
-    ASSERT_NE(trace, nullptr);
-    std::string signature = trace->StructureSignature();
-    if (baseline.empty()) {
-      baseline = signature;
-    } else {
-      EXPECT_EQ(signature, baseline) << "threads=" << threads;
+  // Incognito's subset waves and OLA's single-node probes run as sweeps
+  // too, so their traces must be thread-count invariant as well.
+  for (AnonymizationAlgorithm algorithm :
+       {AnonymizationAlgorithm::kSamarati, AnonymizationAlgorithm::kIncognito,
+        AnonymizationAlgorithm::kOla}) {
+    const std::string name(AlgorithmName(algorithm));
+    std::string baseline;
+    for (size_t threads : {1, 2, 8}) {
+      Anonymizer anonymizer = fixture.MakeAnonymizer();
+      anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_threads(
+          threads);
+      anonymizer.set_algorithm(algorithm);
+      anonymizer.set_trace_enabled(true);
+      AnonymizationReport report = UnwrapOk(anonymizer.Run());
+      ASSERT_TRUE(report.node.has_value()) << name;
+      std::shared_ptr<RunTrace> trace = anonymizer.last_trace();
+      ASSERT_NE(trace, nullptr);
+      std::string signature = trace->StructureSignature();
+      if (baseline.empty()) {
+        baseline = signature;
+      } else {
+        EXPECT_EQ(signature, baseline) << name << " threads=" << threads;
+      }
     }
-  }
-  // The span tree covers the whole run: encode, the sweeps with their
-  // per-node eval events, the binary-search phases, materialization, the
-  // guard's checks and the scorecard.
-  for (const char* span :
-       {"encode", "sweep", "eval[", "probe_height", "binary_search",
-        "materialize", "guard(", "check_kanonymity", "check_psensitivity",
-        "check_suppression", "scorecard", "outcome=released"}) {
-    EXPECT_NE(baseline.find(span), std::string::npos)
-        << "missing span: " << span << "\n" << baseline;
+    EXPECT_NE(baseline.find("sweep"), std::string::npos) << name;
+    if (algorithm != AnonymizationAlgorithm::kSamarati) continue;
+    // The span tree covers the whole run: encode, the sweeps with their
+    // per-node eval events, the binary-search phases, materialization, the
+    // guard's checks and the scorecard.
+    for (const char* span :
+         {"encode", "sweep", "eval[", "probe_height", "binary_search",
+          "materialize", "guard(", "check_kanonymity", "check_psensitivity",
+          "check_suppression", "scorecard", "outcome=released"}) {
+      EXPECT_NE(baseline.find(span), std::string::npos)
+          << "missing span: " << span << "\n" << baseline;
+    }
   }
 }
 
