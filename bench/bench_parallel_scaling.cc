@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "psk/algorithms/bottom_up.h"
 #include "psk/algorithms/exhaustive.h"
 #include "psk/algorithms/incognito.h"
 #include "psk/algorithms/ola.h"
@@ -87,6 +88,9 @@ void WriteTrace(const Table& im, const HierarchySet& hs, size_t rows,
   trace.End();
   trace.Begin("incognito");
   PSK_CHECK(IncognitoSearch(im, hs, options).ok());
+  trace.End();
+  trace.Begin("bottomup");
+  PSK_CHECK(BottomUpSearch(im, hs, options).ok());
   trace.End();
   Status written = trace.WriteJsonFile(trace_path);
   PSK_CHECK(written.ok());
@@ -156,6 +160,11 @@ int Main(int argc, char** argv) {
     }));
     results.push_back(Measure("incognito", threads, [&] {
       auto r = IncognitoSearch(im, hs, options);
+      PSK_CHECK(r.ok());
+      return r->stats;
+    }));
+    results.push_back(Measure("bottomup", threads, [&] {
+      auto r = BottomUpSearch(im, hs, options);
       PSK_CHECK(r.ok());
       return r->stats;
     }));

@@ -1,6 +1,8 @@
 #include "psk/algorithms/bottom_up.h"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "psk/table/encoded.h"
 
@@ -10,31 +12,14 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
                                         const HierarchySet& hierarchies,
                                         const SearchOptions& options,
                                         const BottomUpOptions& bu_options) {
-  NodeEvaluator evaluator(initial_microdata, hierarchies, options);
-  // Sequential engine with a bare evaluator: one local event buffer stands
-  // in for the sweeper's per-worker set, drained at each span close.
-  RunTrace* trace = options.trace;
-  TraceEventBuffer trace_buffer;
-  if (trace != nullptr) evaluator.set_trace(trace, &trace_buffer);
-  auto flush_events = [&] {
-    if (trace != nullptr && !trace_buffer.empty()) {
-      trace->MergeEvents(trace_buffer.Take());
-    }
-  };
-  PSK_RETURN_IF_ERROR(evaluator.Init());
-  // This engine walks nodes sequentially on the control thread, so any
-  // requested parallelism goes entirely to the fine axis: row-sliced
-  // group-bys inside each evaluation (bit-identical output). Checkpointed
-  // runs stay fully sequential, like the sweeper-based engines.
-  if (options.threads > 1 && options.restore == nullptr &&
-      options.checkpoint_sink == nullptr) {
-    evaluator.set_row_workers(options.threads);
-  }
+  NodeSweeper sweeper(initial_microdata, hierarchies, options);
+  PSK_RETURN_IF_ERROR(sweeper.Init());
+  NodeEvaluator& primary = sweeper.primary();
 
   MinimalSetResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!primary.Condition1Holds()) {
     result.condition1_failed = true;
-    result.stats = evaluator.stats();
+    result.stats = sweeper.MergedStats();
     return result;
   }
 
@@ -43,17 +28,14 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   // Per-attribute level lower bounds from the subset/rollup property: if
   // {A_i} at level l already forces more than TS suppressions, so does any
   // full node with levels[i] == l. The per-attribute grouping is a
-  // single-column code pass over the encoded core.
+  // single-column code pass over the encoded core, run sequentially in a
+  // local workspace.
   std::vector<int> lower_bounds(hierarchies.size(), 0);
   if (bu_options.use_subset_lower_bounds) {
-    TraceSpan span(trace, "lower_bounds");
+    TraceSpan span(options.trace, "lower_bounds");
     span.Counter("attributes", hierarchies.size());
-    const EncodedTable& encoded = *evaluator.encoded_table();
+    const EncodedTable& encoded = *primary.encoded_table();
     EncodedWorkspace ws;
-    // Control-thread loop: the single-attribute group-bys may row-slice
-    // with the same cap as the main walk.
-    ws.row_workers = evaluator.row_workers();
-    ws.min_rows_per_slice = options.min_rows_per_slice;
     for (size_t i = 0; i < hierarchies.size(); ++i) {
       int level = 0;
       while (level < hierarchies.hierarchy(i).num_levels() - 1) {
@@ -68,56 +50,60 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
     }
   }
 
+  auto below_bound = [&](const LatticeNode& node) {
+    for (size_t i = 0; i < lower_bounds.size(); ++i) {
+      if (node.levels[i] < lower_bounds[i]) return true;
+    }
+    return false;
+  };
+  // Dominance pruning: a generalization of a known minimal node satisfies
+  // the property (monotonicity) but cannot be minimal.
+  auto dominated = [&](const LatticeNode& node) {
+    return std::any_of(result.minimal_nodes.begin(),
+                       result.minimal_nodes.end(),
+                       [&](const LatticeNode& minimal) {
+                         return GeneralizationLattice::IsGeneralizationOf(
+                             node, minimal);
+                       });
+  };
+
+  // One wave per height: filter sequentially, then sweep the survivors.
+  // Dominance only ever reaches down to strictly lower heights (nodes of
+  // equal height are incomparable), so the evaluated set, every counter
+  // and the release match a node-at-a-time walk at any thread count.
   bool stopped = false;
   for (int h = 0; h <= lattice.height() && !stopped; ++h) {
-    TraceSpan span(trace, "height");
+    TraceSpan span(options.trace, "height");
     span.Attr("height", std::to_string(h));
+    std::vector<LatticeNode> pending;
     for (const LatticeNode& node : lattice.NodesAtHeight(h)) {
-      bool below_bound = false;
-      for (size_t i = 0; i < lower_bounds.size(); ++i) {
-        if (node.levels[i] < lower_bounds[i]) {
-          below_bound = true;
-          break;
-        }
+      if (below_bound(node) || dominated(node)) {
+        ++primary.mutable_stats()->nodes_skipped;
+      } else {
+        pending.push_back(node);
       }
-      if (below_bound) {
-        ++evaluator.mutable_stats()->nodes_skipped;
-        continue;
-      }
-      // Dominance pruning: a generalization of a known minimal node
-      // satisfies the property (monotonicity) but cannot be minimal.
-      bool dominated = false;
-      for (const LatticeNode& minimal : result.minimal_nodes) {
-        if (GeneralizationLattice::IsGeneralizationOf(node, minimal)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (dominated) {
-        ++evaluator.mutable_stats()->nodes_skipped;
-        continue;
-      }
-      Result<NodeEvaluation> eval = evaluator.Evaluate(node);
-      if (!eval.ok()) {
+    }
+    if (!pending.empty()) {
+      std::vector<std::optional<NodeEvaluation>> evals;
+      Status swept = sweeper.Sweep(pending, &evals);
+      if (!swept.ok()) {
         // Budget stop: the minimal nodes collected so far stay valid (every
         // one was fully evaluated); anything else propagates.
-        if (!AbsorbBudgetStop(eval.status(), evaluator.mutable_stats())) {
-          return eval.status();
-        }
+        if (!AbsorbBudgetStop(swept, primary.mutable_stats())) return swept;
         stopped = true;
-        break;
       }
-      if (eval->satisfied) {
-        result.minimal_nodes.push_back(node);
-        result.satisfying_nodes.push_back(node);
+      for (size_t i = 0; i < pending.size(); ++i) {
+        if (evals[i].has_value() && evals[i]->satisfied) {
+          result.minimal_nodes.push_back(pending[i]);
+          result.satisfying_nodes.push_back(pending[i]);
+        }
       }
     }
     // A completed height is the BFS's crash-recovery boundary.
-    flush_events();
-    evaluator.FlushCheckpoint();
+    primary.FlushCheckpoint();
   }
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
-  result.stats = evaluator.stats();
+  result.stats = sweeper.MergedStats();
   return result;
 }
 

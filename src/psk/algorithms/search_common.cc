@@ -187,8 +187,7 @@ Status NodeEvaluator::Init() {
     // for every masked microdata derived by generalization + suppression.
     PSK_ASSIGN_OR_RETURN(FrequencyStats stats,
                          FrequencyStats::Compute(*encoded_));
-    max_p_ = stats.MaxP();
-    condition1_holds_ = options_.p <= max_p_;
+    condition1_holds_ = options_.p <= stats.MaxP();
     if (condition1_holds_) {
       PSK_ASSIGN_OR_RETURN(max_groups_, stats.MaxGroups(options_.p));
     }
@@ -289,8 +288,9 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
           break;
       }
       if (eval.satisfied) ++stats_.nodes_satisfied;
-      // Replayed once; any further request this run is a plain re-request
-      // and must not recount, so it goes to the skip-semantics cache.
+      // A re-request in this run would hit the snapshot again (it is
+      // looked up first) and recount; the insert is for a later search
+      // that shares an external cache, as a fresh verdict's is.
       if (cache_ != nullptr) cache_->Insert(key, eval);
       if (trace_buffer_ != nullptr) {
         RecordEvalEvent(key, "replay", eval, trace_start);
@@ -302,8 +302,9 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
   if (cache_ != nullptr) {
     NodeEvaluation hit;
     if (cache_->Lookup(key, &hit)) {
-      // Already evaluated (and counted) once in this run — re-serve the
-      // verdict for free, still honoring deadline/cancellation.
+      // Already evaluated (and counted) by an earlier search through this
+      // cache — re-serve the verdict for free, still honoring
+      // deadline/cancellation.
       PSK_RETURN_IF_ERROR(TickReplay());
       ++stats_.nodes_cache_hits;
       if (trace_buffer_ != nullptr) {
@@ -458,17 +459,6 @@ Status NodeSweeper::Init() {
   size_t num_workers =
       (checkpointed || options_.threads <= 1) ? 1 : options_.threads;
 
-  // An externally owned cache (SearchOptions::verdict_cache) lets a
-  // scheduler watch bytes_used() and Shrink() the cache mid-run; a
-  // private cache is wired to the job's memory budget here so its
-  // inserts are accounted either way.
-  std::shared_ptr<VerdictCache> cache = options_.verdict_cache;
-  if (cache == nullptr) {
-    cache = std::make_shared<VerdictCache>();
-    if (options_.budget.memory != nullptr) {
-      cache->set_memory_budget(options_.budget.memory);
-    }
-  }
   workers_.clear();
   workers_.reserve(num_workers);
   // Sized once up front: workers capture pointers into this vector, so it
@@ -497,7 +487,7 @@ Status NodeSweeper::Init() {
 
   workers_.push_back(
       std::make_unique<NodeEvaluator>(im_, hierarchies_, options_));
-  workers_.front()->set_verdict_cache(cache);
+  workers_.front()->set_verdict_cache(options_.verdict_cache);
   workers_.front()->set_encoded_table(encoded);
   if (options_.trace != nullptr) {
     workers_.front()->set_trace(options_.trace, &trace_buffers_[0]);
@@ -505,8 +495,9 @@ Status NodeSweeper::Init() {
   PSK_RETURN_IF_ERROR(workers_.front()->Init());
 
   // Secondary workers share the primary's enforcer (limits stay global)
-  // and cache; they never checkpoint (num_workers > 1 implies
-  // checkpointing is off, but clear the hooks anyway for belt and braces).
+  // and the caller's cache, if any; they never checkpoint (num_workers > 1
+  // implies checkpointing is off, but clear the hooks anyway for belt and
+  // braces).
   SearchOptions worker_options = options_;
   worker_options.restore = nullptr;
   worker_options.checkpoint_sink = nullptr;
@@ -514,7 +505,7 @@ Status NodeSweeper::Init() {
     workers_.push_back(
         std::make_unique<NodeEvaluator>(im_, hierarchies_, worker_options));
     workers_.back()->set_enforcer(workers_.front()->enforcer());
-    workers_.back()->set_verdict_cache(cache);
+    workers_.back()->set_verdict_cache(options_.verdict_cache);
     workers_.back()->set_encoded_table(encoded);
     if (options_.trace != nullptr) {
       workers_.back()->set_trace(options_.trace, &trace_buffers_[w]);

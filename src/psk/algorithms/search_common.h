@@ -62,18 +62,19 @@ std::string SnapshotNodeKey(const LatticeNode& node);
 std::string SubsetFactKey(const std::vector<size_t>& attrs,
                           const std::vector<int>& levels);
 
-/// Thread-safe in-memory verdict cache, shared by every NodeEvaluator of
-/// one search (all workers of a parallel sweep, and every phase of a
-/// multi-phase engine). A verdict is a pure function of (initial
-/// microdata, hierarchies, k, p, TS), so once any worker has evaluated a
-/// node, no other request through the same cache ever generalizes the
-/// table for it again. No engine asks for one node twice within a search,
-/// so hits come from an externally owned cache that outlives one search
-/// (SearchOptions::verdict_cache).
+/// Thread-safe in-memory verdict cache, owned by the caller and attached
+/// to a search only through SearchOptions::verdict_cache (the scheduler
+/// gives each job one); every worker of every search it is attached to
+/// shares it. A verdict is a pure function of (initial microdata,
+/// hierarchies, k, p, TS), so once any search has evaluated a node, no
+/// later request through the same cache generalizes the table for it
+/// again. No engine asks for one node twice within a search, so hits come
+/// from earlier searches against the same cache: a retried job, or a
+/// later stage of a fallback chain.
 ///
 /// Unlike the crash-recovery snapshot (whose hits *recount* stats so a
 /// resumed run converges on the uninterrupted run's counters), a cache hit
-/// is work already counted in this run: it increments only
+/// is work an earlier search already counted: it increments only
 /// SearchStats::nodes_cache_hits and charges no budget.
 ///
 /// Memory governance: the cache is LRU-bounded. With max_bytes() == 0
@@ -175,10 +176,10 @@ struct SearchOptions {
   /// additions). Turning this off gives the unpruned baseline used in the
   /// ablation benchmarks.
   bool use_conditions = true;
-  /// Worker threads for searches that evaluate independent nodes — every
-  /// lattice engine (exhaustive sweep, Samarati, OLA, Incognito) shards its
-  /// per-height / per-level / per-subset node sweeps over the shared
-  /// ThreadPool. 1 = sequential. Results are deterministic: the set of
+  /// Worker threads for the lattice engines' node sweeps — exhaustive,
+  /// Samarati, OLA, Incognito and bottom-up all shard their per-height /
+  /// per-level / per-subset waves over the shared ThreadPool through
+  /// NodeSweeper. 1 = sequential. Results are deterministic: the set of
   /// evaluated nodes, the release, and every SearchStats counter are
   /// identical for any thread count (budget-tripped partial results may
   /// differ, since a limit trips at a thread-timing-dependent node).
@@ -192,13 +193,14 @@ struct SearchOptions {
   /// — this knob only moves the speed/overhead trade-off. Tests lower it
   /// to force slicing on small fixtures.
   size_t min_rows_per_slice = 1024;
-  /// Externally owned verdict cache. When set, NodeSweeper shares this
-  /// cache across its workers instead of creating a private one — the
-  /// seam a scheduler uses to keep a handle on a job's cache so it can
-  /// read bytes_used() and Shrink() it mid-run (degradation ladder). The
-  /// owner decides the eviction cap and the memory budget; when unset, a
-  /// private unbounded cache is created per search, charged against
-  /// budget.memory if that is set.
+  /// Externally owned verdict cache. When set, NodeSweeper shares it
+  /// across its workers, so a node some earlier search through the same
+  /// cache evaluated is re-served without generalizing the table; it is
+  /// also the seam a scheduler uses to read a job's bytes_used() and
+  /// Shrink() it mid-run (degradation ladder). The owner decides the
+  /// eviction cap and the memory budget. When unset, the search runs
+  /// without a cache: no engine asks for one node twice, so it would
+  /// never hit.
   std::shared_ptr<VerdictCache> verdict_cache;
   /// Resource limits. When a limit trips mid-search, the search stops and
   /// returns whatever it found so far, with SearchStats::partial set and
@@ -250,9 +252,9 @@ struct SearchStats {
   /// Nodes skipped without generalization (dominance or lower-bound
   /// pruning in the bottom-up search).
   size_t nodes_skipped = 0;
-  /// Node requests resolved from the in-memory VerdictCache — work already
-  /// counted once in this run, re-served for free (no generalization, no
-  /// budget charge).
+  /// Node requests resolved from the caller's VerdictCache — work an
+  /// earlier search through the same cache already counted, re-served for
+  /// free (no generalization, no budget charge).
   size_t nodes_cache_hits = 0;
   /// Node requests that consulted the VerdictCache and missed (0 when no
   /// cache is attached). With a cache, hits + misses = requests through it.
@@ -322,8 +324,9 @@ void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 /// of the quasi-identifier.
 ///
 /// All searches in this library share this component so that their work
-/// counters are comparable. The four NodeSweeper engines evaluate only
-/// through a sweep; bottom-up drives a bare evaluator.
+/// counters are comparable. Every lattice engine evaluates only through a
+/// NodeSweeper, which owns one evaluator per worker; a standalone
+/// evaluator is for tests and benchmarks of one node at a time.
 class NodeEvaluator {
  public:
   /// `initial_microdata` and `hierarchies` must outlive the evaluator.
@@ -350,16 +353,13 @@ class NodeEvaluator {
     return enforcer_;
   }
 
-  /// Shares an in-memory verdict cache across evaluators (all workers of a
-  /// parallel sweep, all phases of one engine). May be set any time before
-  /// the first Evaluate. A cached node is re-served without generalizing
-  /// the table, without charging the budget, counting only
+  /// Attaches a caller-owned verdict cache (NodeSweeper passes
+  /// SearchOptions::verdict_cache to every worker). May be set any time
+  /// before the first Evaluate. A cached node is re-served without
+  /// generalizing the table, without charging the budget, counting only
   /// SearchStats::nodes_cache_hits.
   void set_verdict_cache(std::shared_ptr<VerdictCache> cache) {
     cache_ = std::move(cache);
-  }
-  const std::shared_ptr<VerdictCache>& verdict_cache() const {
-    return cache_;
   }
 
   /// Shares a prebuilt encoded table across evaluators (NodeSweeper
@@ -377,9 +377,10 @@ class NodeEvaluator {
   /// Attaches run tracing: every completed Evaluate records one TraceEvent
   /// (node key, how it was resolved, verdict stage) into `buffer`, and
   /// checkpoint flushes open "checkpoint_io" spans on `trace`. The buffer is
-  /// per-worker and written without locks — the owner (NodeSweeper or the
-  /// engine) merges it into `trace` at span boundaries. Both pointers must
-  /// outlive the evaluator; pass nullptrs (the default state) to disable.
+  /// per-worker and written without locks — its owner merges it into
+  /// `trace` at span boundaries (NodeSweeper, at the end of each sweep).
+  /// Both pointers must outlive the evaluator; pass nullptrs (the default
+  /// state) to disable.
   void set_trace(RunTrace* trace, TraceEventBuffer* buffer) {
     trace_ = trace;
     trace_buffer_ = buffer;
@@ -391,19 +392,15 @@ class NodeEvaluator {
   /// lanes via GroupByCodesSliced, subject to the fair share at call time
   /// and options().min_rows_per_slice. MUST stay 1 (the default) on any
   /// evaluator whose Evaluate runs inside a ThreadPool task — a nested
-  /// ParallelFor can deadlock the pool — so NodeSweeper grants a cap only
-  /// to the primary, and only on its sequential branch. Verdicts and stats
-  /// are identical at any cap.
+  /// ParallelFor can deadlock the pool — so only NodeSweeper sets it: the
+  /// primary gets a cap on the sweeper's sequential branch and 1 on its
+  /// pooled branch. Verdicts and stats are identical at any cap.
   void set_row_workers(size_t cap) { row_worker_cap_ = cap; }
-  size_t row_workers() const { return row_worker_cap_; }
 
   /// True iff Condition 1 admits the requested p. When false, no node can
   /// ever satisfy the property and searches should report failure
   /// immediately.
   bool Condition1Holds() const { return condition1_holds_; }
-
-  size_t max_p() const { return max_p_; }
-  uint64_t max_groups() const { return max_groups_; }
 
   /// Evaluates one node, updating stats(). When checkpointing is active
   /// (options().restore or options().checkpoint_sink set), a node already
@@ -432,9 +429,6 @@ class NodeEvaluator {
   /// — after a probed height, a finished subset, a final-phase height — so
   /// a crash loses at most one boundary's work).
   void FlushCheckpoint();
-
-  /// The accumulated crash-recovery state (empty unless checkpointing).
-  const SearchSnapshot& snapshot() const { return snapshot_; }
 
   /// Produces the masked microdata (generalized + suppressed) for a node —
   /// used to materialize the winning node once a search finishes.
@@ -492,7 +486,6 @@ class NodeEvaluator {
   MemoryReservation scratch_reservation_;
   bool initialized_ = false;
   bool condition1_holds_ = true;
-  size_t max_p_ = 0;
   uint64_t max_groups_ = 0;
   SearchStats stats_;
   /// True when a restore snapshot or a checkpoint sink is configured.
@@ -505,17 +498,19 @@ class NodeEvaluator {
 };
 
 /// Parallel (or sequential) evaluator over batches of independent lattice
-/// nodes — the only executor of lattice work in Samarati, exhaustive, OLA
-/// and Incognito. Sweep runs full lattice nodes (NodeEvaluator::Evaluate);
-/// SweepSubsets runs one height of an Incognito subset lattice
-/// (NodeEvaluator::EvaluateSubset). Both run through the same private
-/// Drive loop and record one "sweep" trace span each.
+/// nodes — the only executor of lattice work in all five lattice engines
+/// (Samarati, exhaustive, OLA, Incognito, bottom-up). Sweep runs full
+/// lattice nodes (NodeEvaluator::Evaluate); SweepSubsets runs one height
+/// of an Incognito subset lattice (NodeEvaluator::EvaluateSubset). Both
+/// run through the same private Drive loop and record one "sweep" trace
+/// span each.
 ///
 /// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") holds
 /// the checkpointing state and is the evaluator engines use for
 /// engine-level bookkeeping (heights_probed, nodes_skipped, checkpoint
 /// flushes, Materialize). All workers share the primary's BudgetEnforcer
-/// (limits stay global) and one VerdictCache.
+/// (limits stay global) and, when the caller owns one,
+/// SearchOptions::verdict_cache; without it the sweep runs uncached.
 ///
 /// Determinism contract: a sweep evaluates *every* item it is given (no
 /// early exit), so the set of evaluated nodes — and therefore the merged

@@ -176,7 +176,7 @@ class Anonymizer {
   /// the run (see SearchOptions::verdict_cache). A scheduler uses this to
   /// keep a handle on the job's cache so it can meter bytes_used() and
   /// Shrink() it mid-run; normal callers leave it unset and each search
-  /// creates a private one.
+  /// runs uncached.
   Anonymizer& set_verdict_cache(std::shared_ptr<VerdictCache> cache) {
     verdict_cache_ = std::move(cache);
     return *this;

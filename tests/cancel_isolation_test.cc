@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,8 @@ JobSpec MakeSpec(size_t rows, uint64_t seed,
   return spec;
 }
 
+// A solo run of `spec` with a fresh VerdictCache, like the one the
+// scheduler gives each job.
 AnonymizationReport SoloRun(const JobSpec& spec, size_t threads) {
   Anonymizer anonymizer(spec.input);
   for (const auto& hierarchy : spec.hierarchies) {
@@ -46,7 +49,8 @@ AnonymizationReport SoloRun(const JobSpec& spec, size_t threads) {
       .set_p(spec.p)
       .set_max_suppression(spec.max_suppression)
       .set_algorithm(spec.algorithm)
-      .set_threads(threads);
+      .set_threads(threads)
+      .set_verdict_cache(std::make_shared<VerdictCache>());
   return UnwrapOk(anonymizer.Run());
 }
 

@@ -79,11 +79,11 @@ const ReportGolden kChunkedRuns[] = {
     {AnonymizationAlgorithm::kSamarati, 0xd292f2e954c359feULL, {2, 1, 3, 1},
      0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kSamarati, {true, 64, 2, 0, 0, 0},
-     {43, 0, 17, 23, 3, 0, 0, 43, 0, 3, 0}},
+     {43, 0, 17, 23, 3, 0, 0, 0, 0, 3, 0}},
     {AnonymizationAlgorithm::kIncognito, 0xd292f2e954c359feULL, {2, 1, 3, 1},
      0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kIncognito, {true, 64, 2, 0, 0, 0},
-     {36, 0, 0, 32, 4, 253, 0, 36, 0, 0, 50}},
+     {36, 0, 0, 32, 4, 253, 0, 0, 0, 0, 50}},
     {AnonymizationAlgorithm::kBottomUp, 0xd292f2e954c359feULL, {2, 1, 3, 1},
      0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kBottomUp, {true, 64, 2, 0, 0, 0},
@@ -91,7 +91,7 @@ const ReportGolden kChunkedRuns[] = {
     {AnonymizationAlgorithm::kExhaustive, 0xd292f2e954c359feULL, {2, 1, 3, 1},
      0, 64, 2, 0.20833333333333337, 117494, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kExhaustive, {true, 64, 2, 0, 0, 0},
-     {96, 0, 56, 32, 8, 0, 0, 96, 0, 0, 0}},
+     {96, 0, 56, 32, 8, 0, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kMondrian, 0xccf2d39853a80f7cULL, {}, 0, 13, 2,
      1, 20836, 0, 0.033333333333333333, 10,
      AnonymizationAlgorithm::kMondrian, {true, 13, 2, 0, 0, 0},
@@ -103,7 +103,7 @@ const ReportGolden kChunkedRuns[] = {
     {AnonymizationAlgorithm::kOla, 0x7be5015221cf728aULL, {3, 1, 3, 0}, 0, 82,
      2, 0.375, 100854, 0, 0.0066666666666666671, 50,
      AnonymizationAlgorithm::kOla, {true, 82, 2, 0, 0, 0},
-     {37, 0, 18, 13, 6, 471, 0, 37, 0, 0, 0}},
+     {37, 0, 18, 13, 6, 471, 0, 0, 0, 0, 0}},
 };
 
 // ---------------------------------------------------------------------------

@@ -255,6 +255,14 @@ TEST(CrashInjectionTest, OlaSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kOla, "ola");
 }
 
+TEST(CrashInjectionTest, BottomUpSurvivesRandomSigkill) {
+  CrashResumeLoop(AnonymizationAlgorithm::kBottomUp, "bottomup");
+}
+
+TEST(CrashInjectionTest, ExhaustiveSurvivesRandomSigkill) {
+  CrashResumeLoop(AnonymizationAlgorithm::kExhaustive, "exhaustive");
+}
+
 TEST(CrashInjectionTest, MondrianSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kMondrian, "mondrian");
 }

@@ -74,11 +74,11 @@ MaskedMicrodata ValuePathMask(const Table& im, const HierarchySet& hierarchies,
 // Adult 4000 rows, seed 1.
 const SearchGolden kSamarati4000 = {
     {2, 1, 1, 1}, 0x1d4d174754f6b9d0ULL, 0, {}, 0, 0,
-    {62, 0, 5, 37, 20, 0, 0, 62, 0, 4, 0}};
+    {62, 0, 5, 37, 20, 0, 0, 0, 0, 4, 0}};
 const SearchGolden kOla4000 = {
     {2, 1, 2, 0}, 0x4e5e0e06e9beb0d5ULL, 0,
     {{2, 0, 3, 1}, {2, 1, 1, 1}, {2, 1, 2, 0}, {2, 2, 1, 0}, {3, 1, 1, 0}},
-    0, 0, {39, 0, 6, 20, 13, 262, 0, 39, 0, 0, 0}};
+    0, 0, {39, 0, 6, 20, 13, 262, 0, 0, 0, 0, 0}};
 
 // Adult 1500 rows, seed 2 (every engine: the intra-node matrix runs them all
 // on this fixture).
@@ -87,16 +87,16 @@ const std::vector<std::vector<int>> kMinimal1500Seed2 = {
     {3, 0, 3, 1}, {3, 1, 1, 1}, {3, 1, 2, 0}, {3, 2, 1, 0}};
 const SearchGolden kExhaustive1500 = {
     {}, 0, 0, kMinimal1500Seed2, 20, 0x301a4aaf2fe3cf04ULL,
-    {96, 2, 28, 46, 20, 0, 0, 96, 0, 0, 0}};
+    {96, 2, 28, 46, 20, 0, 0, 0, 0, 0, 0}};
 const SearchGolden kSamarati1500 = {
     {2, 1, 2, 1}, 0x27caf3f3a8ced3e5ULL, 0, {}, 0, 0,
-    {62, 2, 7, 38, 15, 0, 0, 62, 0, 4, 0}};
+    {62, 2, 7, 38, 15, 0, 0, 0, 0, 4, 0}};
 const SearchGolden kOla1500 = {
     {2, 1, 3, 0}, 0x2635971dc58c0cf1ULL, 0, kMinimal1500Seed2, 0, 0,
-    {42, 1, 6, 24, 11, 256, 0, 42, 0, 0, 0}};
+    {42, 1, 6, 24, 11, 256, 0, 0, 0, 0, 0}};
 const SearchGolden kIncognito1500 = {
     {}, 0, 0, kMinimal1500Seed2, 8, 0x2a53dfd2fc4ff772ULL,
-    {56, 2, 0, 46, 8, 273, 0, 56, 0, 0, 38}};
+    {56, 2, 0, 46, 8, 273, 0, 0, 0, 0, 38}};
 const SearchGolden kBottomUp1500 = {
     {}, 0, 0, kMinimal1500Seed2, 8, 0x441c43b5b2bf8f8eULL,
     {84, 2, 28, 46, 8, 12, 0, 0, 0, 0, 0}};
@@ -111,18 +111,18 @@ const SearchGolden kIncognito1500Seed4 = {
     {}, 0, 0,
     {{1, 2, 3, 1}, {2, 1, 3, 0}, {2, 2, 1, 1}, {3, 0, 3, 1}, {3, 1, 1, 1},
      {3, 1, 2, 0}, {3, 2, 1, 0}},
-    7, 0x20ddca51bae22694ULL, {54, 0, 0, 47, 7, 268, 0, 54, 0, 0, 43}};
+    7, 0x20ddca51bae22694ULL, {54, 0, 0, 47, 7, 268, 0, 0, 0, 0, 43}};
 
 // Anonymizer over Adult 800 rows, seed 7, k=3 p=2 TS=8, one per engine.
 const ReportGolden kAnonymizer800[] = {
     {AnonymizationAlgorithm::kSamarati, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
      0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
      66.666666666666671, AnonymizationAlgorithm::kSamarati,
-     {true, 87, 3, 0, 0, 0}, {43, 0, 16, 23, 4, 0, 0, 43, 0, 3, 0}},
+     {true, 87, 3, 0, 0, 0}, {43, 0, 16, 23, 4, 0, 0, 0, 0, 3, 0}},
     {AnonymizationAlgorithm::kIncognito, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
      0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
      66.666666666666671, AnonymizationAlgorithm::kIncognito,
-     {true, 87, 3, 0, 0, 0}, {42, 0, 0, 38, 4, 257, 0, 42, 0, 0, 47}},
+     {true, 87, 3, 0, 0, 0}, {42, 0, 0, 38, 4, 257, 0, 0, 0, 0, 47}},
     {AnonymizationAlgorithm::kBottomUp, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
      0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
      66.666666666666671, AnonymizationAlgorithm::kBottomUp,
@@ -130,7 +130,7 @@ const ReportGolden kAnonymizer800[] = {
     {AnonymizationAlgorithm::kExhaustive, 0xdc16c53555b4c120ULL, {2, 1, 3, 1},
      0, 87, 3, 0.20833333333333337, 204854, 0, 0.0050000000000000001,
      66.666666666666671, AnonymizationAlgorithm::kExhaustive,
-     {true, 87, 3, 0, 0, 0}, {96, 0, 49, 38, 9, 0, 0, 96, 0, 0, 0}},
+     {true, 87, 3, 0, 0, 0}, {96, 0, 49, 38, 9, 0, 0, 0, 0, 0, 0}},
     {AnonymizationAlgorithm::kMondrian, 0x46f4b081449f5d7aULL, {}, 0, 9, 2, 1,
      43064, 0, 0.028750000000000001, 11.594202898550725,
      AnonymizationAlgorithm::kMondrian, {true, 9, 2, 0, 0, 0},
@@ -142,20 +142,20 @@ const ReportGolden kAnonymizer800[] = {
     {AnonymizationAlgorithm::kOla, 0x78053461816ed281ULL, {3, 1, 3, 0}, 0,
      120, 4, 0.375, 181614, 0, 0.0050000000000000001, 66.666666666666671,
      AnonymizationAlgorithm::kOla, {true, 120, 4, 0, 0, 0},
-     {38, 0, 17, 15, 6, 411, 0, 38, 0, 0, 0}},
+     {38, 0, 17, 15, 6, 411, 0, 0, 0, 0, 0}},
 };
 
 // Paper microdata (exhaustive search): Figure 3 at k=3, and Patient Tables
 // 1 and 3 at k=2 p=2 over suppression hierarchies.
 const SearchGolden kFigure3 = {
     {}, 0, 0, {{0, 2}}, 2, 0x97ff1edfead17dbeULL,
-    {6, 0, 4, 0, 2, 0, 0, 6, 0, 0, 0}};
+    {6, 0, 4, 0, 2, 0, 0, 0, 0, 0, 0}};
 const SearchGolden kPatientTable1 = {
     {}, 0, 0, {{1, 0, 0}}, 4, 0x5cc9ca7d2e7d9dc3ULL,
-    {8, 0, 0, 4, 4, 0, 0, 8, 0, 0, 0}};
+    {8, 0, 0, 4, 4, 0, 0, 0, 0, 0, 0}};
 const SearchGolden kPatientTable3 = {
     {}, 0, 0, {{1, 0, 1}}, 2, 0x24b0bcd3638da80aULL,
-    {8, 0, 0, 6, 2, 0, 0, 8, 0, 0, 0}};
+    {8, 0, 0, 6, 2, 0, 0, 0, 0, 0, 0}};
 
 Anonymizer MakeAnonymizer(const AdultFixture& fixture,
                           AnonymizationAlgorithm algorithm) {

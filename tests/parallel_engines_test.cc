@@ -285,6 +285,109 @@ TEST_F(CompleteSnapshotTest, Incognito) {
 }
 
 // --------------------------------------------------------------------------
+// A caller-owned verdict cache outlives one search: in every lattice
+// engine, a second search through the same cache re-serves every node the
+// first one generalized, and releases the same result.
+
+class SharedVerdictCacheTest : public ::testing::Test {
+ protected:
+  SharedVerdictCacheTest()
+      : im_(UnwrapOk(AdultGenerate(1500, /*seed=*/2))),
+        hierarchies_(UnwrapOk(AdultHierarchies(im_.schema()))) {}
+
+  // Runs `search` twice at 1 and at 4 threads, both runs of a thread count
+  // sharing one fresh cache, and hands both results to `expect_same`.
+  template <typename Search, typename ExpectSame>
+  void RunTwice(Search search, ExpectSame expect_same) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SearchOptions options;
+      options.k = 3;
+      options.p = 2;
+      options.max_suppression = 40;
+      options.threads = threads;
+      options.verdict_cache = std::make_shared<VerdictCache>();
+      auto first = UnwrapOk(search(options));
+      auto second = UnwrapOk(search(options));
+      const std::string what = "threads=" + std::to_string(threads);
+      ASSERT_GT(first.stats.nodes_generalized, 0u) << what;
+      EXPECT_EQ(options.verdict_cache->size(), first.stats.nodes_generalized)
+          << what;
+      EXPECT_EQ(second.stats.nodes_generalized, 0u) << what;
+      EXPECT_EQ(second.stats.nodes_cache_hits, first.stats.nodes_generalized)
+          << what;
+      expect_same(first, second, what);
+    }
+  }
+
+  static void ExpectSameNodeSets(const MinimalSetResult& first,
+                                 const MinimalSetResult& second,
+                                 const std::string& what) {
+    EXPECT_EQ(second.minimal_nodes, first.minimal_nodes) << what;
+    EXPECT_EQ(second.satisfying_nodes, first.satisfying_nodes) << what;
+  }
+
+  Table im_;
+  HierarchySet hierarchies_;
+};
+
+TEST_F(SharedVerdictCacheTest, Samarati) {
+  RunTwice(
+      [&](const SearchOptions& options) {
+        return SamaratiSearch(im_, hierarchies_, options);
+      },
+      [](const SearchResult& first, const SearchResult& second,
+         const std::string& what) {
+        ASSERT_TRUE(first.found) << what;
+        ASSERT_TRUE(second.found) << what;
+        EXPECT_EQ(second.node, first.node) << what;
+        EXPECT_EQ(WriteCsvString(second.masked), WriteCsvString(first.masked))
+            << what;
+      });
+}
+
+TEST_F(SharedVerdictCacheTest, Exhaustive) {
+  RunTwice(
+      [&](const SearchOptions& options) {
+        return ExhaustiveSearch(im_, hierarchies_, options);
+      },
+      ExpectSameNodeSets);
+}
+
+TEST_F(SharedVerdictCacheTest, BottomUp) {
+  RunTwice(
+      [&](const SearchOptions& options) {
+        return BottomUpSearch(im_, hierarchies_, options);
+      },
+      ExpectSameNodeSets);
+}
+
+TEST_F(SharedVerdictCacheTest, Ola) {
+  RunTwice(
+      [&](const SearchOptions& options) {
+        OlaOptions ola;
+        ola.search = options;
+        return OlaSearch(im_, hierarchies_, ola);
+      },
+      [](const OlaResult& first, const OlaResult& second,
+         const std::string& what) {
+        ASSERT_TRUE(first.found) << what;
+        ASSERT_TRUE(second.found) << what;
+        EXPECT_EQ(second.optimal, first.optimal) << what;
+        EXPECT_EQ(second.minimal_nodes, first.minimal_nodes) << what;
+        EXPECT_EQ(WriteCsvString(second.masked), WriteCsvString(first.masked))
+            << what;
+      });
+}
+
+TEST_F(SharedVerdictCacheTest, Incognito) {
+  RunTwice(
+      [&](const SearchOptions& options) {
+        return IncognitoSearch(im_, hierarchies_, options);
+      },
+      ExpectSameNodeSets);
+}
+
+// --------------------------------------------------------------------------
 // Satellite 3 regression: no node is ever generalized twice in one search.
 
 TEST(VerdictCacheTest, SecondEvaluateIsACacheHit) {

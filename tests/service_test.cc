@@ -364,7 +364,10 @@ TEST(SchedulerTest, CompletesAnInMemoryJobAndReportsProgress) {
 
 TEST(SchedulerTest, MatchesADirectRunByteForByte) {
   JobSpec spec = MakeSpec(200, 7, AnonymizationAlgorithm::kOla);
-  AnonymizationReport direct = DirectRun(spec);
+  // The scheduler gives each job a fresh VerdictCache; so does the
+  // reference run.
+  AnonymizationReport direct =
+      DirectRun(spec, 1, {}, std::make_shared<VerdictCache>());
 
   JobScheduler scheduler({});
   SchedulerJobRequest request;
