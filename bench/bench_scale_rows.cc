@@ -13,8 +13,8 @@
 // are skipped (CI on small runners can pass 100000).
 //
 // Tracked bytes = what the MemoryBudget seams see: the growing table
-// (id columns + interned store) re-reserved after every chunk, the
-// in-flight chunk buffer, and the EncodedTable once built. Peak RSS
+// (code columns + column dictionaries) re-reserved after every chunk,
+// the in-flight chunk buffer, and the EncodedTable once built. Peak RSS
 // (getrusage ru_maxrss) is recorded per scale for the humans; it is
 // process-cumulative and allocator-dependent, so the gate reads the
 // tracked numbers, not RSS.
@@ -52,7 +52,7 @@ size_t PeakRssBytes() {
 
 SyntheticSpec SpecForRows(size_t rows) {
   // 3 QIs of cardinality 20 + one skewed confidential of cardinality 50:
-  // enough distinct values to exercise the hash shards, small enough that
+  // enough distinct values to exercise the dictionaries, small enough that
   // groups stay k-anonymizable at every scale.
   SyntheticSpec spec = MakeUniformSpec(rows, /*num_key=*/3, /*key_card=*/20,
                                        /*num_conf=*/1, /*conf_card=*/50,
@@ -65,8 +65,8 @@ struct ScaleResult {
   double ingest_ms = 0.0;
   double encode_ms = 0.0;
   double rows_per_sec = 0.0;
-  size_t table_bytes = 0;    ///< id columns + interned store
-  size_t store_bytes = 0;    ///< interned store alone
+  size_t table_bytes = 0;       ///< code columns + dictionaries
+  size_t dictionary_bytes = 0;  ///< the column dictionaries alone
   size_t encoded_bytes = 0;  ///< EncodedTable codes + level tables
   size_t final_bytes = 0;    ///< retained after ingest+encode
   size_t chunk_buffer_bytes = 0;  ///< largest in-flight chunk charge
@@ -119,7 +119,9 @@ ScaleResult RunScale(size_t rows, uint64_t seed) {
       r.ingest_ms > 0.0 ? static_cast<double>(rows) / (r.ingest_ms / 1000.0)
                         : 0.0;
   r.table_bytes = table.ApproxBytes();
-  r.store_bytes = table.store()->ApproxBytes();
+  for (size_t col = 0; col < table.num_columns(); ++col) {
+    r.dictionary_bytes += table.dictionary(col).ApproxBytes();
+  }
   r.encoded_bytes = encoded->ApproxBytes();
   r.final_bytes = r.table_bytes + r.encoded_bytes;
   r.peak_tracked_bytes = budget->high_water();
@@ -190,7 +192,7 @@ int Main(int argc, char** argv) {
     std::cout << rows << " rows: ingest " << r.ingest_ms << " ms ("
               << static_cast<size_t>(r.rows_per_sec) << " rows/s), encode "
               << r.encode_ms << " ms, table " << r.table_bytes / 1024
-              << " KiB (store " << r.store_bytes / 1024 << " KiB), encoded "
+              << " KiB (dictionaries " << r.dictionary_bytes / 1024 << " KiB), encoded "
               << r.encoded_bytes / 1024 << " KiB, peak tracked "
               << r.peak_tracked_bytes / 1024 << " KiB, peak RSS "
               << r.peak_rss_bytes / 1024 << " KiB\n";
@@ -217,7 +219,7 @@ int Main(int argc, char** argv) {
     json.Key("encode_ms").Double(r.encode_ms);
     json.Key("rows_per_sec").Double(r.rows_per_sec);
     json.Key("table_bytes").Uint(r.table_bytes);
-    json.Key("store_bytes").Uint(r.store_bytes);
+    json.Key("dictionary_bytes").Uint(r.dictionary_bytes);
     json.Key("encoded_bytes").Uint(r.encoded_bytes);
     json.Key("final_bytes").Uint(r.final_bytes);
     json.Key("chunk_buffer_bytes").Uint(r.chunk_buffer_bytes);

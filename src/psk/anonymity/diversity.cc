@@ -177,14 +177,16 @@ Result<double> TCloseness(const Table& table,
   double worst = 0.0;
   for (size_t col : confidential_indices) {
     // Global distribution (value-ordered for the numeric EMD). Counted
-    // over interned ids first, so the ordered map is touched once per
-    // distinct value instead of once per row.
-    std::unordered_map<ValueId, size_t> id_counts;
-    id_counts.reserve(table.num_rows());
-    for (ValueId id : table.column_ids(col)) ++id_counts[id];
+    // per code first, so the ordered map is touched once per distinct
+    // value instead of once per row.
+    const ColumnDictionary& dictionary = table.dictionary(col);
+    std::vector<size_t> code_counts(dictionary.size(), 0);
+    for (uint32_t code : table.column_codes(col)) ++code_counts[code];
     std::map<Value, size_t> global_counts;
-    for (const auto& [id, count] : id_counts) {
-      global_counts[table.store()->Get(id)] += count;
+    for (uint32_t code = 0; code < code_counts.size(); ++code) {
+      if (code_counts[code] > 0) {
+        global_counts[dictionary[code]] += code_counts[code];
+      }
     }
     ValueType type = table.schema().attribute(col).type;
     bool numeric = type == ValueType::kInt64 || type == ValueType::kDouble;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "psk/table/schema.h"
@@ -278,11 +277,13 @@ Status ValidateHierarchyOverColumn(const Table& table, size_t col,
                               std::to_string(col));
   }
   // Each distinct value once, in first-occurrence row order, found by its
-  // interned id: equal cells of a column carry equal ids.
-  std::unordered_set<ValueId> seen;
-  for (ValueId id : table.column_ids(col)) {
-    if (!seen.insert(id).second) continue;
-    const Value& v = table.store()->Get(id);
+  // code: equal cells of a column carry equal codes.
+  const ColumnDictionary& dictionary = table.dictionary(col);
+  std::vector<bool> seen(dictionary.size());
+  for (uint32_t code : table.column_codes(col)) {
+    if (seen[code]) continue;
+    seen[code] = true;
+    const Value& v = dictionary[code];
     for (int level = 0; level < hierarchy.num_levels(); ++level) {
       Result<Value> generalized = hierarchy.Generalize(v, level);
       if (!generalized.ok()) {

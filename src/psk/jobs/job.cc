@@ -133,9 +133,15 @@ uint64_t HierarchyMappingDigest(const Table& input,
   Result<size_t> col = input.schema().IndexOf(hierarchy.attribute_name());
   if (!col.ok()) return Fnv1aHash("no-such-column");
   // Keyed by rendering so emission order is deterministic across runs.
+  // Each distinct value is rendered once, walking codes in row order, so
+  // a rendering keeps the first Value that produced it.
+  const ColumnDictionary& dictionary = input.dictionary(*col);
+  std::vector<bool> seen(dictionary.size());
   std::map<std::string, const Value*> distinct;
-  for (const Value& value : input.column(*col)) {
-    distinct.emplace(value.ToString(), &value);
+  for (uint32_t code : input.column_codes(*col)) {
+    if (seen[code]) continue;
+    seen[code] = true;
+    distinct.emplace(dictionary[code].ToString(), &dictionary[code]);
   }
   std::string canonical;
   for (const auto& [rendered, value] : distinct) {
@@ -332,11 +338,12 @@ Result<JobJournal> ParseJobJournal(std::string_view text) {
   return journal;
 }
 
-Status JobRunner::WriteJournal(const JobSpec& spec, bool committed) {
+Status JobRunner::WriteJournal(const JobSpec& spec, uint64_t spec_hash,
+                               uint64_t input_digest, bool committed) {
   JobJournal journal;
   journal.committed = committed;
-  journal.spec_hash = JobSpecHash(spec);
-  journal.input_digest = TableDigest(spec.input);
+  journal.spec_hash = spec_hash;
+  journal.input_digest = input_digest;
   journal.input_rows = spec.input.num_rows();
   journal.seed = spec.seed;
   journal.k = spec.k;
@@ -376,8 +383,11 @@ Result<JobOutcome> JobRunner::Run(const JobSpec& spec) {
   PSK_RETURN_IF_ERROR(RemoveFileDurably(progress_path()));
   // Write-ahead: the journal must be durable before any search work, so a
   // crash at any later point leaves enough on disk to Resume().
-  PSK_RETURN_IF_ERROR(WriteJournal(spec, /*committed=*/false));
-  return Execute(spec, /*restore=*/nullptr);
+  const uint64_t spec_hash = JobSpecHash(spec);
+  const uint64_t input_digest = TableDigest(spec.input);
+  PSK_RETURN_IF_ERROR(
+      WriteJournal(spec, spec_hash, input_digest, /*committed=*/false));
+  return Execute(spec, /*restore=*/nullptr, spec_hash, input_digest);
 }
 
 Result<JobOutcome> JobRunner::Resume(const JobSpec& spec) {
@@ -436,7 +446,8 @@ Result<JobOutcome> JobRunner::Resume(const JobSpec& spec) {
   }
   PSK_ASSIGN_OR_RETURN(
       JobOutcome outcome,
-      Execute(spec, have_checkpoint ? &snapshot : nullptr));
+      Execute(spec, have_checkpoint ? &snapshot : nullptr, spec_hash,
+              digest));
   outcome.resumed_from_checkpoint = have_checkpoint;
   return outcome;
 }
@@ -459,8 +470,9 @@ Anonymizer MakeJobAnonymizer(const JobSpec& spec) {
 }
 
 Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
-                                      const SearchSnapshot* restore) {
-  uint64_t spec_hash = JobSpecHash(spec);
+                                      const SearchSnapshot* restore,
+                                      uint64_t spec_hash,
+                                      uint64_t input_digest) {
   Anonymizer anonymizer = MakeJobAnonymizer(spec);
   if (restore != nullptr) {
     anonymizer.set_restore_snapshot(restore);
@@ -477,7 +489,6 @@ Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
   // frontier no sequential replay reproduces. A scheduler degrading a job
   // under pressure drops it to threads == 1, which re-arms the sink.
   std::string checkpoint_file = checkpoint_path();
-  uint64_t input_digest = TableDigest(spec.input);
   if (spec.threads <= 1) {
     anonymizer.set_checkpoint_sink(
         [checkpoint_file, spec_hash,
@@ -531,7 +542,8 @@ Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
   }
   {
     TraceSpan span(trace, "commit_journal");
-    PSK_RETURN_IF_ERROR(WriteJournal(spec, /*committed=*/true));
+    PSK_RETURN_IF_ERROR(
+        WriteJournal(spec, spec_hash, input_digest, /*committed=*/true));
   }
   if (trace != nullptr) {
     trace->Timing("io_retries",

@@ -225,10 +225,15 @@ class JobRunner {
   std::string report_path() const { return job_dir_ + "/report.json"; }
 
  private:
+  // `spec_hash` and `input_digest` are JobSpecHash(spec) and
+  // TableDigest(spec.input), computed once per Run or Resume: the digest
+  // renders the whole input.
   Result<JobOutcome> Execute(const JobSpec& spec,
-                             const SearchSnapshot* restore);
+                             const SearchSnapshot* restore,
+                             uint64_t spec_hash, uint64_t input_digest);
   Result<JobOutcome> VerifyCommitted(const JobSpec& spec);
-  Status WriteJournal(const JobSpec& spec, bool committed);
+  Status WriteJournal(const JobSpec& spec, uint64_t spec_hash,
+                      uint64_t input_digest, bool committed);
 
   std::string job_dir_;
   std::chrono::milliseconds lock_wait_{250};

@@ -142,7 +142,7 @@ Result<std::vector<size_t>> MapHeader(
 }
 
 /// Streams every chunk of `reader` into a fresh table. When `budget` is
-/// set, the growing table (id columns + interned store) stays reserved
+/// set, the growing table (code columns + dictionaries) stays reserved
 /// against it for the duration of the read — a transient ingest meter;
 /// the sustained charge is the run-time seam (Anonymizer input
 /// reservation).

@@ -27,9 +27,9 @@ struct CsvOptions {
   /// order (any order is accepted; columns are matched by name).
   bool has_header = true;
   /// When set, ingest memory is metered against this budget: the reader's
-  /// I/O buffer and in-flight chunk, plus the growing table (id columns +
-  /// interned store), are kept reserved while reading. A Charge failure
-  /// (hard quota crossed, or the scheduler force-exhausted the job)
+  /// I/O buffer and in-flight chunk, plus the growing table (code columns
+  /// and their dictionaries), are kept reserved while reading. A Charge
+  /// failure (hard quota crossed, or the scheduler force-exhausted the job)
   /// aborts the read with kResourceExhausted.
   std::shared_ptr<MemoryBudget> ingest_budget;
 };

@@ -1,5 +1,6 @@
 #include "psk/table/encoded.h"
 
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -13,26 +14,26 @@ namespace {
 /// row order. `representatives` receives one Value per code — the first
 /// Value observed with that code.
 ///
-/// Cells are already interned: within a typed column, equal Values carry
-/// equal store ids, so densification is a uint32 -> uint32 map over the
-/// id column — no Value is hashed and no string payload is touched. The
-/// first-occurrence numbering makes the codes invariant to store id
-/// assignment (which may vary across runs under parallel ingest).
+/// The table's codes already identify equal cells, so densification is a
+/// flat code -> code array over the column: no Value is hashed and no
+/// string payload is touched. Renumbering by first occurrence drops the
+/// dictionary entries no row uses and makes the codes independent of the
+/// dictionary's entry order.
 void EncodeColumn(const Table& table, size_t col, std::vector<uint32_t>* codes,
                   std::vector<Value>* representatives) {
-  const std::vector<ValueId>& ids = table.column_ids(col);
-  const ValueStore& store = *table.store();
-  size_t num_rows = ids.size();
+  const std::vector<uint32_t>& table_codes = table.column_codes(col);
+  const ColumnDictionary& dictionary = table.dictionary(col);
+  size_t num_rows = table_codes.size();
   codes->resize(num_rows);
-  std::unordered_map<ValueId, uint32_t> dictionary;
-  dictionary.reserve(std::min(num_rows, size_t{1} << 20));
+  std::vector<uint32_t> dense(dictionary.size(), UINT32_MAX);
+  uint32_t next = 0;
   for (size_t row = 0; row < num_rows; ++row) {
-    auto [it, inserted] = dictionary.try_emplace(
-        ids[row], static_cast<uint32_t>(dictionary.size()));
-    (*codes)[row] = it->second;
-    if (inserted && representatives != nullptr) {
-      representatives->push_back(store.Get(ids[row]));
+    uint32_t& code = dense[table_codes[row]];
+    if (code == UINT32_MAX) {
+      code = next++;
+      representatives->push_back(dictionary[table_codes[row]]);
     }
+    (*codes)[row] = code;
   }
 }
 
@@ -232,12 +233,14 @@ Result<Table> EncodedTable::Decode(const LatticeNode& node,
   }
   PSK_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(out_attrs)));
 
-  // Columnar decode over interned ids, sharing the initial microdata's
-  // store: pass-through columns (and level-0 keys) gather 4-byte ids
-  // through the suppression mask; generalized key columns intern each
-  // memoized generalized Value once per *ground code* and then gather —
-  // no per-row Value is constructed or hashed. Byte-identical to the row
-  // path (same Values, same order), it just never materializes them.
+  // Columnar decode over codes: pass-through columns (and level-0 keys)
+  // gather 4-byte codes through the suppression mask and share the
+  // initial microdata's dictionary; a generalized key column gets a fresh
+  // dictionary, interning each memoized generalized Value once per
+  // *ground code*, and then gathers — no per-row Value is constructed or
+  // hashed, and nothing is written into the initial microdata.
+  // Byte-identical to the row path (same Values, same order), it just
+  // never materializes them.
   size_t out_rows = num_rows_;
   if (keep != nullptr) {
     out_rows = 0;
@@ -245,33 +248,37 @@ Result<Table> EncodedTable::Decode(const LatticeNode& node,
       if ((*keep)[row]) ++out_rows;
     }
   }
-  ValueStore& store = *im.store();
-  std::vector<std::vector<ValueId>> out_columns(src_cols.size());
-  std::vector<ValueId> gen_ids;  // ground code -> interned generalized id
+  std::vector<std::vector<uint32_t>> out_codes(src_cols.size());
+  std::vector<std::shared_ptr<const ColumnDictionary>> out_dictionaries;
+  out_dictionaries.reserve(src_cols.size());
+  std::vector<uint32_t> gen_codes;  // ground code -> generalized code
   for (size_t i = 0; i < src_cols.size(); ++i) {
-    std::vector<ValueId>& out_ids = out_columns[i];
-    out_ids.reserve(out_rows);
+    std::vector<uint32_t>& out = out_codes[i];
+    out.reserve(out_rows);
     int slot = key_slot_of_out[i];
     if (slot < 0 || node.levels[slot] == 0) {
-      const std::vector<ValueId>& src_ids = im.column_ids(src_cols[i]);
+      const std::vector<uint32_t>& src = im.column_codes(src_cols[i]);
       for (size_t row = 0; row < num_rows_; ++row) {
         if (keep != nullptr && !(*keep)[row]) continue;
-        out_ids.push_back(src_ids[row]);
+        out.push_back(src[row]);
       }
+      out_dictionaries.push_back(im.shared_dictionary(src_cols[i]));
       continue;
     }
     const KeyColumn& kc = keys_[slot];
-    const std::vector<Value>& level_values = kc.values[node.levels[slot]];
-    gen_ids.clear();
-    gen_ids.reserve(level_values.size());
-    for (const Value& v : level_values) gen_ids.push_back(store.Intern(v));
+    auto dictionary = std::make_shared<ColumnDictionary>();
+    gen_codes.clear();
+    for (const Value& v : kc.values[node.levels[slot]]) {
+      gen_codes.push_back(dictionary->Intern(v));
+    }
     for (size_t row = 0; row < num_rows_; ++row) {
       if (keep != nullptr && !(*keep)[row]) continue;
-      out_ids.push_back(gen_ids[kc.codes[row]]);
+      out.push_back(gen_codes[kc.codes[row]]);
     }
+    out_dictionaries.push_back(std::move(dictionary));
   }
-  return Table::FromColumns(std::move(out_schema), im.store(),
-                            std::move(out_columns));
+  return Table::FromColumns(std::move(out_schema), std::move(out_codes),
+                            std::move(out_dictionaries));
 }
 
 }  // namespace psk

@@ -45,8 +45,9 @@ struct EncodedWorkspace {
 /// hierarchy set — the evaluation core every lattice engine runs on.
 ///
 /// Build() encodes each quasi-identifier and confidential column once into
-/// dense uint32 codes (numbered by first occurrence, deduplicated by Value
-/// equality — exactly the equality a generalized Table groups by), and
+/// dense uint32 codes (the table's own codes renumbered by first
+/// occurrence, so equal cells share a code — exactly the equality a
+/// generalized Table groups by), and
 /// precomputes, per QI and per hierarchy level, an ancestor-code map
 /// `ground code -> generalized code` together with the generalized Value
 /// each ground code maps to. Applying a LatticeNode is then a table-free

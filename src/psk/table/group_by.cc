@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "psk/common/check.h"
 #include "psk/common/thread_pool.h"
@@ -24,39 +23,22 @@ Status CheckColumns(const Table& table, const std::vector<size_t>& cols,
   return Status::OK();
 }
 
-// The id-tuple grouping pass behind FrequencySet and ReleaseProfile:
-// partitions the rows by their ids in `cols` (already range-checked),
-// numbering groups by first occurrence in row order. Keys are tuples of
-// interned ids, not Values: within a typed column, equal cells carry equal
-// ids, so id-tuple equality is exactly Value-tuple equality, minus every
-// Value copy and string hash. Zero columns put every row in one group.
-void GroupByIds(const Table& table, const std::vector<size_t>& cols,
-                EncodedGroups* out) {
-  struct IdKeyHash {
-    size_t operator()(const std::vector<ValueId>& key) const {
-      size_t h = 0x345678;
-      for (ValueId id : key) h = CompositeKeyHash::Mix(h, id);
-      return h;
-    }
-  };
-  std::unordered_map<std::vector<ValueId>, uint32_t, IdKeyHash> index;
-  index.reserve(table.num_rows());
-  // One key buffer reused across rows: the map copies it only on insert
-  // (once per distinct group), so the per-row cost is id copies into an
-  // already-sized vector instead of a fresh allocation.
-  std::vector<ValueId> key;
-  key.reserve(cols.size());
-  out->row_gid.resize(table.num_rows());
-  out->group_sizes.clear();
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    key.clear();
-    for (size_t col : cols) key.push_back(table.GetId(row, col));
-    auto [it, inserted] = index.try_emplace(
-        key, static_cast<uint32_t>(out->group_sizes.size()));
-    if (inserted) out->group_sizes.push_back(0);
-    out->row_gid[row] = it->second;
-    ++out->group_sizes[it->second];
+// The grouping pass behind FrequencySet and ReleaseProfile: GroupByCodes
+// over the code columns `cols` (already range-checked), each with its
+// dictionary size as cardinality. Equal cells of a column carry equal
+// codes, so code-tuple equality is exactly Value-tuple equality; groups
+// are numbered by first occurrence in row order.
+void GroupByColumns(const Table& table, const std::vector<size_t>& cols,
+                    EncodedGroups* out) {
+  std::vector<CodeColumnView> columns;
+  columns.reserve(cols.size());
+  for (size_t col : cols) {
+    columns.push_back(CodeColumnView{
+        table.column_codes(col).data(), nullptr,
+        static_cast<uint32_t>(table.dictionary(col).size())});
   }
+  GroupByScratch scratch;
+  GroupByCodes(columns, table.num_rows(), &scratch, out);
 }
 
 }  // namespace
@@ -65,7 +47,7 @@ Result<FrequencySet> FrequencySet::Compute(
     const Table& table, const std::vector<size_t>& col_indices) {
   PSK_RETURN_IF_ERROR(CheckColumns(table, col_indices, "group-by"));
   EncodedGroups partition;
-  GroupByIds(table, col_indices, &partition);
+  GroupByColumns(table, col_indices, &partition);
   FrequencySet fs;
   fs.num_rows_ = table.num_rows();
   fs.groups_.resize(partition.num_groups());
@@ -90,7 +72,7 @@ Result<ReleaseProfile> ReleaseProfile::Compute(
   PSK_RETURN_IF_ERROR(
       CheckColumns(table, confidential_indices, "confidential"));
   ReleaseProfile profile;
-  GroupByIds(table, key_indices, &profile.groups);
+  GroupByColumns(table, key_indices, &profile.groups);
   const EncodedGroups& groups = profile.groups;
   if (confidential_indices.empty()) return profile;
 
@@ -107,16 +89,17 @@ Result<ReleaseProfile> ReleaseProfile::Compute(
   }
 
   // Walking the rows group by group, a value is new to its group exactly
-  // when the last group it was seen in (stored as g + 1; 0 = never) is
-  // another one.
+  // when the last group its code was seen in (stored as g + 1; 0 = never)
+  // is another one.
+  std::vector<uint32_t> last_group;
   for (size_t col : confidential_indices) {
-    const std::vector<ValueId>& ids = table.column_ids(col);
+    const std::vector<uint32_t>& codes = table.column_codes(col);
     std::vector<uint32_t>& distinct = profile.distinct.emplace_back(
         groups.num_groups(), 0);
-    std::unordered_map<ValueId, uint32_t> last_group;
+    last_group.assign(table.dictionary(col).size(), 0);
     for (uint32_t g = 0; g < groups.num_groups(); ++g) {
       for (uint32_t i = begin[g]; i < begin[g + 1]; ++i) {
-        uint32_t& last = last_group[ids[rows_by_group[i]]];
+        uint32_t& last = last_group[codes[rows_by_group[i]]];
         if (last != g + 1) {
           last = g + 1;
           ++distinct[g];
@@ -246,7 +229,7 @@ void GroupByCodes(const std::vector<CodeColumnView>& columns, size_t num_rows,
   // its keys by first occurrence in row order, so after each pass a row's
   // id is the first-occurrence index of its code tuple over the columns
   // seen so far — which is why the final numbering does not depend on how
-  // the columns were blocked, and matches the Value-keyed FrequencySet.
+  // the columns were blocked, and matches a grouping by Value tuples.
   out->row_gid.assign(num_rows, 0);
   std::vector<uint32_t>& row_gid = out->row_gid;
   uint64_t num_groups = num_rows > 0 ? 1 : 0;
@@ -502,20 +485,12 @@ void GroupByCodesSliced(const std::vector<CodeColumnView>& columns,
 
 std::vector<size_t> DescendingValueFrequencies(const Table& table,
                                                size_t col) {
-  // Frequencies only — no Value is inspected, so count over the interned
-  // ids: equal cells share an id within a typed column.
-  std::unordered_map<ValueId, size_t> counts;
-  counts.reserve(table.num_rows());
-  for (ValueId id : table.column_ids(col)) {
-    ++counts[id];
-  }
-  std::vector<size_t> freqs;
-  freqs.reserve(counts.size());
-  for (const auto& [value, count] : counts) {
-    freqs.push_back(count);
-  }
-  std::sort(freqs.begin(), freqs.end(), std::greater<size_t>());
-  return freqs;
+  // Frequencies only — no Value is inspected, so count per code.
+  std::vector<size_t> counts(table.dictionary(col).size(), 0);
+  for (uint32_t code : table.column_codes(col)) ++counts[code];
+  std::erase(counts, size_t{0});
+  std::sort(counts.begin(), counts.end(), std::greater<size_t>());
+  return counts;
 }
 
 }  // namespace psk

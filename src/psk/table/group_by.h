@@ -49,9 +49,9 @@ struct Group {
 /// `SELECT COUNT(*) FROM MM GROUP BY KA`.
 class FrequencySet {
  public:
-  /// Groups `table` by the given column indices. Hash-based, O(n)
-  /// expected; the same id-tuple grouping pass as ReleaseProfile. Group
-  /// order is deterministic: by first occurrence.
+  /// Groups `table` by the given column indices through GroupByCodes over
+  /// their code columns, the same pass as ReleaseProfile. Group order is
+  /// deterministic: by first occurrence.
   static Result<FrequencySet> Compute(const Table& table,
                                       const std::vector<size_t>& col_indices);
 
@@ -81,11 +81,11 @@ class FrequencySet {
 std::vector<size_t> DescendingValueFrequencies(const Table& table, size_t col);
 
 /// The frequency set of a dictionary-encoded table: a dense group id per
-/// row plus the group sizes. This is the code-keyed counterpart of
-/// FrequencySet — group ids follow the same ordering semantics (numbered
-/// by first occurrence in row order), so num_groups, MinGroupSize and
-/// RowsInGroupsSmallerThan agree exactly with FrequencySet::Compute over
-/// the equivalent Value-keyed grouping.
+/// row plus the group sizes, the compact form of FrequencySet (which
+/// materializes each group's key and rows from one of these). Group ids
+/// are numbered by first occurrence in row order, so num_groups,
+/// MinGroupSize and RowsInGroupsSmallerThan agree exactly with
+/// FrequencySet::Compute over the equivalent table.
 struct EncodedGroups {
   /// row_gid[row] in [0, num_groups()), numbered by first occurrence.
   std::vector<uint32_t> row_gid;
@@ -118,9 +118,9 @@ struct EncodedGroups {
 /// the scorecard's utility and risk measures are all reads of it, so the
 /// release guard and the scorecard each group a release once.
 ///
-/// Groups are keyed by the tuple of interned ids in the key columns and
-/// distinct values are counted over ids: within a typed column, equal
-/// cells carry equal ids (the ValueStore contract), so no Value is hashed.
+/// Groups come from GroupByCodes over the key columns' codes, and distinct
+/// values are counted per code through a flat array: equal cells of a
+/// column carry equal codes (ColumnDictionary), so no Value is hashed.
 struct ReleaseProfile {
   /// The QI-partition, groups numbered by first occurrence in row order
   /// (the same order as FrequencySet::Compute).
@@ -213,10 +213,10 @@ class GroupByScratch {
   std::vector<uint32_t> sparse_ids_;
 };
 
-/// Code-keyed fast path of FrequencySet::Compute: groups rows by the tuple
-/// of (translated) codes across `columns`, assigning dense group ids
-/// numbered by first occurrence in row order — identical group ordering
-/// semantics to the Value-keyed FrequencySet. Columns of cardinality 1
+/// The library's group-by kernel, behind FrequencySet, ReleaseProfile and
+/// every lattice node: groups rows by the tuple of (translated) codes
+/// across `columns`, assigning dense group ids numbered by first
+/// occurrence in row order. Columns of cardinality 1
 /// cannot split a group and are skipped. The rest are refined in blocks:
 /// each block is the longest run of columns whose key space (groups so
 /// far x product of their cardinalities) fits the dense limit, 2^20; its

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "psk/table/group_by.h"
 
@@ -19,24 +18,27 @@ Result<TableStats> ComputeTableStats(const Table& table, size_t top_k) {
     cs.type = attr.type;
     cs.role = attr.role;
 
-    // Frequencies are counted over interned ids — O(rows) over uint32,
-    // touching a Value (and its string payload) only once per *distinct*
-    // value for the numeric accumulators and the top-k list.
-    const ValueStore& store = *table.store();
-    std::unordered_map<ValueId, size_t> counts;
-    counts.reserve(std::min(table.num_rows(), size_t{1} << 20));
-    for (ValueId id : table.column_ids(col)) {
-      if (id == ValueStore::kNullId) {
-        ++cs.nulls;
+    // Frequencies are counted per code — O(rows) over uint32 into a flat
+    // array, touching a Value (and its string payload) only once per
+    // *distinct* value, in first-occurrence row order, for the numeric
+    // accumulators and the top-k list.
+    const ColumnDictionary& dictionary = table.dictionary(col);
+    std::vector<size_t> counts(dictionary.size(), 0);
+    std::vector<uint32_t> distinct;  // codes in first-occurrence order
+    for (uint32_t code : table.column_codes(col)) {
+      if (counts[code]++ == 0) distinct.push_back(code);
+    }
+    double sum = 0.0;
+    std::vector<std::pair<Value, size_t>> ranked;
+    for (uint32_t code : distinct) {
+      const Value& v = dictionary[code];
+      const size_t count = counts[code];
+      if (v.is_null()) {
+        cs.nulls += count;
         continue;
       }
-      ++cs.non_null;
-      ++counts[id];
-    }
-    cs.distinct = counts.size();
-    double sum = 0.0;
-    for (const auto& [id, count] : counts) {
-      const Value& v = store.Get(id);
+      cs.non_null += count;
+      ranked.emplace_back(v, count);
       if (v.type() == ValueType::kInt64 || v.type() == ValueType::kDouble) {
         double x = v.AsNumeric();
         sum += x * static_cast<double>(count);
@@ -44,15 +46,11 @@ Result<TableStats> ComputeTableStats(const Table& table, size_t top_k) {
         if (!cs.max.has_value() || x > *cs.max) cs.max = x;
       }
     }
+    cs.distinct = ranked.size();
     if (cs.min.has_value() && cs.non_null > 0) {
       cs.mean = sum / static_cast<double>(cs.non_null);
     }
 
-    std::vector<std::pair<Value, size_t>> ranked;
-    ranked.reserve(counts.size());
-    for (const auto& [id, count] : counts) {
-      ranked.emplace_back(store.Get(id), count);
-    }
     std::sort(ranked.begin(), ranked.end(),
               [](const auto& a, const auto& b) {
                 if (a.second != b.second) return a.second > b.second;

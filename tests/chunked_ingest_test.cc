@@ -298,9 +298,10 @@ TEST(ChunkedIngestTest, DictionaryChunksAssignThePerCellIds) {
       PSK_ASSERT_OK(per_cell.AppendChunk(&chunk));
       begin = end;
     }
-    ASSERT_EQ(from_csv.store()->size(), per_cell.store()->size());
     for (size_t c = 0; c < from_csv.num_columns(); ++c) {
-      EXPECT_EQ(from_csv.column_ids(c), per_cell.column_ids(c))
+      EXPECT_EQ(from_csv.dictionary(c).size(), per_cell.dictionary(c).size())
+          << "column " << c << " chunk_rows=" << chunk_rows;
+      EXPECT_EQ(from_csv.column_codes(c), per_cell.column_codes(c))
           << "column " << c << " chunk_rows=" << chunk_rows;
     }
   }
@@ -310,10 +311,11 @@ TEST(ChunkedIngestTest, AppendChunkRefusesMalformedChunksWhole) {
   Fixture fixture(40, 12);
   Table table = fixture.table;
   const size_t rows_before = table.num_rows();
-  const size_t store_before = table.store()->size();
-  std::vector<std::vector<ValueId>> ids_before;
+  std::vector<size_t> dictionary_sizes_before;
+  std::vector<std::vector<uint32_t>> codes_before;
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    ids_before.push_back(table.column_ids(c));
+    dictionary_sizes_before.push_back(table.dictionary(c).size());
+    codes_before.push_back(table.column_codes(c));
   }
   // Column 1 (MaritalStatus) is a string column; column 0 (Age) int64.
   struct Hostile {
@@ -342,9 +344,10 @@ TEST(ChunkedIngestTest, AppendChunkRefusesMalformedChunksWhole) {
               std::string::npos)
         << h.what << ": " << status.message();
     EXPECT_EQ(table.num_rows(), rows_before) << h.what;
-    EXPECT_EQ(table.store()->size(), store_before) << h.what;
     for (size_t c = 0; c < table.num_columns(); ++c) {
-      EXPECT_EQ(table.column_ids(c), ids_before[c])
+      EXPECT_EQ(table.dictionary(c).size(), dictionary_sizes_before[c])
+          << h.what << " column " << c;
+      EXPECT_EQ(table.column_codes(c), codes_before[c])
           << h.what << " column " << c;
     }
   }

@@ -336,6 +336,31 @@ TEST(JobSpecHashTest, TableDigestTracksContents) {
   EXPECT_NE(TableDigest(a), TableDigest(b));
 }
 
+// Journals and checkpoints carry JobSpecHash and TableDigest, so a change
+// to either (or to the journal text) strands every job a previous build
+// left on disk: Resume() would refuse it. These literals pin all three
+// for one fixed spec.
+TEST(JobSpecHashTest, DurableFormatsArePinned) {
+  JobSpec spec = MakeSpec(/*rows=*/100, /*seed=*/1);
+  spec.max_suppression = 5;
+  EXPECT_EQ(HashToHex(TableDigest(spec.input)), "7511fa2af42de932");
+  EXPECT_EQ(HashToHex(JobSpecHash(spec)), "35ece547b4948a41");
+
+  JobRunner runner(TestDir("pinned_formats"));
+  PSK_ASSERT_OK(runner.Run(spec).status());
+  EXPECT_EQ(UnwrapOk(ReadFileToString(runner.journal_path())),
+            "psk_job_version = 1\n"
+            "state = committed\n"
+            "spec_hash = 35ece547b4948a41\n"
+            "input_digest = 7511fa2af42de932\n"
+            "input_rows = 100\n"
+            "seed = 0\n"
+            "k = 3\n"
+            "p = 2\n"
+            "ts = 5\n"
+            "algorithm = samarati\n");
+}
+
 // ---------------------------------------------------------------------------
 // Report provenance round-trip.
 
