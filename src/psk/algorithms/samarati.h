@@ -16,6 +16,15 @@ namespace psk {
 /// prunes nodes before their detailed per-group scan (the additions
 /// underlined in Algorithm 3).
 ///
+/// A probe scans its height in 64-node chunks and stops after the first
+/// chunk holding a satisfying node, so a refutation costs the whole height
+/// and a hit at most one chunk past its witness. The probe order follows
+/// that asymmetry: the search bisects until a probe hits, then probes the
+/// height just below the best hit while that height holds more than one
+/// chunk (only its refutation proves the hit minimal), and bisects
+/// otherwise. On a lattice whose heights all fit in one chunk this is
+/// plain bisection.
+///
 /// Returns the satisfying node of minimal height found (a p-k-minimal
 /// generalization's height; the node itself is one of possibly several
 /// minimal nodes — use ExhaustiveSearch to enumerate them all).

@@ -143,16 +143,12 @@ size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ULL;
-    case ValueType::kInt64: {
-      int64_t v = std::get<int64_t>(data_);
-      double d = static_cast<double>(v);
-      // Hash integral doubles and int64s alike so Hash is consistent with
-      // operator== across the two numeric types.
-      if (static_cast<int64_t>(d) == v) {
-        return std::hash<double>()(d);
-      }
-      return std::hash<int64_t>()(v);
-    }
+    case ValueType::kInt64:
+      // Mixed numeric equality compares AsNumeric(), so every int64 hashes
+      // as the double it compares equal to (int64 2^53 + 1 == double 2^53,
+      // INT64_MAX == double 2^63).
+      return std::hash<double>()(
+          static_cast<double>(std::get<int64_t>(data_)));
     case ValueType::kDouble:
       return std::hash<double>()(std::get<double>(data_));
     case ValueType::kString:

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "psk/algorithms/exhaustive.h"
 #include "psk/anonymity/kanonymity.h"
 #include "psk/anonymity/psensitive.h"
+#include "psk/datagen/adult.h"
 #include "psk/datagen/paper_tables.h"
 #include "psk/datagen/synthetic.h"
 #include "psk/generalize/generalize.h"
+#include "psk/trace/trace.h"
 #include "test_util.h"
 
 namespace psk {
@@ -21,6 +28,55 @@ struct Fig3Fixture {
       : table(UnwrapOk(Figure3Table())),
         hierarchies(UnwrapOk(Figure3Hierarchies(table.schema()))) {}
 };
+
+// Synthetic microdata over 5 QIs whose key hierarchies have `levels[i]`
+// levels each. With 4 levels apiece the lattice holds 4^5 = 1,024 nodes,
+// and its middle heights (4-11 at cardinality 8) are wider than one
+// 64-node probe chunk.
+SyntheticData WideLatticeData(size_t rows, size_t key_card, uint64_t seed,
+                              const std::vector<int>& levels) {
+  SyntheticSpec spec = MakeUniformSpec(rows, levels.size(), key_card, 1, 6,
+                                       0.6);
+  for (size_t i = 0; i < levels.size(); ++i) {
+    spec.attributes[i].hierarchy_levels = levels[i];
+  }
+  return UnwrapOk(SyntheticGenerate(spec, seed));
+}
+
+// The (height, hit) pair of every probe_height span in a Samarati trace, in
+// probe order.
+std::vector<std::pair<int, bool>> ProbeSequence(const std::string& signature) {
+  const std::string key = "probe_height[height=";
+  std::vector<std::pair<int, bool>> probes;
+  for (size_t pos = signature.find(key); pos != std::string::npos;
+       pos = signature.find(key, pos + key.size())) {
+    size_t begin = pos + key.size();
+    std::string attrs =
+        signature.substr(begin, signature.find(']', pos) - begin);
+    EXPECT_TRUE(attrs.ends_with(",hit=1") || attrs.ends_with(",hit=0"))
+        << attrs;
+    probes.emplace_back(std::stoi(attrs), attrs.ends_with(",hit=1"));
+  }
+  return probes;
+}
+
+// True when some probe is not the one plain bisection over [0, height]
+// would make next, given the verdicts before it.
+bool DepartsFromBisection(const std::vector<std::pair<int, bool>>& probes,
+                          int height) {
+  int low = 0;
+  int high = height;
+  for (const auto& [h, hit] : probes) {
+    if (low >= high) break;  // the confirmation probe of the lattice top
+    if (h != (low + high) / 2) return true;
+    if (hit) {
+      high = h;
+    } else {
+      low = h + 1;
+    }
+  }
+  return false;
+}
 
 // --------------------------------------------------------------------------
 // Figure 3: tuples violating 3-anonymity at every lattice node.
@@ -172,6 +228,108 @@ TEST(SamaratiSearchTest, HeightMatchesExhaustiveMinimum) {
       }
     }
   }
+}
+
+TEST(SamaratiSearchTest, WideLatticeHeightMatchesExhaustiveMinimum) {
+  // Heights wider than one probe chunk send the search down one height at
+  // a time below its best hit. Whenever the property is monotone (p = 1,
+  // or TS = 0) the answer must still be a p-k-minimal node at the minimal
+  // height; otherwise it must at least satisfy the property.
+  size_t descended = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<int> levels = seed == 4
+                                        ? std::vector<int>{3, 5, 4, 4, 4}
+                                        : std::vector<int>{4, 4, 4, 4, 4};
+    SyntheticData data = WideLatticeData(300, 8, seed, levels);
+    GeneralizationLattice lattice(data.hierarchies);
+    for (size_t k : {2, 3, 5}) {
+      for (size_t p : {1, 2}) {
+        for (size_t ts : {0, 10}) {
+          const std::string what = "seed=" + std::to_string(seed) +
+                                   " k=" + std::to_string(k) +
+                                   " p=" + std::to_string(p) +
+                                   " ts=" + std::to_string(ts);
+          SearchOptions options;
+          options.k = k;
+          options.p = p;
+          options.max_suppression = ts;
+          RunTrace trace;
+          SearchOptions traced = options;
+          traced.trace = &trace;
+          SearchResult binary =
+              UnwrapOk(SamaratiSearch(data.table, data.hierarchies, traced));
+          MinimalSetResult sweep = UnwrapOk(
+              ExhaustiveSearch(data.table, data.hierarchies, options));
+          if (p == 1 || ts == 0) {
+            ASSERT_EQ(binary.found, !sweep.minimal_nodes.empty()) << what;
+            if (!binary.found) continue;
+            int min_height = binary.node.Height();
+            for (const LatticeNode& node : sweep.minimal_nodes) {
+              min_height = std::min(min_height, node.Height());
+            }
+            EXPECT_EQ(binary.node.Height(), min_height) << what;
+            EXPECT_NE(std::find(sweep.minimal_nodes.begin(),
+                                sweep.minimal_nodes.end(), binary.node),
+                      sweep.minimal_nodes.end())
+                << what << " node=" << binary.node.ToString();
+          } else {
+            if (!binary.found) continue;
+            NodeEvaluator evaluator(data.table, data.hierarchies, options);
+            PSK_ASSERT_OK(evaluator.Init());
+            EXPECT_TRUE(UnwrapOk(evaluator.Evaluate(binary.node)).satisfied)
+                << what << " node=" << binary.node.ToString();
+          }
+          const int h = binary.node.Height();
+          if (h > 0 && lattice.NodesAtHeight(h - 1).size() > 64 &&
+              DepartsFromBisection(ProbeSequence(trace.StructureSignature()),
+                                   lattice.height())) {
+            ++descended;
+          }
+        }
+      }
+    }
+  }
+  // The descent branch ran: some answer has a height below it wider than
+  // a chunk, reached by a probe bisection would not have made.
+  EXPECT_GT(descended, 0u);
+}
+
+TEST(SamaratiSearchTest, ProbeOrderDescendsBelowAWideHit) {
+  // Bisection probes 7 (hit), 3, 5 and 6 (335 nodes); the refutation of
+  // height 6 alone proves the hit at 7 minimal.
+  SyntheticData data = WideLatticeData(1000, 6, 1, {4, 4, 4, 4, 4});
+  RunTrace trace;
+  SearchOptions options;
+  options.k = 3;
+  options.p = 2;
+  options.max_suppression = 0;
+  options.trace = &trace;
+  SearchResult result =
+      UnwrapOk(SamaratiSearch(data.table, data.hierarchies, options));
+  ASSERT_TRUE(result.found);
+  EXPECT_EQ(ProbeSequence(trace.StructureSignature()),
+            (std::vector<std::pair<int, bool>>{{7, true}, {6, false}}));
+  EXPECT_EQ(result.stats.heights_probed, 2u);
+  EXPECT_EQ(result.stats.nodes_generalized, 199u);
+}
+
+TEST(SamaratiSearchTest, ProbeOrderBisectsNarrowLattices) {
+  // Every height of the 96-node Adult lattice fits in one probe chunk, so
+  // the search bisects (the kAnonymizer800 golden's run).
+  Table table = UnwrapOk(AdultGenerate(800, 7));
+  HierarchySet hierarchies = UnwrapOk(AdultHierarchies(table.schema()));
+  RunTrace trace;
+  SearchOptions options;
+  options.k = 3;
+  options.p = 2;
+  options.max_suppression = 8;
+  options.trace = &trace;
+  SearchResult result = UnwrapOk(SamaratiSearch(table, hierarchies, options));
+  ASSERT_TRUE(result.found);
+  EXPECT_EQ(ProbeSequence(trace.StructureSignature()),
+            (std::vector<std::pair<int, bool>>{
+                {4, false}, {7, true}, {6, false}}));
+  EXPECT_EQ(result.stats.nodes_generalized, 43u);
 }
 
 TEST(SamaratiSearchTest, PSensitiveSearchOnPaperExample) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 namespace psk {
 namespace {
 
@@ -96,6 +100,27 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int64_t{3}).Hash(), Value(3.0).Hash());
   EXPECT_EQ(Value("x").Hash(), Value("x").Hash());
   EXPECT_EQ(Value().Hash(), Value().Hash());
+}
+
+TEST(ValueTest, HashMatchesEqualityAtInt64Extremes) {
+  // Mixed numeric equality compares as double, so an int64 that rounds to
+  // a double must hash like that double — including near +-2^63, where a
+  // round trip through double would overflow int64.
+  const double two_63 = std::ldexp(1.0, 63);
+  const double two_53 = std::ldexp(1.0, 53);
+  const struct {
+    Value int_value;
+    Value double_value;
+  } cases[] = {
+      {Value(std::numeric_limits<int64_t>::max()), Value(two_63)},
+      {Value(std::numeric_limits<int64_t>::min()), Value(-two_63)},
+      {Value(int64_t{(int64_t{1} << 53) + 1}), Value(two_53)},
+  };
+  for (const auto& c : cases) {
+    ASSERT_EQ(c.int_value, c.double_value) << c.int_value.ToString();
+    EXPECT_EQ(c.int_value.Hash(), c.double_value.Hash())
+        << c.int_value.ToString();
+  }
 }
 
 }  // namespace
