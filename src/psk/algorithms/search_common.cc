@@ -331,7 +331,9 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
 
 Status NodeEvaluator::BeginGroupBy() {
   // Budget checkpoint: every evaluation groups the whole table, so this is
-  // the natural unit of work to account.
+  // the natural unit of work to account. It is charged in rows whichever
+  // layout the encoding took, so max_rows_materialized trips at the same
+  // node on both.
   PSK_RETURN_IF_ERROR(enforcer_->Charge(1, im_.num_rows()));
   // Fine decomposition axis: grant the group-by its row workers, resolved
   // against the pool's current fair share so a saturated pool degrades to
@@ -477,6 +479,9 @@ Status NodeSweeper::Init() {
     PSK_ASSIGN_OR_RETURN(EncodedTable built,
                          EncodedTable::Build(im_, hierarchies_));
     encoded = std::make_shared<const EncodedTable>(std::move(built));
+    // What every node's group-by runs over: the distinct ground QI tuples
+    // on the entry layout, the rows on the row layout.
+    span.Counter("entries", encoded->num_entries());
   }
   // EncodedTable::Build memory seam: one charge for the whole sweep (every
   // worker shares the same immutable encoding). A rejected charge fails

@@ -58,8 +58,8 @@ Result<FrequencyStats> FrequencyStats::Compute(const EncodedTable& encoded) {
   stats.freq_.reserve(encoded.num_confidential());
   stats.cum_freq_.reserve(encoded.num_confidential());
   for (size_t j = 0; j < encoded.num_confidential(); ++j) {
-    std::vector<size_t> counts(encoded.confidential_cardinality(j), 0);
-    for (uint32_t code : encoded.confidential_codes(j)) ++counts[code];
+    const std::vector<uint32_t>& rows = encoded.confidential_value_counts(j);
+    std::vector<size_t> counts(rows.begin(), rows.end());
     std::sort(counts.begin(), counts.end(), std::greater<size_t>());
     std::vector<size_t> cf(counts.size());
     size_t acc = 0;

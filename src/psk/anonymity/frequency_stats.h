@@ -31,9 +31,9 @@ class FrequencyStats {
   /// Convenience overload using the schema's confidential attributes.
   static Result<FrequencyStats> Compute(const Table& table);
 
-  /// Code-path overload: frequencies counted over the dictionary codes of
-  /// the encoded confidential columns (a counting array instead of a
-  /// Value-keyed hash map). Codes deduplicate by Value equality, so the
+  /// Code-path overload: frequencies read off the per-code row counts
+  /// EncodedTable::Build keeps for each confidential column (no row is
+  /// visited). Codes deduplicate by Value equality, so the
   /// resulting statistics — and the Condition 1/2 bounds derived from
   /// them — are identical to the Value-path overloads.
   static Result<FrequencyStats> Compute(const EncodedTable& encoded);

@@ -1,5 +1,6 @@
 #include "psk/anonymity/psensitive.h"
 
+#include <type_traits>
 #include <unordered_set>
 
 #include "psk/hierarchy/hierarchy.h"
@@ -65,9 +66,10 @@ bool IsPSensitiveEncoded(const EncodedGroups& groups,
                          EncodedDistinctScratch* scratch) {
   if (p <= 1 || encoded.num_confidential() == 0) return true;
   size_t num_groups = groups.num_groups();
-  size_t num_rows = groups.num_rows();
+  size_t num_entries = groups.num_rows();
 
-  // Counting sort: rows_[offsets_[g] .. offsets_[g+1]) are group g's rows.
+  // Counting sort: entries_[offsets_[g] .. offsets_[g+1]) are group g's
+  // entries.
   scratch->offsets_.assign(num_groups + 1, 0);
   for (uint32_t gid : groups.row_gid) ++scratch->offsets_[gid + 1];
   for (size_t g = 0; g < num_groups; ++g) {
@@ -75,56 +77,79 @@ bool IsPSensitiveEncoded(const EncodedGroups& groups,
   }
   scratch->cursor_.assign(scratch->offsets_.begin(),
                           scratch->offsets_.end() - 1);
-  scratch->rows_.resize(num_rows);
-  for (size_t row = 0; row < num_rows; ++row) {
-    scratch->rows_[scratch->cursor_[groups.row_gid[row]]++] =
-        static_cast<uint32_t>(row);
+  scratch->entries_.resize(num_entries);
+  for (size_t entry = 0; entry < num_entries; ++entry) {
+    scratch->entries_[scratch->cursor_[groups.row_gid[entry]]++] =
+        static_cast<uint32_t>(entry);
   }
 
   for (size_t j = 0; j < encoded.num_confidential(); ++j) {
     const uint32_t* codes = encoded.confidential_codes(j).data();
+    const uint32_t* lists = encoded.confidential_offsets(j).data();
     uint32_t cardinality = encoded.confidential_cardinality(j);
     if (scratch->stamp_.size() < cardinality) {
       scratch->stamp_.resize(cardinality, 0);
     }
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (groups.group_sizes[g] < min_group_size) continue;
-      if (++scratch->generation_ == 0) {  // stamp wrap: reset
-        std::fill(scratch->stamp_.begin(), scratch->stamp_.end(), 0u);
-        scratch->generation_ = 1;
-      }
-      uint32_t gen = scratch->generation_;
-      const uint32_t begin = scratch->offsets_[g];
-      const uint32_t end = scratch->offsets_[g + 1];
-      size_t distinct = 0;
-      if (end - begin <= kBranchFreeGroupLimit) {
-        // Branch-free counting scan: k-anonymous groups are mostly small
-        // (size ~k), and for them the early-exit branch mispredicts more
-        // than it saves. Scan the whole group with straight-line
-        // stamp/count stores and compare once at the end — the stamp
-        // store is unconditional, so re-stamping a seen code is a no-op.
-        uint32_t* stamp = scratch->stamp_.data();
-        for (uint32_t idx = begin; idx < end; ++idx) {
-          uint32_t code = codes[scratch->rows_[idx]];
-          distinct += stamp[code] != gen;
-          stamp[code] = gen;
+    // An entry's codes are codes[lo .. hi): its one code on the row
+    // layout, its list of distinct codes on the entry layout. The layout
+    // is a template argument, so the row layout's scan keeps one load per
+    // row.
+    auto column_holds_p = [&](auto has_lists) {
+      constexpr bool kLists = decltype(has_lists)::value;
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (groups.group_sizes[g] < min_group_size) continue;
+        if (++scratch->generation_ == 0) {  // stamp wrap: reset
+          std::fill(scratch->stamp_.begin(), scratch->stamp_.end(), 0u);
+          scratch->generation_ = 1;
         }
-        if (distinct < p) return false;
-      } else {
-        bool enough = false;
-        for (uint32_t idx = begin; idx < end; ++idx) {
-          uint32_t code = codes[scratch->rows_[idx]];
-          if (scratch->stamp_[code] != gen) {
-            scratch->stamp_[code] = gen;
-            if (++distinct >= p) {
-              enough = true;
-              break;
+        const uint32_t gen = scratch->generation_;
+        const uint32_t begin = scratch->offsets_[g];
+        const uint32_t end = scratch->offsets_[g + 1];
+        uint32_t* stamp = scratch->stamp_.data();
+        size_t distinct = 0;
+        if (groups.group_sizes[g] <= kBranchFreeGroupLimit) {
+          // Branch-free counting scan: k-anonymous groups are mostly small
+          // (size ~k), and for them the early-exit branch mispredicts more
+          // than it saves. Scan the whole group with straight-line
+          // stamp/count stores and compare once at the end — the stamp
+          // store is unconditional, so re-stamping a seen code is a no-op.
+          for (uint32_t idx = begin; idx < end; ++idx) {
+            const uint32_t entry = scratch->entries_[idx];
+            const uint32_t lo = kLists ? lists[entry] : entry;
+            const uint32_t hi = kLists ? lists[entry + 1] : entry + 1;
+            for (uint32_t i = lo; i < hi; ++i) {
+              const uint32_t code = codes[i];
+              distinct += stamp[code] != gen;
+              stamp[code] = gen;
             }
           }
+          if (distinct < p) return false;
+        } else {
+          bool enough = false;
+          for (uint32_t idx = begin; idx < end && !enough; ++idx) {
+            const uint32_t entry = scratch->entries_[idx];
+            const uint32_t lo = kLists ? lists[entry] : entry;
+            const uint32_t hi = kLists ? lists[entry + 1] : entry + 1;
+            for (uint32_t i = lo; i < hi; ++i) {
+              const uint32_t code = codes[i];
+              if (stamp[code] != gen) {
+                stamp[code] = gen;
+                if (++distinct >= p) {
+                  enough = true;
+                  break;
+                }
+              }
+            }
+          }
+          if (!enough) return false;
         }
-        if (!enough) return false;
       }
-    }
+      return true;
+    };
+    const bool holds = encoded.confidential_offsets(j).empty()
+                           ? column_holds_p(std::false_type{})
+                           : column_holds_p(std::true_type{});
+    if (!holds) return false;
   }
   return true;
 }

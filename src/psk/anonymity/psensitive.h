@@ -105,7 +105,7 @@ Result<size_t> HierarchicalSensitivityP(
     int level);
 
 /// Reusable buffers for the encoded p-sensitivity check: a counting-sort
-/// index of rows by group id plus a generation-stamped seen-array over
+/// index of entries by group id plus a generation-stamped seen-array over
 /// confidential codes. One instance per worker thread.
 class EncodedDistinctScratch {
  public:
@@ -118,21 +118,22 @@ class EncodedDistinctScratch {
                                   EncodedDistinctScratch* scratch);
 
   std::vector<uint32_t> offsets_;  // group -> [offsets_[g], offsets_[g+1])
-  std::vector<uint32_t> rows_;     // row indices sorted by group id
+  std::vector<uint32_t> entries_;  // entry indices sorted by group id
   std::vector<uint32_t> cursor_;
   std::vector<uint32_t> stamp_;    // per confidential code, gen-stamped
   uint32_t generation_ = 0;
 };
 
-/// Code-path p-sensitivity over an encoded QI-partition: every group of
-/// size >= `min_group_size` must hold >= `p` distinct codes of every
-/// confidential column. Distinct counting is a counting sort of the rows
-/// by group id plus a stamped seen-array over the confidential code space
-/// — no hashing, early exit at `p` per group. min_group_size = k skips
-/// exactly the groups suppression removes (the evaluator's detail check);
-/// min_group_size <= 1 checks every group. Agrees exactly with the
-/// Value-keyed IsPSensitive over the generalized table. Vacuously true
-/// when p <= 1 or there is no confidential column.
+/// Code-path p-sensitivity over an encoded QI-partition (`groups` from
+/// EncodedTable::GroupByNode or GroupBySubset): every group of size >=
+/// `min_group_size` must hold >= `p` distinct codes of every confidential
+/// column. Distinct counting is a counting sort of the entries by group id
+/// plus a stamped seen-array over the confidential code space, read
+/// through each entry's codes — no hashing, early exit at `p` per group.
+/// min_group_size = k skips exactly the groups suppression removes (the
+/// evaluator's detail check); min_group_size <= 1 checks every group.
+/// Agrees exactly with the Value-keyed IsPSensitive over the generalized
+/// table. Vacuously true when p <= 1 or there is no confidential column.
 bool IsPSensitiveEncoded(const EncodedGroups& groups,
                          const EncodedTable& encoded, size_t p,
                          size_t min_group_size,

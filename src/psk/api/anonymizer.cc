@@ -143,6 +143,9 @@ Result<AnonymizationReport> RunStage(
 
   std::optional<LatticeNode> node;
   SearchStats stats;
+  // Samarati and OLA decode their node before they return; the minimal-set
+  // engines leave the winner to the Mask below.
+  std::optional<MaskedMicrodata> masked;
   if (algorithm == AnonymizationAlgorithm::kOla) {
     OlaOptions ola_options;
     ola_options.search = options;
@@ -154,7 +157,11 @@ Result<AnonymizationReport> RunStage(
           "Condition 1 fails: some confidential attribute has fewer than p "
           "distinct values");
     }
-    if (ola.found) node = ola.optimal;
+    if (ola.found) {
+      node = ola.optimal;
+      masked = MaskedMicrodata{std::move(ola.masked), ola.optimal,
+                               ola.suppressed};
+    }
   } else if (algorithm == AnonymizationAlgorithm::kSamarati) {
     PSK_ASSIGN_OR_RETURN(SearchResult result,
                          SamaratiSearch(im, *hierarchies, options));
@@ -164,7 +171,11 @@ Result<AnonymizationReport> RunStage(
           "Condition 1 fails: some confidential attribute has fewer than p "
           "distinct values");
     }
-    if (result.found) node = result.node;
+    if (result.found) {
+      node = result.node;
+      masked = MaskedMicrodata{std::move(result.masked), result.node,
+                               result.suppressed};
+    }
   } else {
     MinimalSetResult result;
     switch (algorithm) {
@@ -219,12 +230,14 @@ Result<AnonymizationReport> RunStage(
         "the suppression budget");
   }
 
-  TraceSpan materialize_span(trace, "materialize");
-  PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
-                       Mask(im, *hierarchies, *node, base_options.k));
-  report.masked = std::move(mm.table);
+  if (!masked.has_value()) {
+    TraceSpan materialize_span(trace, "materialize");
+    PSK_ASSIGN_OR_RETURN(masked,
+                         Mask(im, *hierarchies, *node, base_options.k));
+  }
+  report.masked = std::move(masked->table);
   report.node = *node;
-  report.suppressed = mm.suppressed;
+  report.suppressed = masked->suppressed;
   report.stats = stats;
   report.partial = stats.partial;
   report.precision = Precision(*node, *hierarchies);

@@ -1,5 +1,7 @@
 #include "psk/common/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -8,6 +10,22 @@
 
 namespace psk {
 namespace {
+
+// The process-wide pool: null until the first Shared(), and again in a
+// forked child.
+std::atomic<ThreadPool*> shared_pool{nullptr};
+
+// pthread_atfork child handler. A forked child holds only the thread that
+// called fork(), so the inherited pool has no workers and a ParallelFor
+// would wait forever for helpers that never run. The child forgets the
+// pool, and its next Shared() starts its own workers. The old pool is
+// leaked: its mutex may have been held by a thread that no longer exists.
+void ForgetSharedPoolInChild() {
+  shared_pool.store(nullptr, std::memory_order_relaxed);
+}
+
+const int kAtForkRegistered =
+    pthread_atfork(nullptr, nullptr, &ForgetSharedPoolInChild);
 
 // State shared between one ParallelFor call and its helper tasks. Owned by
 // shared_ptr so a helper that outlives the call's stack frame (it cannot —
@@ -69,11 +87,17 @@ ThreadPool::~ThreadPool() {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* pool = [] {
-    size_t hw = std::thread::hardware_concurrency();
-    size_t workers = std::max<size_t>(hw, 8) - 1;
-    return new ThreadPool(workers);
-  }();
+  ThreadPool* pool = shared_pool.load(std::memory_order_acquire);
+  if (pool != nullptr) return *pool;
+  size_t hw = std::thread::hardware_concurrency();
+  size_t workers = std::max<size_t>(hw, 8) - 1;
+  auto* created = new ThreadPool(workers);
+  if (shared_pool.compare_exchange_strong(pool, created,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return *created;
+  }
+  delete created;  // another thread's pool won the race
   return *pool;
 }
 

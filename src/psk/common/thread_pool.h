@@ -18,7 +18,8 @@ namespace psk {
 /// anonymization runs share a bounded set of OS threads instead of each
 /// spawning its own (the previous std::async-per-shard approach). The pool
 /// is created on first use and intentionally leaked — worker threads must
-/// not be joined during static destruction.
+/// not be joined during static destruction. A forked child does not
+/// inherit it: the child's first Shared() starts a pool of its own.
 ///
 /// The only scheduling primitive the engines need is ParallelFor: a
 /// dynamically load-balanced index loop in which the *calling thread

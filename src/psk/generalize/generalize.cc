@@ -197,7 +197,7 @@ Result<MaskedMicrodata> DecodeMasked(const EncodedTable& encoded,
   if (k > 0) {
     keep.assign(encoded.num_rows(), false);
     for (size_t row = 0; row < encoded.num_rows(); ++row) {
-      if (groups.group_sizes[groups.row_gid[row]] >= k) {
+      if (groups.group_sizes[groups.row_gid[encoded.entry_of(row)]] >= k) {
         keep[row] = true;
       } else {
         ++suppressed;

@@ -1,5 +1,6 @@
 #include "psk/table/encoded.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -103,8 +104,99 @@ Result<EncodedTable> EncodedTable::Build(const Table& initial_microdata,
     std::vector<Value> representatives;
     EncodeColumn(initial_microdata, cc.src_col, &cc.codes, &representatives);
     cc.cardinality = static_cast<uint32_t>(representatives.size());
+    cc.value_counts.assign(cc.cardinality, 0);
+    for (uint32_t code : cc.codes) ++cc.value_counts[code];
   }
+  enc.GroupRowsIntoEntries();
   return enc;
+}
+
+void EncodedTable::GroupRowsIntoEntries() {
+  // Entries are the ground frequency set: rows grouped by their ground QI
+  // codes, numbered by first occurrence. The scratch is local, as in
+  // ReleaseProfile::Compute: it lives only for this pass.
+  EncodedGroups ground;
+  {
+    std::vector<CodeColumnView> columns;
+    columns.reserve(keys_.size());
+    for (const KeyColumn& kc : keys_) {
+      columns.push_back(CodeColumnView{kc.codes.data(), nullptr,
+                                       kc.cardinality});
+    }
+    GroupByScratch scratch;
+    GroupByCodes(columns, num_rows_, &scratch, &ground);
+  }
+  const size_t entries = ground.num_groups();
+
+  // Footprints in 4-byte words of what the layouts do not share. The row
+  // layout holds a code per row and column; the entry layout a code per
+  // entry and key, the entry map, the weights, and per confidential
+  // column the list offsets plus the lists, of at least one code each.
+  const size_t row_words = num_rows_ * (keys_.size() + confs_.size());
+  const size_t entry_words_without_lists =
+      num_rows_ + entries * (keys_.size() + 1) +
+      confs_.size() * (entries + 1);
+  if (entry_words_without_lists + confs_.size() * entries >= row_words) {
+    return;
+  }
+
+  // Counting sort of the rows by entry; stable, so each entry's first row
+  // leads its range rows_by_entry[begin[e] .. begin[e + 1]).
+  std::vector<uint32_t> begin(entries + 1, 0);
+  for (size_t e = 0; e < entries; ++e) {
+    begin[e + 1] = begin[e] + ground.group_sizes[e];
+  }
+  std::vector<uint32_t> rows_by_entry(num_rows_);
+  {
+    std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+    for (size_t row = 0; row < num_rows_; ++row) {
+      rows_by_entry[cursor[ground.row_gid[row]]++] =
+          static_cast<uint32_t>(row);
+    }
+  }
+
+  // Each entry's distinct confidential codes: walking the rows entry by
+  // entry, a code is new to its entry when the entry it was last seen in
+  // (stored as e + 1; 0 = never) is another one.
+  std::vector<std::vector<uint32_t>> lists(confs_.size());
+  std::vector<std::vector<uint32_t>> offsets(confs_.size());
+  size_t list_words = 0;
+  std::vector<uint32_t> buffer;
+  buffer.reserve(num_rows_);
+  std::vector<uint32_t> last_entry;
+  for (size_t j = 0; j < confs_.size(); ++j) {
+    const std::vector<uint32_t>& codes = confs_[j].codes;
+    offsets[j].resize(entries + 1);
+    buffer.clear();
+    last_entry.assign(confs_[j].cardinality, 0);
+    for (uint32_t e = 0; e < entries; ++e) {
+      for (uint32_t i = begin[e]; i < begin[e + 1]; ++i) {
+        const uint32_t code = codes[rows_by_entry[i]];
+        if (last_entry[code] != e + 1) {
+          last_entry[code] = e + 1;
+          buffer.push_back(code);
+        }
+      }
+      offsets[j][e + 1] = static_cast<uint32_t>(buffer.size());
+    }
+    lists[j].assign(buffer.begin(), buffer.end());
+    list_words += buffer.size();
+  }
+  if (entry_words_without_lists + list_words >= row_words) return;
+
+  for (KeyColumn& kc : keys_) {
+    std::vector<uint32_t> entry_codes(entries);
+    for (size_t e = 0; e < entries; ++e) {
+      entry_codes[e] = kc.codes[rows_by_entry[begin[e]]];
+    }
+    kc.codes = std::move(entry_codes);
+  }
+  for (size_t j = 0; j < confs_.size(); ++j) {
+    confs_[j].codes = std::move(lists[j]);
+    confs_[j].offsets = std::move(offsets[j]);
+  }
+  row_entry_ = std::move(ground.row_gid);
+  weights_ = std::move(ground.group_sizes);
 }
 
 size_t EncodedTable::ApproxBytes() const {
@@ -125,8 +217,11 @@ size_t EncodedTable::ApproxBytes() const {
     }
   }
   for (const ConfColumn& cc : confs_) {
-    bytes += cc.codes.capacity() * sizeof(uint32_t);
+    bytes += (cc.codes.capacity() + cc.offsets.capacity() +
+              cc.value_counts.capacity()) *
+             sizeof(uint32_t);
   }
+  bytes += (row_entry_.capacity() + weights_.capacity()) * sizeof(uint32_t);
   return bytes;
 }
 
@@ -179,20 +274,27 @@ void EncodedTable::GroupBySubset(const std::vector<size_t>& attrs,
 
 void EncodedTable::DispatchGroupBy(const std::vector<CodeColumnView>& columns,
                                    EncodedWorkspace* ws) const {
-  // Fine decomposition axis: slice by row range when the workspace owner
-  // granted row workers and the table is big enough that slices clear the
-  // per-slice minimum. Output is bit-identical to the sequential path
-  // (see DESIGN.md "Parallel search"), so this choice is invisible to the
-  // determinism contract.
-  const size_t slices = GroupBySliceCount(num_rows_, ws->row_workers,
+  // Fine decomposition axis: slice by entry range when the workspace
+  // owner granted row workers and there are enough entries that slices
+  // clear the per-slice minimum. Output is bit-identical to the
+  // sequential path (see DESIGN.md "Parallel search"), so this choice is
+  // invisible to the determinism contract.
+  const size_t entries = num_entries();
+  const size_t slices = GroupBySliceCount(entries, ws->row_workers,
                                           ws->min_rows_per_slice);
   if (slices < 2) {
-    GroupByCodes(columns, num_rows_, &ws->group_scratch, &ws->groups);
-    return;
+    GroupByCodes(columns, entries, &ws->group_scratch, &ws->groups);
+  } else {
+    EvenSliceEnds(entries, slices, &ws->slice_ends);
+    GroupByCodesSliced(columns, entries, ws->slice_ends, ws->row_workers,
+                       &ws->parallel_scratch, &ws->groups);
   }
-  EvenSliceEnds(num_rows_, slices, &ws->slice_ends);
-  GroupByCodesSliced(columns, num_rows_, ws->slice_ends, ws->row_workers,
-                     &ws->parallel_scratch, &ws->groups);
+  if (weights_.empty()) return;
+  // Entry layout: the kernel counted entries; a group holds their rows.
+  std::vector<uint32_t>& sizes = ws->groups.group_sizes;
+  std::fill(sizes.begin(), sizes.end(), 0u);
+  const std::vector<uint32_t>& entry_gid = ws->groups.row_gid;
+  for (size_t e = 0; e < entries; ++e) sizes[entry_gid[e]] += weights_[e];
 }
 
 Result<Table> EncodedTable::Decode(const LatticeNode& node,
@@ -273,7 +375,7 @@ Result<Table> EncodedTable::Decode(const LatticeNode& node,
     }
     for (size_t row = 0; row < num_rows_; ++row) {
       if (keep != nullptr && !(*keep)[row]) continue;
-      out.push_back(gen_codes[kc.codes[row]]);
+      out.push_back(gen_codes[kc.codes[entry_of(row)]]);
     }
     out_dictionaries.push_back(std::move(dictionary));
   }

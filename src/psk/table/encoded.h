@@ -21,8 +21,9 @@ struct EncodedWorkspace {
 
   /// Intra-node row parallelism (the fine decomposition axis): group-bys
   /// run through GroupByCodesSliced with up to `row_workers` pool lanes
-  /// when the table is large enough to slice (>= 2 slices of at least
-  /// `min_rows_per_slice` rows). row_workers must stay 1 on workspaces
+  /// when the table has enough entries to slice (>= 2 slices of at least
+  /// `min_rows_per_slice` entries; an entry is a row on the row layout,
+  /// see EncodedTable). row_workers must stay 1 on workspaces
   /// evaluated from inside a ThreadPool task — only a control thread may
   /// dispatch the sliced path (nested ParallelFor can deadlock). Output
   /// is bit-identical either way.
@@ -58,6 +59,18 @@ struct EncodedWorkspace {
 /// pipeline (Decode reuses the same memoized generalized Values and the
 /// same schema re-typing rules).
 ///
+/// Group-bys run over *entries*. Full-domain generalization maps every
+/// distinct ground QI tuple to one generalized tuple, so a node's
+/// frequency set is a roll-up of the ground frequency set: on the entry
+/// layout Build keeps one entry per distinct ground QI tuple, numbered by
+/// the first row holding it, with its row count (weight) and, per
+/// confidential column, the distinct codes its rows carry. Grouping the
+/// entries and summing their weights gives the same groups, sizes and
+/// first-occurrence numbering as grouping the rows. Build takes that
+/// layout only when it is smaller than the row layout, where every row is
+/// its own entry with weight 1 and one code per confidential column (an
+/// input whose QI tuples barely repeat).
+///
 /// An EncodedTable is immutable after Build and safe to share across
 /// worker threads; per-thread mutable state lives in EncodedWorkspace.
 /// The encoding is derived state: checkpoint identity (input_digest /
@@ -78,21 +91,42 @@ class EncodedTable {
   size_t num_key_attributes() const { return keys_.size(); }
   size_t num_confidential() const { return confs_.size(); }
 
+  /// Entries the group-bys run over: the distinct ground QI tuples on the
+  /// entry layout, num_rows() on the row layout.
+  size_t num_entries() const {
+    return weights_.empty() ? num_rows_ : weights_.size();
+  }
+
+  /// The entry holding `row` (the row itself on the row layout).
+  uint32_t entry_of(size_t row) const {
+    return row_entry_.empty() ? static_cast<uint32_t>(row) : row_entry_[row];
+  }
+
   /// Hierarchy levels of QI slot `slot` (ground level included).
   int num_levels(size_t slot) const { return keys_[slot].num_levels; }
 
-  /// Per-row ground codes of confidential column `j` (schema
-  /// confidential order).
+  /// Ground codes of confidential column `j` (schema confidential order),
+  /// per entry: on the row layout one code per row and
+  /// confidential_offsets(j) is empty; on the entry layout the distinct
+  /// codes of entry e's rows are codes[offsets[e] .. offsets[e + 1]).
   const std::vector<uint32_t>& confidential_codes(size_t j) const {
     return confs_[j].codes;
+  }
+  const std::vector<uint32_t>& confidential_offsets(size_t j) const {
+    return confs_[j].offsets;
   }
   uint32_t confidential_cardinality(size_t j) const {
     return confs_[j].cardinality;
   }
+  /// Rows carrying each code of confidential column `j`.
+  const std::vector<uint32_t>& confidential_value_counts(size_t j) const {
+    return confs_[j].value_counts;
+  }
 
-  /// Groups every row by the full QI tuple generalized to `node`, writing
-  /// the partition into ws->groups. Group ids are numbered by first
-  /// occurrence in row order — the same order FrequencySet::Compute
+  /// Groups every entry by the full QI tuple generalized to `node`,
+  /// writing the partition into ws->groups: groups.row_gid is indexed by
+  /// entry and groups.group_sizes counts rows. Group ids are numbered by
+  /// first occurrence in row order — the same order FrequencySet::Compute
   /// assigns over the materialized generalized table. Fails (like
   /// ApplyGeneralization) when the node's level count does not match the
   /// key attributes or a level is out of range.
@@ -105,10 +139,11 @@ class EncodedTable {
                      const std::vector<int>& levels,
                      EncodedWorkspace* ws) const;
 
-  /// Approximate heap footprint of the encoding (code vectors, ancestor
-  /// maps, memoized generalized Values). The EncodedTable::Build charge
-  /// seam: NodeSweeper reserves this many bytes against the job's
-  /// MemoryBudget for the lifetime of the shared encoding.
+  /// Approximate heap footprint of the encoding (code vectors and lists,
+  /// entry maps, ancestor maps, memoized generalized Values). The
+  /// EncodedTable::Build charge seam: NodeSweeper reserves this many bytes
+  /// against the job's MemoryBudget for the lifetime of the shared
+  /// encoding.
   size_t ApproxBytes() const;
 
   /// Decodes the masked microdata at `node`: identifiers dropped, each QI
@@ -121,9 +156,14 @@ class EncodedTable {
                        const std::vector<bool>* keep) const;
 
  private:
-  /// Runs the group-by over `columns` into ws->groups, choosing the
-  /// row-sliced parallel path when ws->row_workers and the row count
-  /// justify it; bit-identical output either way.
+  /// Build's ground pass: groups the rows by their ground QI tuple and
+  /// switches to the entry layout when it is smaller than the row layout.
+  void GroupRowsIntoEntries();
+
+  /// Runs the group-by over the entries' `columns` into ws->groups,
+  /// choosing the sliced parallel path when ws->row_workers and the entry
+  /// count justify it (bit-identical output either way), then weights the
+  /// group sizes by the entries' row counts.
   void DispatchGroupBy(const std::vector<CodeColumnView>& columns,
                        EncodedWorkspace* ws) const;
 
@@ -131,7 +171,7 @@ class EncodedTable {
     size_t src_col = 0;  ///< column index in the initial microdata
     int num_levels = 0;
     uint32_t cardinality = 0;         ///< distinct ground values
-    std::vector<uint32_t> codes;      ///< per-row ground codes
+    std::vector<uint32_t> codes;      ///< per-entry ground codes
     /// ancestors[level][ground code] -> code at `level`; level 0 is the
     /// identity and stays empty.
     std::vector<std::vector<uint32_t>> ancestors;
@@ -144,11 +184,17 @@ class EncodedTable {
   struct ConfColumn {
     size_t src_col = 0;
     uint32_t cardinality = 0;
-    std::vector<uint32_t> codes;
+    std::vector<uint32_t> codes;    ///< see confidential_codes()
+    std::vector<uint32_t> offsets;  ///< entry layout only
+    std::vector<uint32_t> value_counts;
   };
 
   const Table* im_ = nullptr;
   size_t num_rows_ = 0;
+  /// Entry layout only (both empty on the row layout): the entry of each
+  /// row, and the rows of each entry.
+  std::vector<uint32_t> row_entry_;
+  std::vector<uint32_t> weights_;
   std::vector<KeyColumn> keys_;
   std::vector<ConfColumn> confs_;
 };

@@ -86,6 +86,10 @@ std::vector<size_t> DescendingValueFrequencies(const Table& table, size_t col);
 /// are numbered by first occurrence in row order, so num_groups,
 /// MinGroupSize and RowsInGroupsSmallerThan agree exactly with
 /// FrequencySet::Compute over the equivalent table.
+///
+/// EncodedTable groups entries rather than rows (one entry per distinct
+/// ground QI tuple, on its entry layout): there row_gid is indexed by
+/// entry, num_rows() counts entries, and group_sizes still count rows.
 struct EncodedGroups {
   /// row_gid[row] in [0, num_groups()), numbered by first occurrence.
   std::vector<uint32_t> row_gid;

@@ -4,8 +4,12 @@
 
 #include "psk/anonymity/kanonymity.h"
 #include "psk/anonymity/psensitive.h"
+#include "psk/api/spec_parser.h"
+#include "psk/common/failpoint.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/paper_tables.h"
+#include "psk/generalize/generalize.h"
+#include "psk/table/csv.h"
 #include "test_util.h"
 
 namespace psk {
@@ -113,6 +117,31 @@ TEST(AnonymizerTest, OlaReturnsBestMinimalNode) {
   // OLA optimizes discernibility over ALL minimal nodes, so it can only
   // match or beat the binary search's pick.
   EXPECT_LE(o_report.discernibility, s_report.discernibility);
+}
+
+TEST(AnonymizerTest, SamaratiAndOlaRunsEncodeTheTableOnce) {
+  // Both engines decode their node before they return, so Run() releases
+  // that decode instead of masking the table a second time.
+  AdultFixture fixture;
+  for (AnonymizationAlgorithm algorithm :
+       {AnonymizationAlgorithm::kSamarati, AnonymizationAlgorithm::kOla}) {
+    FailPoints::DisarmAll();
+    FailPoints::SetTracing(true);
+    Anonymizer anonymizer = fixture.MakeAnonymizer();
+    anonymizer.set_k(3).set_p(2).set_max_suppression(6).set_algorithm(
+        algorithm);
+    AnonymizationReport report = UnwrapOk(anonymizer.Run());
+    const uint64_t builds = FailPoints::Hits("table.encoded.build");
+    FailPoints::DisarmAll();
+    const std::string name(AlgorithmName(algorithm));
+    EXPECT_EQ(builds, 1u) << name;
+    ASSERT_TRUE(report.node.has_value()) << name;
+    MaskedMicrodata masked =
+        UnwrapOk(Mask(fixture.table, fixture.hierarchies, *report.node, 3));
+    EXPECT_EQ(report.suppressed, masked.suppressed) << name;
+    EXPECT_EQ(WriteCsvString(report.masked), WriteCsvString(masked.table))
+        << name;
+  }
 }
 
 TEST(AnonymizerTest, MissingHierarchyRejected) {

@@ -37,7 +37,7 @@ int EnvInt(const char* name, int fallback) {
   return std::atoi(value);
 }
 
-JobSpec MakeSpec(AnonymizationAlgorithm algorithm) {
+JobSpec MakeSpec(AnonymizationAlgorithm algorithm, size_t threads = 1) {
   JobSpec spec;
   spec.input = UnwrapOk(AdultGenerate(120, 3));
   if (algorithm != AnonymizationAlgorithm::kMondrian) {
@@ -51,6 +51,7 @@ JobSpec MakeSpec(AnonymizationAlgorithm algorithm) {
   spec.p = 2;
   spec.max_suppression = 6;
   spec.algorithm = algorithm;
+  spec.threads = threads;
   spec.checkpoint_interval = 2;  // checkpoint often = many fault points
   return spec;
 }
@@ -93,7 +94,7 @@ int RunChildWithFault(const std::string& dir, const JobSpec& spec,
 }
 
 void CrashResumeLoop(AnonymizationAlgorithm algorithm,
-                     const std::string& tag) {
+                     const std::string& tag, size_t threads = 1) {
   const int iterations = EnvInt("PSK_CRASH_ITERATIONS", 2);
   std::mt19937_64 rng(static_cast<uint64_t>(EnvInt("PSK_CRASH_SEED", 73)) +
                       static_cast<uint64_t>(algorithm));
@@ -102,7 +103,7 @@ void CrashResumeLoop(AnonymizationAlgorithm algorithm,
   // release/report/commit writes or let the run finish untouched.
   std::uniform_int_distribution<int64_t> countdown(0, 59);
 
-  JobSpec spec = MakeSpec(algorithm);
+  JobSpec spec = MakeSpec(algorithm, threads);
   const std::string base = ::testing::TempDir() + "psk_crash_" + tag;
   int total_crashes = 0;
 
@@ -245,6 +246,13 @@ TEST(CrashInjectionTest, JobStartupReapsOrphanedStagingFiles) {
 
 TEST(CrashInjectionTest, SamaratiSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kSamarati, "samarati");
+}
+
+TEST(CrashInjectionTest, SamaratiSurvivesRandomSigkillAtFourThreads) {
+  // A multi-threaded job writes no checkpoint, so every crash restarts it
+  // from the journal; the forked children start their own pool workers.
+  CrashResumeLoop(AnonymizationAlgorithm::kSamarati, "samarati_4threads",
+                  /*threads=*/4);
 }
 
 TEST(CrashInjectionTest, IncognitoSurvivesRandomSigkill) {

@@ -274,15 +274,38 @@ bool OracleCondition1(const Table& im, size_t p) {
   return true;
 }
 
+// The random inputs of the per-node oracle tests. Seeds 1-6 draw key
+// cardinality 5, whose QI tuples barely repeat in 80 rows, so EncodedTable
+// keeps its row layout; seeds 7-10 draw cardinality 2 or 3, whose tuples
+// repeat, so it groups entries. `theta` skews the confidential attribute.
+SyntheticSpec OracleNodeSpec(uint64_t seed, double theta) {
+  const size_t key_cardinality = seed <= 6 ? 5 : (seed <= 8 ? 2 : 3);
+  return MakeUniformSpec(80, 3, key_cardinality, 2, 4, theta);
+}
+constexpr uint64_t kOracleNodeSeeds = 10;
+
+// Counts which layout EncodedTable::Build takes for `data`, so a test can
+// assert that it covered both.
+void CountLayout(const SyntheticData& data, size_t* entry_layouts,
+                 size_t* row_layouts) {
+  EncodedTable encoded =
+      UnwrapOk(EncodedTable::Build(data.table, data.hierarchies));
+  ++*(encoded.num_entries() < encoded.num_rows() ? entry_layouts
+                                                 : row_layouts);
+}
+
 TEST(OracleTest, NodeEvaluatorAgreesOnEveryNodeOfRandomLattices) {
   size_t nodes_checked = 0;
   size_t stages_seen[5] = {0, 0, 0, 0, 0};
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
+  size_t entry_layouts = 0;
+  size_t row_layouts = 0;
+  for (uint64_t seed = 1; seed <= kOracleNodeSeeds; ++seed) {
     // Half the seeds draw a heavily skewed confidential attribute, whose
     // dominant value makes Condition 2's bound bite.
-    SyntheticSpec spec =
-        MakeUniformSpec(80, 3, 5, 2, 4, seed <= 3 ? 0.8 : 2.0);
+    const bool skewed = seed <= 6 ? seed > 3 : seed % 2 == 1;
+    SyntheticSpec spec = OracleNodeSpec(seed, skewed ? 2.0 : 0.8);
     SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
+    CountLayout(data, &entry_layouts, &row_layouts);
     std::vector<LatticeNode> nodes =
         GeneralizationLattice(data.hierarchies).AllNodes();
     for (size_t k : {size_t{2}, size_t{3}, size_t{5}}) {
@@ -325,6 +348,8 @@ TEST(OracleTest, NodeEvaluatorAgreesOnEveryNodeOfRandomLattices) {
     }
   }
   EXPECT_GT(nodes_checked, 1000u);
+  EXPECT_GT(entry_layouts, 0u);
+  EXPECT_GT(row_layouts, 0u);
   // The inputs reach every verdict the evaluator can return per node.
   EXPECT_GT(stages_seen[static_cast<size_t>(CheckStage::kPassed)], 0u);
   EXPECT_GT(stages_seen[static_cast<size_t>(CheckStage::kKAnonymity)], 0u);
@@ -333,9 +358,12 @@ TEST(OracleTest, NodeEvaluatorAgreesOnEveryNodeOfRandomLattices) {
 }
 
 TEST(OracleTest, MaskMatchesValuePathOnEveryNodeOfRandomLattices) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SyntheticSpec spec = MakeUniformSpec(80, 3, 5, 2, 4, 0.8);
+  size_t entry_layouts = 0;
+  size_t row_layouts = 0;
+  for (uint64_t seed = 1; seed <= kOracleNodeSeeds; ++seed) {
+    SyntheticSpec spec = OracleNodeSpec(seed, 0.8);
     SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
+    CountLayout(data, &entry_layouts, &row_layouts);
     for (const LatticeNode& node :
          GeneralizationLattice(data.hierarchies).AllNodes()) {
       Table generalized =
@@ -358,6 +386,8 @@ TEST(OracleTest, MaskMatchesValuePathOnEveryNodeOfRandomLattices) {
       }
     }
   }
+  EXPECT_GT(entry_layouts, 0u);
+  EXPECT_GT(row_layouts, 0u);
 }
 
 TEST(OracleTest, KAnonymityAgreesOnRandomTables) {

@@ -22,6 +22,7 @@
 #include "psk/common/memory_budget.h"
 #include "psk/common/run_budget.h"
 #include "psk/datagen/adult.h"
+#include "psk/datagen/synthetic.h"
 #include "psk/service/scheduler.h"
 #include "psk/table/csv.h"
 #include "test_util.h"
@@ -41,6 +42,24 @@ JobSpec MakeSpec(size_t rows, uint64_t seed,
   spec.p = 2;
   spec.max_suppression = 6;
   spec.algorithm = algorithm;
+  return spec;
+}
+
+// An exhaustive job over a 1,024-node lattice (five QIs, four levels each)
+// whose QI tuples barely repeat, so every node groups all its rows.
+JobSpec MakeWideLatticeSpec(size_t rows, uint64_t seed) {
+  SyntheticSpec synthetic = MakeUniformSpec(rows, 5, 6, 1, 50, 0.5);
+  for (size_t i = 0; i < 5; ++i) synthetic.attributes[i].hierarchy_levels = 4;
+  SyntheticData data = UnwrapOk(SyntheticGenerate(synthetic, seed));
+  JobSpec spec;
+  spec.input = std::move(data.table);
+  for (size_t i = 0; i < data.hierarchies.size(); ++i) {
+    spec.hierarchies.push_back(data.hierarchies.hierarchy_ptr(i));
+  }
+  spec.k = 3;
+  spec.p = 2;
+  spec.max_suppression = 6;
+  spec.algorithm = AnonymizationAlgorithm::kExhaustive;
   return spec;
 }
 
@@ -119,8 +138,12 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   // even the shrunken cache keeps the job over-soft and the ladder walks
   // to rung 3 instead of disarming as soon as the shrink lands. Sized so
   // the sweep outlasts three watchdog dwells — rung 3 must land while
-  // the search is still charging its budget.
-  JobSpec hog_spec = MakeSpec(12000, 46, AnonymizationAlgorithm::kExhaustive);
+  // the search is still charging its budget. An Adult input cannot be:
+  // its QI tuples repeat so heavily that its nodes group a few thousand
+  // entries, and a 12,000-row exhaustive search took 5-10 ms, often
+  // finishing before the ladder's first rung. A solo run of the wide
+  // lattice takes about 45 ms at 2 threads on a 4-core Xeon.
+  JobSpec hog_spec = MakeWideLatticeSpec(4000, 46);
   hog_spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
 
   // Transient fault: the only durable job's first journal write fails
@@ -154,9 +177,9 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   options.hung_timeout = std::chrono::milliseconds(300);
   options.hard_cancel_grace = std::chrono::milliseconds(100);
   options.retry_backoff_base = std::chrono::milliseconds(1);
-  // hog quota below: hard = 700KB, far above its transient peak (nothing
-  // trips until rung 3 forces exhaustion); soft = 1% = 7KB, below the
-  // 8KB shrunken cache (stays armed through rung 1).
+  // hog quota below: hard = 700KB, above its transient peak (about 520KB
+  // in a solo run; nothing trips until rung 3 forces exhaustion); soft =
+  // 1% = 7KB, below the 8KB shrunken cache (stays armed through rung 1).
   options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;
   options.shed_retry_after_ms = 25;

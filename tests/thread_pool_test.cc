@@ -7,9 +7,14 @@
 
 #include "psk/common/thread_pool.h"
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -159,6 +164,57 @@ TEST(ThreadPoolTest, ApproxQueueDepthIsBounded) {
   // "empty once everything joined".
   pool.ParallelFor(100, 4, [&](size_t, size_t) { (void)pool.ApproxQueueDepth(); });
   EXPECT_EQ(pool.ApproxQueueDepth(), 0u);
+}
+
+#if defined(__SANITIZE_THREAD__)
+#define PSK_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PSK_UNDER_TSAN 1
+#endif
+#endif
+
+TEST(ThreadPoolTest, ForkedChildRunsParallelFor) {
+#ifdef PSK_UNDER_TSAN
+  GTEST_SKIP() << "TSan does not support starting threads after a "
+                  "multithreaded fork";
+#endif
+  // The parent's shared pool has started its workers; a forked child
+  // inherits none of them and must start its own.
+  std::atomic<size_t> ran{0};
+  ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  ASSERT_EQ(ran.load(), 64u);
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::atomic<size_t> child_ran{0};
+    ThreadPool::Shared().ParallelFor(64, 4, [&](size_t, size_t) {
+      child_ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    // _exit, not exit: do not run the parent's atexit/gtest machinery.
+    _exit(child_ran.load() == 64 ? 0 : 1);
+  }
+  // Poll rather than block, so a child stuck on helpers that never run
+  // fails the test instead of hanging it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    FAIL() << "the forked child's ParallelFor did not finish within 20 s";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace
