@@ -100,7 +100,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
       }
     }
     // A completed height is the BFS's crash-recovery boundary.
-    primary.FlushCheckpoint();
+    sweeper.FlushCheckpoint();
   }
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
   result.stats = sweeper.MergedStats();

@@ -47,7 +47,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
       if (evals[i]->satisfied) result.satisfying_nodes.push_back(nodes[i]);
     }
   }
-  sweeper.primary().FlushCheckpoint();
+  sweeper.FlushCheckpoint();
   result.stats = sweeper.MergedStats();
   result.minimal_nodes = MinimalNodes(result.satisfying_nodes);
   return result;

@@ -166,7 +166,7 @@ Result<MinimalSetResult> IncognitoSearch(
         seg_begin = seg_end;
       }
       // A finished subset is Incognito's crash-recovery boundary.
-      evaluator.FlushCheckpoint();
+      sweeper.FlushCheckpoint();
     }
   }
   if (trace != nullptr) trace->End();
@@ -232,7 +232,7 @@ Result<MinimalSetResult> IncognitoSearch(
       Status swept = sweeper.Sweep(pending, &evals);
       // A finished height is the final phase's crash-recovery boundary, so
       // a complete run's last snapshot holds every verdict.
-      evaluator.FlushCheckpoint();
+      sweeper.FlushCheckpoint();
       if (!swept.ok()) {
         if (!AbsorbBudgetStop(swept, stats)) {
           return swept;

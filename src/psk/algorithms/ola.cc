@@ -227,7 +227,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     }();
     // Bisection is the bulk of OLA's work; make its verdicts durable
     // before the verification and metric phases re-consume them.
-    evaluator.FlushCheckpoint();
+    sweeper.FlushCheckpoint();
     if (!bisected.ok()) {
       if (!AbsorbBudgetStop(bisected, evaluator.mutable_stats())) {
         return bisected;

@@ -36,13 +36,13 @@ Result<std::optional<LatticeNode>> ProbeHeight(
     for (size_t i = 0; i < chunk.size(); ++i) {
       if (evals[i].has_value() && evals[i]->satisfied) {
         span.Attr("hit", "1");
-        sweeper.primary().FlushCheckpoint();
+        sweeper.FlushCheckpoint();
         return std::optional<LatticeNode>(chunk[i]);
       }
     }
   }
   span.Attr("hit", "0");
-  sweeper.primary().FlushCheckpoint();
+  sweeper.FlushCheckpoint();
   return std::optional<LatticeNode>(std::nullopt);
 }
 

@@ -195,9 +195,6 @@ Status NodeEvaluator::Init() {
   if (enforcer_ == nullptr) {
     enforcer_ = std::make_shared<BudgetEnforcer>(options_.budget);
   }
-  checkpointing_ =
-      options_.restore != nullptr || options_.checkpoint_sink != nullptr;
-  if (options_.restore != nullptr) snapshot_ = *options_.restore;
   initialized_ = true;
   return Status::OK();
 }
@@ -209,26 +206,6 @@ Status NodeEvaluator::TickReplay() {
   // Deadline/cancellation only — a fast-forward costs no real work, so the
   // node/row budget is not charged.
   return enforcer_->Check();
-}
-
-void NodeEvaluator::TickCheckpoint() {
-  if (options_.checkpoint_sink == nullptr) return;
-  if (++ticks_since_checkpoint_ < std::max<uint64_t>(
-          options_.checkpoint_interval, 1)) {
-    return;
-  }
-  FlushCheckpoint();
-}
-
-void NodeEvaluator::FlushCheckpoint() {
-  if (options_.checkpoint_sink == nullptr) return;
-  ticks_since_checkpoint_ = 0;
-  // Checkpointing forces a single sequential worker, so this always runs
-  // on the control thread and may open spans on the trace directly.
-  TraceSpan span(trace_, "checkpoint_io");
-  span.Counter("verdicts", snapshot_.verdicts.size());
-  span.Counter("facts", snapshot_.facts.size());
-  options_.checkpoint_sink(snapshot_);
 }
 
 void NodeEvaluator::RecordEvalEvent(const std::string& key, const char* path,
@@ -245,7 +222,8 @@ void NodeEvaluator::RecordEvalEvent(const std::string& key, const char* path,
   trace_buffer_->Record(std::move(event));
 }
 
-Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
+Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node,
+                                               SearchSnapshot* fresh) {
   if (!initialized_) {
     return Status::FailedPrecondition("NodeEvaluator::Init was not called");
   }
@@ -254,13 +232,14 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
         "Condition 1 fails for the requested p; no node can satisfy it");
   }
   std::string key;
-  if (checkpointing_ || cache_ != nullptr || trace_buffer_ != nullptr) {
+  if (options_.restore != nullptr || fresh != nullptr || cache_ != nullptr ||
+      trace_buffer_ != nullptr) {
     key = SnapshotNodeKey(node);
   }
   int64_t trace_start = trace_buffer_ != nullptr ? trace_->NowNs() : 0;
-  if (checkpointing_) {
-    auto cached = snapshot_.verdicts.find(key);
-    if (cached != snapshot_.verdicts.end()) {
+  if (options_.restore != nullptr) {
+    auto cached = options_.restore->verdicts.find(key);
+    if (cached != options_.restore->verdicts.end()) {
       // Resume fast-forward: recount the stored verdict into the stats
       // exactly as the original evaluation did, so a resumed run finishes
       // with the same counters as an uninterrupted one. No budget charge —
@@ -295,7 +274,6 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
       if (trace_buffer_ != nullptr) {
         RecordEvalEvent(key, "replay", eval, trace_start);
       }
-      TickCheckpoint();
       return eval;
     }
   }
@@ -324,8 +302,7 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node) {
   if (trace_buffer_ != nullptr) {
     RecordEvalEvent(key, "encoded", eval, trace_start);
   }
-  if (checkpointing_) snapshot_.verdicts.emplace(std::move(key), eval);
-  TickCheckpoint();
+  if (fresh != nullptr) fresh->verdicts.emplace(std::move(key), eval);
   return eval;
 }
 
@@ -349,21 +326,23 @@ Status NodeEvaluator::BeginGroupBy() {
 
 Result<bool> NodeEvaluator::EvaluateSubset(const std::vector<size_t>& attrs,
                                            const std::vector<int>& levels,
-                                           bool prune_p) {
+                                           bool prune_p,
+                                           SearchSnapshot* fresh) {
   if (!initialized_) {
     return Status::FailedPrecondition("NodeEvaluator::Init was not called");
   }
   std::string key;
-  if (checkpointing_) {
+  if (options_.restore != nullptr || fresh != nullptr) {
     key = SubsetFactKey(attrs, levels);
-    auto fact = snapshot_.facts.find(key);
-    if (fact != snapshot_.facts.end()) {
+  }
+  if (options_.restore != nullptr) {
+    auto fact = options_.restore->facts.find(key);
+    if (fact != options_.restore->facts.end()) {
       // Resume fast-forward: the interrupted run decided this subset node,
       // so reuse its verdict without scanning the table or charging the
       // budget (deadline and cancellation are still polled).
       PSK_RETURN_IF_ERROR(TickReplay());
       ++stats_.subset_nodes_evaluated;
-      TickCheckpoint();
       return fact->second;
     }
   }
@@ -379,8 +358,7 @@ Result<bool> NodeEvaluator::EvaluateSubset(const std::vector<size_t>& attrs,
     ok = IsPSensitiveEncoded(ws_.groups, *encoded_, options_.p,
                              /*min_group_size=*/1, &distinct_scratch_);
   }
-  if (checkpointing_) snapshot_.facts.emplace(std::move(key), ok);
-  TickCheckpoint();
+  if (fresh != nullptr) fresh->facts.emplace(std::move(key), ok);
   return ok;
 }
 
@@ -453,13 +431,7 @@ NodeSweeper::NodeSweeper(const Table& initial_microdata,
       options_(std::move(options)) {}
 
 Status NodeSweeper::Init() {
-  // Checkpointed runs stay sequential: the snapshot is accumulated by one
-  // evaluator, and resume's deterministic-replay guarantee forbids
-  // non-deterministic shard interleaving.
-  bool checkpointed = options_.restore != nullptr ||
-                      options_.checkpoint_sink != nullptr;
-  size_t num_workers =
-      (checkpointed || options_.threads <= 1) ? 1 : options_.threads;
+  size_t num_workers = std::max<size_t>(options_.threads, 1);
 
   workers_.clear();
   workers_.reserve(num_workers);
@@ -467,6 +439,11 @@ Status NodeSweeper::Init() {
   // must never reallocate after the first set_trace.
   trace_buffers_.clear();
   if (options_.trace != nullptr) trace_buffers_.resize(num_workers);
+  fresh_buffers_.clear();
+  if (options_.checkpoint_sink != nullptr) {
+    fresh_buffers_.resize(num_workers);
+    if (options_.restore != nullptr) snapshot_ = *options_.restore;
+  }
 
   // Encode the table once and share it across workers — the encoding is
   // immutable after Build, so concurrent GroupByNode calls (each with a
@@ -490,32 +467,19 @@ Status NodeSweeper::Init() {
   PSK_RETURN_IF_ERROR(encoded_reservation_.Reserve(options_.budget.memory,
                                                    encoded->ApproxBytes()));
 
-  workers_.push_back(
-      std::make_unique<NodeEvaluator>(im_, hierarchies_, options_));
-  workers_.front()->set_verdict_cache(options_.verdict_cache);
-  workers_.front()->set_encoded_table(encoded);
-  if (options_.trace != nullptr) {
-    workers_.front()->set_trace(options_.trace, &trace_buffers_[0]);
-  }
-  PSK_RETURN_IF_ERROR(workers_.front()->Init());
-
-  // Secondary workers share the primary's enforcer (limits stay global)
-  // and the caller's cache, if any; they never checkpoint (num_workers > 1
-  // implies checkpointing is off, but clear the hooks anyway for belt and
-  // braces).
-  SearchOptions worker_options = options_;
-  worker_options.restore = nullptr;
-  worker_options.checkpoint_sink = nullptr;
-  for (size_t w = 1; w < num_workers; ++w) {
+  // Secondary workers share the primary's enforcer (limits stay global);
+  // every worker shares the caller's cache, if any.
+  for (size_t w = 0; w < num_workers; ++w) {
     workers_.push_back(
-        std::make_unique<NodeEvaluator>(im_, hierarchies_, worker_options));
-    workers_.back()->set_enforcer(workers_.front()->enforcer());
-    workers_.back()->set_verdict_cache(options_.verdict_cache);
-    workers_.back()->set_encoded_table(encoded);
+        std::make_unique<NodeEvaluator>(im_, hierarchies_, options_));
+    NodeEvaluator& worker = *workers_.back();
+    if (w > 0) worker.set_enforcer(workers_.front()->enforcer());
+    worker.set_verdict_cache(options_.verdict_cache);
+    worker.set_encoded_table(encoded);
     if (options_.trace != nullptr) {
-      workers_.back()->set_trace(options_.trace, &trace_buffers_[w]);
+      worker.set_trace(options_.trace, &trace_buffers_[w]);
     }
-    PSK_RETURN_IF_ERROR(workers_.back()->Init());
+    PSK_RETURN_IF_ERROR(worker.Init());
   }
   return Status::OK();
 }
@@ -523,8 +487,9 @@ Status NodeSweeper::Init() {
 Status NodeSweeper::Sweep(const std::vector<LatticeNode>& nodes,
                           std::vector<std::optional<NodeEvaluation>>* evals) {
   evals->assign(nodes.size(), std::nullopt);
-  return Drive(nodes.size(), [&](NodeEvaluator& worker, size_t index) {
-    Result<NodeEvaluation> eval = worker.Evaluate(nodes[index]);
+  return Drive(nodes.size(), [&](NodeEvaluator& worker, SearchSnapshot* fresh,
+                                 size_t index) {
+    Result<NodeEvaluation> eval = worker.Evaluate(nodes[index], fresh);
     if (!eval.ok()) return eval.status();
     (*evals)[index] = *eval;
     return Status::OK();
@@ -536,8 +501,10 @@ Status NodeSweeper::SweepSubsets(const std::vector<size_t>& attrs,
                                  bool prune_p,
                                  std::vector<std::optional<bool>>* passed) {
   passed->assign(levels.size(), std::nullopt);
-  return Drive(levels.size(), [&](NodeEvaluator& worker, size_t index) {
-    Result<bool> ok = worker.EvaluateSubset(attrs, levels[index], prune_p);
+  return Drive(levels.size(), [&](NodeEvaluator& worker,
+                                  SearchSnapshot* fresh, size_t index) {
+    Result<bool> ok =
+        worker.EvaluateSubset(attrs, levels[index], prune_p, fresh);
     if (!ok.ok()) return ok.status();
     (*passed)[index] = *ok;
     return Status::OK();
@@ -593,6 +560,9 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
   Status status = Status::OK();
   // Items completed per lane; each slot is written only by its lane.
   std::vector<size_t> evaluated(std::max<size_t>(active, 1), 0);
+  auto fresh = [&](size_t worker) {
+    return fresh_buffers_.empty() ? nullptr : &fresh_buffers_[worker];
+  };
 
   if (active <= 1) {
     // Sequential over items, on the control thread — so the fine axis may
@@ -608,7 +578,7 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
       trace->Timing("row_workers", workers_.size());
     }
     for (size_t index = 0; index < count && status.ok(); ++index) {
-      status = evaluate(primary, index);
+      status = evaluate(primary, fresh(0), index);
       if (status.ok()) ++evaluated[0];
     }
   } else {
@@ -653,7 +623,8 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
             if (stop.load(std::memory_order_relaxed)) break;
             Status item = cancel != nullptr && cancel->cancelled()
                               ? Status::Cancelled("run cancelled by caller")
-                              : evaluate(*workers_[worker], index);
+                              : evaluate(*workers_[worker], fresh(worker),
+                                         index);
             if (!item.ok()) {
               if (worker_status[worker].ok()) worker_status[worker] = item;
               // A tripped enforcer poisons every later Charge anyway; the
@@ -686,6 +657,7 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
   for (size_t done : evaluated) total += done;
   UpdateThroughput(total, active, sweep_begin, &nodes_per_sec_);
   FlushTraceEvents();
+  MergeCheckpoint();
   return status;
 }
 
@@ -699,6 +671,29 @@ void NodeSweeper::FlushTraceEvents() {
                   std::make_move_iterator(drained.end()));
   }
   if (!events.empty()) options_.trace->MergeEvents(std::move(events));
+}
+
+void NodeSweeper::MergeCheckpoint() {
+  if (options_.checkpoint_sink == nullptr) return;
+  for (SearchSnapshot& buffer : fresh_buffers_) {
+    fresh_since_flush_ += buffer.verdicts.size() + buffer.facts.size();
+    snapshot_.verdicts.merge(buffer.verdicts);
+    snapshot_.facts.merge(buffer.facts);
+    buffer = {};
+  }
+  if (fresh_since_flush_ >=
+      std::max<uint64_t>(options_.checkpoint_interval, 1)) {
+    FlushCheckpoint();
+  }
+}
+
+void NodeSweeper::FlushCheckpoint() {
+  if (options_.checkpoint_sink == nullptr) return;
+  fresh_since_flush_ = 0;
+  TraceSpan span(options_.trace, "checkpoint_io");
+  span.Counter("verdicts", snapshot_.verdicts.size());
+  span.Counter("facts", snapshot_.facts.size());
+  options_.checkpoint_sink(snapshot_);
 }
 
 SearchStats NodeSweeper::MergedStats() const {

@@ -180,12 +180,10 @@ struct SearchOptions {
   /// Samarati, OLA, Incognito and bottom-up all shard their per-height /
   /// per-level / per-subset waves over the shared ThreadPool through
   /// NodeSweeper. 1 = sequential. Results are deterministic: the set of
-  /// evaluated nodes, the release, and every SearchStats counter are
-  /// identical for any thread count (budget-tripped partial results may
-  /// differ, since a limit trips at a thread-timing-dependent node).
-  /// Parallelism engages only when checkpointing (restore /
-  /// checkpoint_sink) is off; checkpointed runs stay sequential to keep
-  /// the deterministic-replay guarantee.
+  /// evaluated nodes, the release, every SearchStats counter and the
+  /// snapshots handed to checkpoint_sink are identical for any thread
+  /// count (budget-tripped partial results may differ, since a limit trips
+  /// at a thread-timing-dependent node).
   size_t threads = 1;
   /// Fine-axis threshold: the intra-node row-parallel group-by engages
   /// only when the table yields >= 2 slices of at least this many rows
@@ -219,13 +217,13 @@ struct SearchOptions {
   /// charge the budget (they cost no real work), so node/row caps meter
   /// only the work actually redone. Must outlive the search.
   const SearchSnapshot* restore = nullptr;
-  /// Invoked with the accumulated snapshot every `checkpoint_interval`
-  /// completed evaluations — piggybacking on the BudgetEnforcer checkpoint
-  /// already charged per node — and at engine-specific boundaries (after a
-  /// probed height, a finished subset phase, ...). The sink persists the
-  /// snapshot durably; it must not re-enter the search.
+  /// Invoked on the control thread with the accumulated snapshot at the
+  /// end of a sweep once `checkpoint_interval` fresh verdicts have built
+  /// up, and at engine-specific boundaries (after a probed height, a
+  /// finished subset phase, ...). The sink persists the snapshot durably;
+  /// it must not re-enter the search.
   std::function<void(const SearchSnapshot&)> checkpoint_sink;
-  /// Completed evaluations between checkpoint_sink invocations.
+  /// Fresh verdicts and subset facts between checkpoint_sink invocations.
   uint64_t checkpoint_interval = 64;
 
   /// Structured run trace (see psk/trace). Engines open phase spans on it
@@ -375,8 +373,7 @@ class NodeEvaluator {
   }
 
   /// Attaches run tracing: every completed Evaluate records one TraceEvent
-  /// (node key, how it was resolved, verdict stage) into `buffer`, and
-  /// checkpoint flushes open "checkpoint_io" spans on `trace`. The buffer is
+  /// (node key, how it was resolved, verdict stage) into `buffer`, which is
   /// per-worker and written without locks — its owner merges it into
   /// `trace` at span boundaries (NodeSweeper, at the end of each sweep).
   /// Both pointers must outlive the evaluator; pass nullptrs (the default
@@ -402,33 +399,29 @@ class NodeEvaluator {
   /// immediately.
   bool Condition1Holds() const { return condition1_holds_; }
 
-  /// Evaluates one node, updating stats(). When checkpointing is active
-  /// (options().restore or options().checkpoint_sink set), a node already
-  /// present in the snapshot is resolved from it — its counters recounted
-  /// identically, the budget not charged — and fresh verdicts are recorded
-  /// into the snapshot for the next checkpoint.
-  Result<NodeEvaluation> Evaluate(const LatticeNode& node);
+  /// Evaluates one node, updating stats(). A node present in
+  /// options().restore is resolved from it — its counters recounted
+  /// identically, the budget not charged. A fresh verdict (not a
+  /// VerdictCache hit) is recorded into `fresh` when it is non-null.
+  Result<NodeEvaluation> Evaluate(const LatticeNode& node,
+                                  SearchSnapshot* fresh = nullptr);
 
   /// Evaluates one Incognito subset node — QI slots `attrs` generalized to
   /// `levels` — counting SearchStats::subset_nodes_evaluated: true when
   /// suppressing every group smaller than k removes at most TS rows and,
   /// with `prune_p`, every group also holds p distinct values of each
   /// confidential attribute. The budget and the memory budget are charged
-  /// as for Evaluate. When checkpointing, a subset node already in the
-  /// snapshot's facts replays from it, and fresh verdicts are recorded
-  /// there under SubsetFactKey.
+  /// as for Evaluate. A subset node in options().restore's facts replays
+  /// from it; a fresh verdict is recorded into `fresh` (when non-null)
+  /// under SubsetFactKey.
   Result<bool> EvaluateSubset(const std::vector<size_t>& attrs,
-                              const std::vector<int>& levels, bool prune_p);
+                              const std::vector<int>& levels, bool prune_p,
+                              SearchSnapshot* fresh = nullptr);
 
   /// Snapshot replays between budget polls (see TickReplay). Small enough
   /// that even a replay cancelled immediately does at most this many map
   /// lookups past the request.
   static constexpr uint64_t kReplayCheckInterval = 32;
-
-  /// Invokes the sink immediately (engines call this at coarse boundaries
-  /// — after a probed height, a finished subset, a final-phase height — so
-  /// a crash loses at most one boundary's work).
-  void FlushCheckpoint();
 
   /// Produces the masked microdata (generalized + suppressed) for a node —
   /// used to materialize the winning node once a search finishes.
@@ -440,8 +433,8 @@ class NodeEvaluator {
   const SearchOptions& options() const { return options_; }
 
  private:
-  /// The charged evaluation body behind Evaluate (cache/checkpoint
-  /// handling lives in Evaluate itself).
+  /// The charged evaluation body behind Evaluate (cache/snapshot handling
+  /// lives in Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
 
   /// Charges the budget for one group-by over the whole table and grants
@@ -455,10 +448,6 @@ class NodeEvaluator {
   /// be cancelled before the first uncached node. A non-OK status is a
   /// budget stop to absorb (or a hard enforcer error to propagate).
   Status TickReplay();
-
-  /// Counts one completed evaluation toward the checkpoint cadence,
-  /// invoking options().checkpoint_sink when due.
-  void TickCheckpoint();
 
   /// Records one per-node trace event into trace_buffer_ (caller checked
   /// it is non-null). `path` is "encoded"/"cache"/"replay".
@@ -488,10 +477,6 @@ class NodeEvaluator {
   bool condition1_holds_ = true;
   uint64_t max_groups_ = 0;
   SearchStats stats_;
-  /// True when a restore snapshot or a checkpoint sink is configured.
-  bool checkpointing_ = false;
-  SearchSnapshot snapshot_;
-  uint64_t ticks_since_checkpoint_ = 0;
   uint64_t replay_hits_since_check_ = 0;
   RunTrace* trace_ = nullptr;
   TraceEventBuffer* trace_buffer_ = nullptr;
@@ -505,20 +490,21 @@ class NodeEvaluator {
 /// run through the same private Drive loop and record one "sweep" trace
 /// span each.
 ///
-/// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") holds
-/// the checkpointing state and is the evaluator engines use for
-/// engine-level bookkeeping (heights_probed, nodes_skipped, checkpoint
-/// flushes, Materialize). All workers share the primary's BudgetEnforcer
-/// (limits stay global) and, when the caller owns one,
-/// SearchOptions::verdict_cache; without it the sweep runs uncached.
+/// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") is
+/// the evaluator engines use for engine-level bookkeeping (heights_probed,
+/// nodes_skipped, Materialize). All workers share the primary's
+/// BudgetEnforcer (limits stay global), SearchOptions::restore (read-only)
+/// and, when the caller owns one, SearchOptions::verdict_cache; without it
+/// the sweep runs uncached.
 ///
 /// Determinism contract: a sweep evaluates *every* item it is given (no
 /// early exit), so the set of evaluated nodes — and therefore the merged
 /// SearchStats and the engine's release — is identical for every thread
 /// count. Engines that want early exit batch their nodes into fixed-size
 /// chunks (independent of the thread count) and stop between chunks.
-/// Checkpointed runs (restore / checkpoint_sink set) get exactly one
-/// worker, preserving the sequential deterministic-replay guarantee.
+/// With a checkpoint_sink, each worker records its fresh verdicts in its
+/// own buffer, merged after every sweep, so the sink sees the same
+/// snapshots at every thread count.
 ///
 /// Work decomposition (two axes, chosen per sweep): normally items are
 /// grouped into per-task batches sized by measured throughput (coarse
@@ -537,8 +523,7 @@ class NodeSweeper {
   /// Builds and initializes the workers. Fails like NodeEvaluator::Init.
   Status Init();
 
-  /// Worker 0 — the evaluator carrying checkpoint state and engine-level
-  /// counters. Valid after Init.
+  /// Worker 0, which carries engine-level counters. Valid after Init.
   NodeEvaluator& primary() { return *workers_.front(); }
 
   /// Evaluates every node, writing per-node verdicts into (*evals)[i]
@@ -565,9 +550,16 @@ class NodeSweeper {
   /// worker order).
   SearchStats MergedStats() const;
 
+  /// Invokes options().checkpoint_sink now (engines call this at coarse
+  /// boundaries — after a probed height, a finished subset, a final-phase
+  /// height — so a crash loses at most one boundary's work).
+  void FlushCheckpoint();
+
  private:
-  /// Evaluates one item of a sweep on `worker`; called once per index.
-  using ItemFn = std::function<Status(NodeEvaluator& worker, size_t index)>;
+  /// Evaluates one item of a sweep on `worker`, recording fresh verdicts
+  /// into `fresh` (null without a checkpoint sink); called once per index.
+  using ItemFn = std::function<Status(NodeEvaluator& worker,
+                                      SearchSnapshot* fresh, size_t index)>;
 
   /// The loop behind Sweep and SweepSubsets: runs `evaluate` for every
   /// index in [0, count) inside one "sweep" trace span, on one of the two
@@ -577,6 +569,10 @@ class NodeSweeper {
   /// Merges every pending per-worker trace event into the innermost open
   /// span of options().trace, sorted by node key (no-op without tracing).
   void FlushTraceEvents();
+
+  /// Moves the fresh buffers into snapshot_ and flushes once
+  /// checkpoint_interval entries have built up since the last flush.
+  void MergeCheckpoint();
 
   /// Nodes per pool task for a sweep of `count` nodes over `active`
   /// workers (coarse decomposition axis): sized from the measured
@@ -607,6 +603,11 @@ class NodeSweeper {
   /// One lock-free event buffer per worker; stable addresses (sized once
   /// in Init, before the workers capture pointers into it).
   std::vector<TraceEventBuffer> trace_buffers_;
+  /// Fresh verdicts per worker (sized in Init; empty without a sink).
+  std::vector<SearchSnapshot> fresh_buffers_;
+  /// What the sink receives: restore plus every merged fresh verdict.
+  SearchSnapshot snapshot_;
+  uint64_t fresh_since_flush_ = 0;
 };
 
 /// Outcome of a single-solution lattice search (Samarati binary search).

@@ -260,8 +260,8 @@ class Anonymizer {
     restore_snapshot_ = snapshot;
     return *this;
   }
-  /// Receives the accumulated search snapshot every `interval` completed
-  /// node evaluations and at engine boundaries, for durable persistence.
+  /// Receives the accumulated search snapshot every `interval` fresh
+  /// verdicts and at engine boundaries, for durable persistence.
   Anonymizer& set_checkpoint_sink(
       std::function<void(const SearchSnapshot&)> sink,
       uint64_t interval = 64) {

@@ -17,6 +17,11 @@ std::string VerdictPayload(const NodeEvaluation& eval) {
          std::to_string(eval.num_groups);
 }
 
+Status LineError(size_t line_no, const std::string& what) {
+  return Status::InvalidArgument("checkpoint line " +
+                                 std::to_string(line_no) + ": " + what);
+}
+
 Result<NodeEvaluation> ParseVerdictPayload(std::string_view payload,
                                            size_t line_no) {
   std::vector<std::string> parts;
@@ -24,9 +29,7 @@ Result<NodeEvaluation> ParseVerdictPayload(std::string_view payload,
     if (!Trim(part).empty()) parts.push_back(std::string(Trim(part)));
   }
   if (parts.size() != 4) {
-    return Status::InvalidArgument(
-        "checkpoint line " + std::to_string(line_no) +
-        ": verdict payload must have 4 fields");
+    return LineError(line_no, "verdict payload must have 4 fields");
   }
   NodeEvaluation eval;
   PSK_ASSIGN_OR_RETURN(int64_t satisfied, ParseInt64(parts[0]));
@@ -34,14 +37,17 @@ Result<NodeEvaluation> ParseVerdictPayload(std::string_view payload,
   PSK_ASSIGN_OR_RETURN(int64_t suppressed, ParseInt64(parts[2]));
   PSK_ASSIGN_OR_RETURN(int64_t num_groups, ParseInt64(parts[3]));
   if (stage < 0 || stage > static_cast<int>(CheckStage::kGroupDetail)) {
-    return Status::InvalidArgument(
-        "checkpoint line " + std::to_string(line_no) +
-        ": unknown check stage " + parts[1]);
+    return LineError(line_no, "unknown check stage " + parts[1]);
   }
   if (satisfied < 0 || satisfied > 1 || suppressed < 0 || num_groups < 0) {
-    return Status::InvalidArgument(
-        "checkpoint line " + std::to_string(line_no) +
-        ": verdict fields out of range");
+    return LineError(line_no, "verdict fields out of range");
+  }
+  // Evaluate records kPassed exactly for a satisfied node and never
+  // kCondition1 (decided once per search); replaying anything else would
+  // count the node twice or hand the engine a rejected node.
+  if ((satisfied == 1) != (stage == static_cast<int>(CheckStage::kPassed)) ||
+      stage == static_cast<int>(CheckStage::kCondition1)) {
+    return LineError(line_no, "no evaluation records this verdict");
   }
   eval.satisfied = satisfied == 1;
   eval.stage = static_cast<CheckStage>(stage);
@@ -125,9 +131,7 @@ Result<SearchSnapshot> ParseSnapshot(std::string_view text,
     if (line.empty() || line.front() == '#') continue;
     size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
-      return Status::InvalidArgument("checkpoint line " +
-                                     std::to_string(line_no) +
-                                     ": expected 'key = value'");
+      return LineError(line_no, "expected 'key = value'");
     }
     std::string_view key = Trim(line.substr(0, eq));
     std::string_view value = Trim(line.substr(eq + 1));
@@ -158,19 +162,20 @@ Result<SearchSnapshot> ParseSnapshot(std::string_view text,
     } else if (StartsWith(key, "verdict ")) {
       PSK_ASSIGN_OR_RETURN(NodeEvaluation eval,
                            ParseVerdictPayload(value, line_no));
-      snapshot.verdicts[std::string(Trim(key.substr(8)))] = eval;
+      std::string node(Trim(key.substr(8)));
+      if (!snapshot.verdicts.emplace(node, eval).second) {
+        return LineError(line_no, "key given twice");
+      }
     } else if (StartsWith(key, "fact ")) {
       if (value != "0" && value != "1") {
-        return Status::InvalidArgument("checkpoint line " +
-                                       std::to_string(line_no) +
-                                       ": fact must be 0 or 1");
+        return LineError(line_no, "fact must be 0 or 1");
       }
-      snapshot.facts[std::string(Trim(key.substr(5)))] = value == "1";
+      std::string node(Trim(key.substr(5)));
+      if (!snapshot.facts.emplace(node, value == "1").second) {
+        return LineError(line_no, "key given twice");
+      }
     } else {
-      return Status::InvalidArgument("checkpoint line " +
-                                     std::to_string(line_no) +
-                                     ": unknown key '" + std::string(key) +
-                                     "'");
+      return LineError(line_no, "unknown key '" + std::string(key) + "'");
     }
   }
   if (!version_seen || !hash_seen || !digest_seen) {

@@ -32,7 +32,8 @@ std::string SerializeSnapshot(const SearchSnapshot& snapshot,
 /// Inverse of SerializeSnapshot. Fails with kFailedPrecondition when the
 /// embedded spec hash or input digest differs from the expected value (the
 /// checkpoint belongs to a different spec or different input data) and
-/// kInvalidArgument on malformed input.
+/// kInvalidArgument on malformed input, including a verdict no evaluation
+/// records and a key given twice.
 Result<SearchSnapshot> ParseSnapshot(std::string_view text,
                                      uint64_t expected_spec_hash,
                                      uint64_t expected_input_digest);

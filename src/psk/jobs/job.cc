@@ -483,28 +483,23 @@ Result<JobOutcome> JobRunner::Execute(const JobSpec& spec,
     anonymizer.set_trace_enabled(true);
   }
   // Checkpoints are best-effort: a failed write costs resume progress,
-  // never correctness, so its status is deliberately dropped. Only the
-  // sequential path checkpoints — a parallel sweep completes nodes in
-  // nondeterministic order, so a snapshot cut mid-sweep would record a
-  // frontier no sequential replay reproduces. A scheduler degrading a job
-  // under pressure drops it to threads == 1, which re-arms the sink.
+  // never correctness, so its status is deliberately dropped. The sink
+  // sees the same snapshots at every thread count (see JobSpec::threads).
   std::string checkpoint_file = checkpoint_path();
-  if (spec.threads <= 1) {
-    anonymizer.set_checkpoint_sink(
-        [checkpoint_file, spec_hash,
-         input_digest](const SearchSnapshot& snapshot) {
-          // The site sits above AtomicWriteFile so torture runs can also
-          // crash *between* snapshot serialization and the write syscalls.
-          if (FailPointsActive() &&
-              !FailPointCheck("jobs.checkpoint.write").ok()) {
-            return;
-          }
-          (void)AtomicWriteFile(
-              checkpoint_file,
-              SerializeSnapshot(snapshot, spec_hash, input_digest));
-        },
-        spec.checkpoint_interval);
-  }
+  anonymizer.set_checkpoint_sink(
+      [checkpoint_file, spec_hash,
+       input_digest](const SearchSnapshot& snapshot) {
+        // The site sits above AtomicWriteFile so torture runs can also
+        // crash *between* snapshot serialization and the write syscalls.
+        if (FailPointsActive() &&
+            !FailPointCheck("jobs.checkpoint.write").ok()) {
+          return;
+        }
+        (void)AtomicWriteFile(
+            checkpoint_file,
+            SerializeSnapshot(snapshot, spec_hash, input_digest));
+      },
+      spec.checkpoint_interval);
   std::string progress_file = progress_path();
   anonymizer.set_progress_heartbeat([progress_file](size_t done) {
     if (FailPointsActive() && !FailPointCheck("jobs.progress.write").ok()) {

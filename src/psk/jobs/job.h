@@ -61,7 +61,7 @@ struct JobSpec {
   /// deterministic today; the seed exists so future randomized stages
   /// (sampling, perturbation) stay replayable from the journal alone.
   uint64_t seed = 0;
-  /// Completed node evaluations between durable checkpoints.
+  /// Fresh verdicts and subset facts between durable checkpoints.
   uint64_t checkpoint_interval = 64;
   bool guard_enabled = true;
   /// When non-empty, the run is traced (see psk/trace) and the trace JSON
@@ -71,13 +71,11 @@ struct JobSpec {
   /// without invalidating the journal.
   std::string trace_path;
   /// Worker threads for the lattice engines' node sweeps. The determinism
-  /// contract guarantees byte-identical releases for every value, so this
-  /// is a runtime knob excluded from JobSpecHash (like trace_path): a
-  /// scheduler may degrade a resumed job from parallel to sequential
-  /// without invalidating its journal. Values above 1 skip the durable
-  /// checkpoint sink — the parallel sweep is the fast path; threads == 1
-  /// is the checkpoint-friendly sequential path a degradation ladder
-  /// falls back to.
+  /// contract guarantees byte-identical releases and checkpoints for
+  /// every value, so this is a runtime knob excluded from JobSpecHash
+  /// (like trace_path): a job checkpointed at one thread count resumes at
+  /// any other, and a scheduler may degrade a resumed job from parallel
+  /// to sequential without invalidating its journal.
   size_t threads = 1;
   /// Externally owned verdict cache shared into every lattice stage (see
   /// Anonymizer::set_verdict_cache). A scheduler uses this to meter the

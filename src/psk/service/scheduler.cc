@@ -274,7 +274,7 @@ void ResolveAttemptLocked(JobScheduler::State& s,
              status.code() == StatusCode::kCancelled &&
              !job->user_cancelled) {
     // Ladder rung 2 landed: the parallel attempt was cancelled only to
-    // come back on the checkpoint-friendly sequential path.
+    // come back at threads=1 (a durable job resumes from its checkpoint).
     job->restart_requested = false;
     job->cancel->Reset();
     job->threads = 1;

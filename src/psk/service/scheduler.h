@@ -173,14 +173,14 @@ struct SchedulerStats {
 ///
 /// Degradation ladder. The watchdog walks an over-soft-quota job down
 /// one rung per tick: (1) shrink its VerdictCache to cache_shrink_bytes;
-/// (2) restart it on the checkpoint-friendly sequential path (threads=1 —
-/// durable jobs resume from their last checkpoint); (3) force-exhaust its
-/// MemoryBudget, which turns every budget checkpoint into a
-/// kResourceExhausted budget stop: the search unwinds with best-so-far
-/// partial results and the fallback chain (typically ending in
-/// kFullSuppression) still releases. A rung-3 job therefore *completes*,
-/// with report.partial — deliberately distinct from Cancel(), whose
-/// kCancelled aborts the chain.
+/// (2) restart it at threads=1, so its sweeps hold one worker's scratch
+/// instead of N (a durable job resumes from the checkpoint its parallel
+/// attempt wrote); (3) force-exhaust its MemoryBudget, which turns every
+/// budget checkpoint into a kResourceExhausted budget stop: the search
+/// unwinds with best-so-far partial results and the fallback chain
+/// (typically ending in kFullSuppression) still releases. A rung-3 job
+/// therefore *completes*, with report.partial — deliberately distinct
+/// from Cancel(), whose kCancelled aborts the chain.
 ///
 /// Watchdog. A job whose heartbeat freezes for hung_timeout is
 /// cooperatively cancelled; if it stays deaf past hard_cancel_grace, the

@@ -125,6 +125,16 @@ void CrashResumeLoop(AnonymizationAlgorithm algorithm,
     CleanDir(dir);
     JobRunner runner(dir);
 
+    // A multi-threaded job's children alternate between `threads` and 1
+    // (threads is outside JobSpecHash), so a resume may replay a
+    // checkpoint written at the other thread count.
+    int launches = 0;
+    auto child_spec = [&] {
+      JobSpec child = spec;
+      if (launches++ % 2 == 1) child.threads = 1;
+      return child;
+    };
+
     // A few crash rounds, each SIGKILLing at a different randomized spot
     // in the journal/checkpoint/commit protocol, then one fault-free round
     // that drives the job to completion (replaying the snapshot also
@@ -133,7 +143,7 @@ void CrashResumeLoop(AnonymizationAlgorithm algorithm,
     int crashes = 0;
     bool completed = false;
     for (int round = 0; round < 4 && !completed; ++round) {
-      int status = RunChildWithFault(dir, spec, countdown(rng));
+      int status = RunChildWithFault(dir, child_spec(), countdown(rng));
       if (WIFSIGNALED(status)) {
         ASSERT_EQ(WTERMSIG(status), SIGKILL) << "unexpected signal";
         ++crashes;
@@ -151,7 +161,7 @@ void CrashResumeLoop(AnonymizationAlgorithm algorithm,
       completed = true;
     }
     if (!completed) {
-      int status = RunChildWithFault(dir, spec, /*countdown=*/-1);
+      int status = RunChildWithFault(dir, child_spec(), /*countdown=*/-1);
       ASSERT_TRUE(WIFEXITED(status));
       ASSERT_EQ(WEXITSTATUS(status), kChildOk)
           << "fault-free resume failed after " << crashes << " crashes";
@@ -248,9 +258,11 @@ TEST(CrashInjectionTest, SamaratiSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kSamarati, "samarati");
 }
 
+// A 4-thread job checkpoints at its sweeps' wave boundaries, like a
+// sequential one, so a crash resumes from its last checkpoint; the
+// children alternate between 4 and 1 threads, and each forked child
+// starts its own pool workers.
 TEST(CrashInjectionTest, SamaratiSurvivesRandomSigkillAtFourThreads) {
-  // A multi-threaded job writes no checkpoint, so every crash restarts it
-  // from the journal; the forked children start their own pool workers.
   CrashResumeLoop(AnonymizationAlgorithm::kSamarati, "samarati_4threads",
                   /*threads=*/4);
 }
@@ -259,16 +271,36 @@ TEST(CrashInjectionTest, IncognitoSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kIncognito, "incognito");
 }
 
+TEST(CrashInjectionTest, IncognitoSurvivesRandomSigkillAtFourThreads) {
+  CrashResumeLoop(AnonymizationAlgorithm::kIncognito, "incognito_4threads",
+                  /*threads=*/4);
+}
+
 TEST(CrashInjectionTest, OlaSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kOla, "ola");
+}
+
+TEST(CrashInjectionTest, OlaSurvivesRandomSigkillAtFourThreads) {
+  CrashResumeLoop(AnonymizationAlgorithm::kOla, "ola_4threads",
+                  /*threads=*/4);
 }
 
 TEST(CrashInjectionTest, BottomUpSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kBottomUp, "bottomup");
 }
 
+TEST(CrashInjectionTest, BottomUpSurvivesRandomSigkillAtFourThreads) {
+  CrashResumeLoop(AnonymizationAlgorithm::kBottomUp, "bottomup_4threads",
+                  /*threads=*/4);
+}
+
 TEST(CrashInjectionTest, ExhaustiveSurvivesRandomSigkill) {
   CrashResumeLoop(AnonymizationAlgorithm::kExhaustive, "exhaustive");
+}
+
+TEST(CrashInjectionTest, ExhaustiveSurvivesRandomSigkillAtFourThreads) {
+  CrashResumeLoop(AnonymizationAlgorithm::kExhaustive, "exhaustive_4threads",
+                  /*threads=*/4);
 }
 
 TEST(CrashInjectionTest, MondrianSurvivesRandomSigkill) {

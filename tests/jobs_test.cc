@@ -119,7 +119,7 @@ SearchSnapshot MakeSnapshot() {
   SearchSnapshot snapshot;
   NodeEvaluation satisfied;
   satisfied.satisfied = true;
-  satisfied.stage = CheckStage::kGroupDetail;
+  satisfied.stage = CheckStage::kPassed;
   satisfied.suppressed = 3;
   satisfied.num_groups = 17;
   snapshot.verdicts["1,0,2"] = satisfied;
@@ -144,7 +144,7 @@ TEST(CheckpointIoTest, SnapshotRoundTrip) {
   ASSERT_EQ(parsed.facts.size(), 2u);
   const NodeEvaluation& eval = parsed.verdicts.at("1,0,2");
   EXPECT_TRUE(eval.satisfied);
-  EXPECT_EQ(eval.stage, CheckStage::kGroupDetail);
+  EXPECT_EQ(eval.stage, CheckStage::kPassed);
   EXPECT_EQ(eval.suppressed, 3u);
   EXPECT_EQ(eval.num_groups, 17u);
   EXPECT_FALSE(parsed.verdicts.at("0,0,0").satisfied);
@@ -202,6 +202,38 @@ TEST(CheckpointIoTest, SnapshotRejectsMalformedInput) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// A checkpoint is replayed as if each verdict had been evaluated, so a
+// verdict no evaluation could record, or a key the file gives twice, is
+// refused rather than trusted.
+TEST(CheckpointIoTest, SnapshotRejectsImpossibleVerdicts) {
+  std::string header = "psk_checkpoint_version = 1\nspec_hash = " +
+                       HashToHex(1) + "\ninput_digest = " + HashToHex(1) +
+                       "\n";
+  auto code = [&](const std::string& body) {
+    return ParseSnapshot(header + body, 1, 1).status().code();
+  };
+  // Satisfied, yet rejected at the k-anonymity gate (and the converse).
+  EXPECT_EQ(code("verdict 1,0 = 1 3 0 5\n"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("verdict 1,0 = 0 0 0 5\n"), StatusCode::kInvalidArgument);
+  // Evaluate never records Condition 1: it is decided once per search.
+  EXPECT_EQ(code("verdict 1,0 = 0 1 0 5\n"), StatusCode::kInvalidArgument);
+  // A key given twice, with the same or a different payload.
+  EXPECT_EQ(code("verdict 1,0 = 1 0 0 5\nverdict 1,0 = 0 3 7 5\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("verdict 1,0 = 1 0 0 5\nverdict 1,0 = 1 0 0 5\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("fact s:0|1 = 1\nfact s:0|1 = 0\n"),
+            StatusCode::kInvalidArgument);
+  // Every stage an evaluation does record still parses.
+  SearchSnapshot parsed = UnwrapOk(ParseSnapshot(
+      header + "verdict 0,0 = 0 3 9 2\nverdict 0,1 = 0 2 0 9\n" +
+          "verdict 1,0 = 0 4 0 3\nverdict 1,1 = 1 0 0 2\n" +
+          "fact s:0|1 = 1\nfact s:1|1 = 0\n",
+      1, 1));
+  EXPECT_EQ(parsed.verdicts.size(), 4u);
+  EXPECT_EQ(parsed.facts.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -721,7 +753,7 @@ TEST(JobRunnerTest, CommittedJournalSurvivesARefusedConcurrentRunner) {
 
 TEST(JobRunnerTest, ParallelJobMatchesSequentialRelease) {
   // threads is a runtime knob: same journal fingerprint, same release
-  // bytes, but no checkpoint file (the parallel sweep does not snapshot).
+  // bytes, and a checkpoint a resume replays to the same release.
   std::string seq_dir = TestDir("threads_seq");
   std::string par_dir = TestDir("threads_par");
   JobSpec spec = MakeSpec();
@@ -737,10 +769,28 @@ TEST(JobRunnerTest, ParallelJobMatchesSequentialRelease) {
   JobRunner par(par_dir);
   PSK_ASSERT_OK(par.Run(par_spec).status());
 
-  EXPECT_EQ(UnwrapOk(ReadFileToString(par.release_path())),
-            UnwrapOk(ReadFileToString(seq.release_path())));
-  EXPECT_FALSE(FileExists(par.checkpoint_path()))
-      << "a parallel run must not arm the checkpoint sink";
+  const std::string release = UnwrapOk(ReadFileToString(seq.release_path()));
+  EXPECT_EQ(UnwrapOk(ReadFileToString(par.release_path())), release);
+  ASSERT_TRUE(FileExists(par.checkpoint_path()))
+      << "a parallel run checkpoints like a sequential one";
+  const std::string checkpoint =
+      UnwrapOk(ReadFileToString(par.checkpoint_path()));
+  EXPECT_FALSE(UnwrapOk(ParseSnapshot(checkpoint, JobSpecHash(par_spec),
+                                      TableDigest(par_spec.input)))
+                   .empty());
+  EXPECT_EQ(checkpoint, UnwrapOk(ReadFileToString(seq.checkpoint_path())))
+      << "the last checkpoint is the same at every thread count";
+
+  // Crash after the last checkpoint, before commit: the resume replays the
+  // parallel run's checkpoint to the same release bytes.
+  JobJournal journal = UnwrapOk(
+      ParseJobJournal(UnwrapOk(ReadFileToString(par.journal_path()))));
+  journal.committed = false;
+  PSK_ASSERT_OK(
+      AtomicWriteFile(par.journal_path(), SerializeJobJournal(journal)));
+  JobOutcome resumed = UnwrapOk(par.Resume(par_spec));
+  EXPECT_TRUE(resumed.resumed_from_checkpoint);
+  EXPECT_EQ(UnwrapOk(ReadFileToString(par.release_path())), release);
 }
 
 TEST(JobRunnerTest, ExternalVerdictCacheIsPopulatedAndHashExcluded) {

@@ -12,6 +12,7 @@
 #include "psk/algorithms/samarati.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/synthetic.h"
+#include "psk/jobs/checkpoint_io.h"
 #include "psk/table/csv.h"
 #include "test_util.h"
 
@@ -195,9 +196,11 @@ TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
 
 // --------------------------------------------------------------------------
 // The last snapshot a complete run hands its checkpoint sink holds every
-// verdict the run reached, in every lattice engine: a resume from it with
-// no node budget at all replays the whole search and finishes complete,
-// with the uninterrupted run's result and counters.
+// verdict the run reached, in every lattice engine and at every thread
+// count: a resume from it with no node budget at all, at 1 or 4 threads,
+// replays the whole search and finishes complete, with the uninterrupted
+// run's result and counters. The sink sees the same snapshots at every
+// thread count.
 
 class CompleteSnapshotTest : public ::testing::Test {
  protected:
@@ -209,26 +212,82 @@ class CompleteSnapshotTest : public ::testing::Test {
     options_.max_suppression = 40;
   }
 
-  // Runs `search` uninterrupted, recording its last snapshot, then
-  // resumes from that snapshot with max_nodes_expanded = 0 and checks the
-  // resumed run is complete with equal counters.
+  // Runs `search` uninterrupted at 1 and at 4 threads, recording its last
+  // snapshot, then resumes from that snapshot at 1 and at 4 threads with
+  // max_nodes_expanded = 0, checks each resumed run is complete with
+  // equal counters, and hands both results to `expect_same`.
+  template <typename Search, typename ExpectSame>
+  void RunAndResume(Search search, ExpectSame expect_same) {
+    for (size_t record_threads : {size_t{1}, size_t{4}}) {
+      SearchSnapshot last;
+      SearchOptions record = options_;
+      record.threads = record_threads;
+      record.checkpoint_sink = [&last](const SearchSnapshot& snapshot) {
+        last = snapshot;
+      };
+      auto full = UnwrapOk(search(record));
+      EXPECT_FALSE(full.stats.partial);
+      for (size_t resume_threads : {size_t{1}, size_t{4}}) {
+        const std::string what =
+            "recorded at threads=" + std::to_string(record_threads) +
+            ", resumed at threads=" + std::to_string(resume_threads);
+        SearchOptions resume = options_;
+        resume.threads = resume_threads;
+        resume.restore = &last;
+        resume.budget.max_nodes_expanded = 0;
+        auto resumed = UnwrapOk(search(resume));
+        EXPECT_FALSE(resumed.stats.partial) << what;
+        EXPECT_EQ(resumed.stats.stop_reason, StatusCode::kOk) << what;
+        ExpectStatsEq(resumed.stats, full.stats, what);
+        expect_same(full, resumed, what);
+      }
+    }
+  }
+
+  // Every snapshot `search` hands its sink at `threads`, serialized. Sets
+  // *sharded when some sweep ran on more than one worker: only the
+  // sharded branch records its lane count, as a "workers" timing.
   template <typename Search>
-  auto RunAndResume(Search search) {
-    SearchSnapshot last;
-    SearchOptions record = options_;
-    record.checkpoint_sink = [&last](const SearchSnapshot& snapshot) {
-      last = snapshot;
+  std::vector<std::string> SinkSequence(Search search, size_t threads,
+                                        bool* sharded) {
+    std::vector<std::string> sequence;
+    RunTrace trace;
+    SearchOptions options = options_;
+    options.threads = threads;
+    options.trace = &trace;
+    options.checkpoint_interval = 4;
+    options.checkpoint_sink = [&sequence](const SearchSnapshot& snapshot) {
+      sequence.push_back(SerializeSnapshot(snapshot, 0, 0));
     };
-    auto full = UnwrapOk(search(record));
-    SearchOptions resume = options_;
-    resume.restore = &last;
-    resume.budget.max_nodes_expanded = 0;
-    auto resumed = UnwrapOk(search(resume));
-    EXPECT_FALSE(full.stats.partial);
-    EXPECT_FALSE(resumed.stats.partial);
-    EXPECT_EQ(resumed.stats.stop_reason, StatusCode::kOk);
-    ExpectStatsEq(resumed.stats, full.stats, "resumed");
-    return std::make_pair(std::move(full), std::move(resumed));
+    UnwrapOk(search(options));
+    *sharded = trace.ToJson().find("\"workers\":") != std::string::npos;
+    return sequence;
+  }
+
+  static void ExpectSameNodeSets(const MinimalSetResult& full,
+                                 const MinimalSetResult& resumed,
+                                 const std::string& what) {
+    ASSERT_FALSE(full.minimal_nodes.empty()) << what;
+    EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes) << what;
+    EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes) << what;
+  }
+
+  Result<SearchResult> Samarati(const SearchOptions& options) {
+    return SamaratiSearch(im_, hierarchies_, options);
+  }
+  Result<MinimalSetResult> Exhaustive(const SearchOptions& options) {
+    return ExhaustiveSearch(im_, hierarchies_, options);
+  }
+  Result<MinimalSetResult> BottomUp(const SearchOptions& options) {
+    return BottomUpSearch(im_, hierarchies_, options);
+  }
+  Result<OlaResult> Ola(const SearchOptions& options) {
+    OlaOptions ola;
+    ola.search = options;
+    return OlaSearch(im_, hierarchies_, ola);
+  }
+  Result<MinimalSetResult> Incognito(const SearchOptions& options) {
+    return IncognitoSearch(im_, hierarchies_, options);
   }
 
   Table im_;
@@ -237,51 +296,63 @@ class CompleteSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(CompleteSnapshotTest, Samarati) {
-  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
-    return SamaratiSearch(im_, hierarchies_, options);
-  });
-  ASSERT_TRUE(full.found);
-  EXPECT_TRUE(resumed.found);
-  EXPECT_EQ(resumed.node, full.node);
+  RunAndResume([&](const SearchOptions& options) { return Samarati(options); },
+               [](const SearchResult& full, const SearchResult& resumed,
+                  const std::string& what) {
+                 ASSERT_TRUE(full.found) << what;
+                 EXPECT_TRUE(resumed.found) << what;
+                 EXPECT_EQ(resumed.node, full.node) << what;
+               });
 }
 
 TEST_F(CompleteSnapshotTest, Exhaustive) {
-  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
-    return ExhaustiveSearch(im_, hierarchies_, options);
-  });
-  ASSERT_FALSE(full.minimal_nodes.empty());
-  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
-  EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes);
+  RunAndResume(
+      [&](const SearchOptions& options) { return Exhaustive(options); },
+      ExpectSameNodeSets);
 }
 
 TEST_F(CompleteSnapshotTest, BottomUp) {
-  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
-    return BottomUpSearch(im_, hierarchies_, options);
-  });
-  ASSERT_FALSE(full.minimal_nodes.empty());
-  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
-  EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes);
+  RunAndResume([&](const SearchOptions& options) { return BottomUp(options); },
+               ExpectSameNodeSets);
 }
 
 TEST_F(CompleteSnapshotTest, Ola) {
-  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
-    OlaOptions ola;
-    ola.search = options;
-    return OlaSearch(im_, hierarchies_, ola);
-  });
-  ASSERT_TRUE(full.found);
-  EXPECT_TRUE(resumed.found);
-  EXPECT_EQ(resumed.optimal, full.optimal);
-  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
+  RunAndResume([&](const SearchOptions& options) { return Ola(options); },
+               [](const OlaResult& full, const OlaResult& resumed,
+                  const std::string& what) {
+                 ASSERT_TRUE(full.found) << what;
+                 EXPECT_TRUE(resumed.found) << what;
+                 EXPECT_EQ(resumed.optimal, full.optimal) << what;
+                 EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes) << what;
+               });
 }
 
 TEST_F(CompleteSnapshotTest, Incognito) {
-  auto [full, resumed] = RunAndResume([&](const SearchOptions& options) {
-    return IncognitoSearch(im_, hierarchies_, options);
-  });
-  ASSERT_FALSE(full.minimal_nodes.empty());
-  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes);
-  EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes);
+  RunAndResume(
+      [&](const SearchOptions& options) { return Incognito(options); },
+      ExpectSameNodeSets);
+}
+
+// A checkpointed run shards its sweeps like any other, and its sink sees
+// the same snapshots, in the same order, at 1 and at 4 threads.
+TEST_F(CompleteSnapshotTest, SinkSeesTheSameSnapshotsAtEveryThreadCount) {
+  auto expect_same = [&](auto search, const char* engine) {
+    bool sharded = false;
+    std::vector<std::string> sequential = SinkSequence(search, 1, &sharded);
+    ASSERT_GT(sequential.size(), 1u) << engine;
+    EXPECT_FALSE(sharded) << engine;
+    EXPECT_EQ(SinkSequence(search, 4, &sharded), sequential) << engine;
+    EXPECT_TRUE(sharded) << engine;
+  };
+  expect_same([&](const SearchOptions& o) { return Samarati(o); },
+              "samarati");
+  expect_same([&](const SearchOptions& o) { return Exhaustive(o); },
+              "exhaustive");
+  expect_same([&](const SearchOptions& o) { return BottomUp(o); },
+              "bottom-up");
+  expect_same([&](const SearchOptions& o) { return Ola(o); }, "ola");
+  expect_same([&](const SearchOptions& o) { return Incognito(o); },
+              "incognito");
 }
 
 // --------------------------------------------------------------------------
