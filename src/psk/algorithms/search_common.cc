@@ -311,17 +311,7 @@ Status NodeEvaluator::BeginGroupBy() {
   // the natural unit of work to account. It is charged in rows whichever
   // layout the encoding took, so max_rows_materialized trips at the same
   // node on both.
-  PSK_RETURN_IF_ERROR(enforcer_->Charge(1, im_.num_rows()));
-  // Fine decomposition axis: grant the group-by its row workers, resolved
-  // against the pool's current fair share so a saturated pool degrades to
-  // the sequential path instead of queueing. Verdicts are identical at
-  // any lane count (GroupByCodesSliced is bit-identical to sequential).
-  ws_.min_rows_per_slice = options_.min_rows_per_slice;
-  ws_.row_workers =
-      row_worker_cap_ <= 1
-          ? 1
-          : ThreadPool::Shared().FairShareWorkers(row_worker_cap_);
-  return Status::OK();
+  return enforcer_->Charge(1, im_.num_rows());
 }
 
 Result<bool> NodeEvaluator::EvaluateSubset(const std::vector<size_t>& attrs,
@@ -565,30 +555,20 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
   };
 
   if (active <= 1) {
-    // Sequential over items, on the control thread — so the fine axis may
-    // engage: when parallelism was requested but this sweep is too narrow
-    // to shard (one item, or the pool's fair share is down to one lane
-    // right now), spend the lanes *inside* each group-by instead. The cap
-    // is resolved against the live fair share per evaluation; only a
-    // control thread may do this (a nested ParallelFor from a pool task
-    // can deadlock).
+    // Too narrow to shard (one item, one worker, or the pool's fair share
+    // is down to one lane right now): sequential over items, on the
+    // calling thread.
     NodeEvaluator& primary = *workers_.front();
-    primary.set_row_workers(workers_.size());
-    if (trace != nullptr && workers_.size() > 1) {
-      trace->Timing("row_workers", workers_.size());
-    }
     for (size_t index = 0; index < count && status.ok(); ++index) {
       status = evaluate(primary, fresh(0), index);
       if (status.ok()) ++evaluated[0];
     }
   } else {
-    // Coarse axis: items grouped into per-task batches (BatchSize) so one
-    // pool dispatch amortizes over >= ~10ms of work. Dynamic scheduling is
+    // Items grouped into per-task batches (BatchSize) so one pool
+    // dispatch amortizes over >= ~10ms of work. Dynamic scheduling is
     // safe for determinism because every item is evaluated regardless of
     // which worker draws which batch; results land in per-index slots and
-    // counter sums are order-independent. The primary evaluates inside the
-    // pool region here, so its row-worker cap must be 1.
-    workers_.front()->set_row_workers(1);
+    // counter sums are order-independent.
     const size_t batch = BatchSize(count, active);
     const size_t num_batches = (count + batch - 1) / batch;
     std::atomic<bool> stop{false};

@@ -179,18 +179,13 @@ struct SearchOptions {
   /// Worker threads for the lattice engines' node sweeps — exhaustive,
   /// Samarati, OLA, Incognito and bottom-up all shard their per-height /
   /// per-level / per-subset waves over the shared ThreadPool through
-  /// NodeSweeper. 1 = sequential. Results are deterministic: the set of
-  /// evaluated nodes, the release, every SearchStats counter and the
-  /// snapshots handed to checkpoint_sink are identical for any thread
-  /// count (budget-tripped partial results may differ, since a limit trips
-  /// at a thread-timing-dependent node).
+  /// NodeSweeper. Each node is evaluated on one thread, so a one-node
+  /// wave runs sequentially whatever this says. 1 = sequential. Results
+  /// are deterministic: the set of evaluated nodes, the release, every
+  /// SearchStats counter and the snapshots handed to checkpoint_sink are
+  /// identical for any thread count (budget-tripped partial results may
+  /// differ, since a limit trips at a thread-timing-dependent node).
   size_t threads = 1;
-  /// Fine-axis threshold: the intra-node row-parallel group-by engages
-  /// only when the table yields >= 2 slices of at least this many rows
-  /// (GroupBySliceCount). The output is bit-identical at any slice count
-  /// — this knob only moves the speed/overhead trade-off. Tests lower it
-  /// to force slicing on small fixtures.
-  size_t min_rows_per_slice = 1024;
   /// Externally owned verdict cache. When set, NodeSweeper shares it
   /// across its workers, so a node some earlier search through the same
   /// cache evaluated is re-served without generalizing the table; it is
@@ -384,16 +379,6 @@ class NodeEvaluator {
   }
   RunTrace* trace() const { return trace_; }
 
-  /// Caps the intra-node row parallelism (fine decomposition axis) of
-  /// encoded evaluations: each group-by may fan out over up to `cap` pool
-  /// lanes via GroupByCodesSliced, subject to the fair share at call time
-  /// and options().min_rows_per_slice. MUST stay 1 (the default) on any
-  /// evaluator whose Evaluate runs inside a ThreadPool task — a nested
-  /// ParallelFor can deadlock the pool — so only NodeSweeper sets it: the
-  /// primary gets a cap on the sweeper's sequential branch and 1 on its
-  /// pooled branch. Verdicts and stats are identical at any cap.
-  void set_row_workers(size_t cap) { row_worker_cap_ = cap; }
-
   /// True iff Condition 1 admits the requested p. When false, no node can
   /// ever satisfy the property and searches should report failure
   /// immediately.
@@ -437,8 +422,8 @@ class NodeEvaluator {
   /// lives in Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
 
-  /// Charges the budget for one group-by over the whole table and grants
-  /// it its row workers; the caller then groups into ws_.
+  /// Charges the budget for one group-by over the whole table; the caller
+  /// then groups into ws_.
   Status BeginGroupBy();
 
   /// Counts one budget-free fast-forward (a snapshot replay or a
@@ -463,10 +448,6 @@ class NodeEvaluator {
   /// Per-evaluator scratch for the encoded path (never shared).
   EncodedWorkspace ws_;
   EncodedDistinctScratch distinct_scratch_;
-  /// Upper bound on row workers per group-by; resolved to the pool's fair
-  /// share at each evaluation. 1 = sequential (required off the control
-  /// thread).
-  size_t row_worker_cap_ = 1;
   /// Memory-budget charges: the self-built encoding (only when this
   /// evaluator built its own — an external one is charged by its owner)
   /// and the scratch buffers, delta-resized after every group-by. No-ops
@@ -506,14 +487,13 @@ class NodeEvaluator {
 /// own buffer, merged after every sweep, so the sink sees the same
 /// snapshots at every thread count.
 ///
-/// Work decomposition (two axes, chosen per sweep): normally items are
-/// grouped into per-task batches sized by measured throughput (coarse
-/// axis, >= ~10ms of work per pool task so dispatch amortizes); when a
-/// sweep can use only one lane (a single item, one worker, or a pool whose
-/// fair share is down to one lane), the sweep instead runs its items on
-/// the primary and parallelizes *inside* each group-by by row range (fine
-/// axis, see GroupByCodesSliced). Both axes preserve the contract — batch
-/// size and slice count never change any verdict or merged counter.
+/// Work decomposition: parallelism is across lattice nodes only. Items
+/// are grouped into per-task batches sized by measured throughput (>=
+/// ~10ms of work per pool task so dispatch amortizes); a sweep that can
+/// use only one lane (a single item, one worker, or a pool whose fair
+/// share is down to one lane) runs its items on the primary, on the
+/// calling thread. Batch size and lane count never change any verdict or
+/// merged counter.
 class NodeSweeper {
  public:
   /// `initial_microdata` and `hierarchies` must outlive the sweeper.

@@ -358,7 +358,6 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
   base_options.max_suppression = max_suppression_;
   base_options.use_conditions = use_conditions_;
   base_options.threads = threads_;
-  base_options.min_rows_per_slice = min_rows_per_slice_;
   base_options.verdict_cache = verdict_cache_;
   base_options.trace = trace;
   // Crash-recovery hooks: node verdicts are pure functions of the data and

@@ -165,13 +165,6 @@ class Anonymizer {
     threads_ = threads;
     return *this;
   }
-  /// Fine-axis threshold for the intra-node row-parallel group-by (see
-  /// SearchOptions::min_rows_per_slice). Output is bit-identical at any
-  /// value; tests lower it to force slicing on small fixtures.
-  Anonymizer& set_min_rows_per_slice(size_t min_rows_per_slice) {
-    min_rows_per_slice_ = min_rows_per_slice;
-    return *this;
-  }
   /// Externally owned verdict cache shared into every lattice stage of
   /// the run (see SearchOptions::verdict_cache). A scheduler uses this to
   /// keep a handle on the job's cache so it can meter bytes_used() and
@@ -320,7 +313,6 @@ class Anonymizer {
   AnonymizationAlgorithm algorithm_ = AnonymizationAlgorithm::kSamarati;
   bool use_conditions_ = true;
   size_t threads_ = 1;
-  size_t min_rows_per_slice_ = 1024;
   std::shared_ptr<VerdictCache> verdict_cache_;
   std::string trace_sink_path_;
   bool trace_enabled_ = false;

@@ -274,21 +274,8 @@ void EncodedTable::GroupBySubset(const std::vector<size_t>& attrs,
 
 void EncodedTable::DispatchGroupBy(const std::vector<CodeColumnView>& columns,
                                    EncodedWorkspace* ws) const {
-  // Fine decomposition axis: slice by entry range when the workspace
-  // owner granted row workers and there are enough entries that slices
-  // clear the per-slice minimum. Output is bit-identical to the
-  // sequential path (see DESIGN.md "Parallel search"), so this choice is
-  // invisible to the determinism contract.
   const size_t entries = num_entries();
-  const size_t slices = GroupBySliceCount(entries, ws->row_workers,
-                                          ws->min_rows_per_slice);
-  if (slices < 2) {
-    GroupByCodes(columns, entries, &ws->group_scratch, &ws->groups);
-  } else {
-    EvenSliceEnds(entries, slices, &ws->slice_ends);
-    GroupByCodesSliced(columns, entries, ws->slice_ends, ws->row_workers,
-                       &ws->parallel_scratch, &ws->groups);
-  }
+  GroupByCodes(columns, entries, &ws->group_scratch, &ws->groups);
   if (weights_.empty()) return;
   // Entry layout: the kernel counted entries; a group holds their rows.
   std::vector<uint32_t>& sizes = ws->groups.group_sizes;

@@ -19,26 +19,11 @@ struct EncodedWorkspace {
   GroupByScratch group_scratch;
   EncodedGroups groups;
 
-  /// Intra-node row parallelism (the fine decomposition axis): group-bys
-  /// run through GroupByCodesSliced with up to `row_workers` pool lanes
-  /// when the table has enough entries to slice (>= 2 slices of at least
-  /// `min_rows_per_slice` entries; an entry is a row on the row layout,
-  /// see EncodedTable). row_workers must stay 1 on workspaces
-  /// evaluated from inside a ThreadPool task — only a control thread may
-  /// dispatch the sliced path (nested ParallelFor can deadlock). Output
-  /// is bit-identical either way.
-  size_t row_workers = 1;
-  size_t min_rows_per_slice = 1024;
-  ParallelGroupByScratch parallel_scratch;
-  std::vector<size_t> slice_ends;
-
   /// Heap footprint of the scratch buffers — the GroupByCodes allocation
   /// seam a per-job MemoryBudget is delta-charged at after each node
   /// evaluation.
   size_t ApproxBytes() const {
-    return group_scratch.ApproxBytes() + groups.ApproxBytes() +
-           parallel_scratch.ApproxBytes() +
-           slice_ends.capacity() * sizeof(size_t);
+    return group_scratch.ApproxBytes() + groups.ApproxBytes();
   }
 };
 
@@ -160,10 +145,8 @@ class EncodedTable {
   /// switches to the entry layout when it is smaller than the row layout.
   void GroupRowsIntoEntries();
 
-  /// Runs the group-by over the entries' `columns` into ws->groups,
-  /// choosing the sliced parallel path when ws->row_workers and the entry
-  /// count justify it (bit-identical output either way), then weights the
-  /// group sizes by the entries' row counts.
+  /// Runs GroupByCodes over the entries' `columns` into ws->groups, then
+  /// weights the group sizes by the entries' row counts.
   void DispatchGroupBy(const std::vector<CodeColumnView>& columns,
                        EncodedWorkspace* ws) const;
 

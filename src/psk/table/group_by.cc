@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "psk/common/check.h"
-#include "psk/common/thread_pool.h"
 
 namespace psk {
 
@@ -312,175 +311,6 @@ void GroupByCodes(const std::vector<CodeColumnView>& columns, size_t num_rows,
 
   out->group_sizes.assign(num_groups, 0);
   for (uint32_t gid : row_gid) ++out->group_sizes[gid];
-}
-
-size_t ParallelGroupByScratch::ApproxBytes() const {
-  size_t bytes = (table_.capacity() + global_rep_.capacity()) *
-                     sizeof(uint32_t) +
-                 slices_.capacity() * sizeof(Slice);
-  for (const Slice& slice : slices_) {
-    bytes += slice.scratch.ApproxBytes() + slice.groups.ApproxBytes() +
-             slice.columns.capacity() * sizeof(CodeColumnView) +
-             (slice.reps.capacity() + slice.remap.capacity()) *
-                 sizeof(uint32_t);
-  }
-  return bytes;
-}
-
-size_t GroupBySliceCount(size_t num_rows, size_t max_slices,
-                         size_t min_rows_per_slice) {
-  if (max_slices <= 1 || num_rows == 0) return 1;
-  if (min_rows_per_slice == 0) min_rows_per_slice = 1;
-  // Merge cost is per-group-per-slice: slices thinner than the threshold
-  // cost more to unify than they recover in refinement parallelism.
-  return std::max<size_t>(
-      1, std::min(max_slices, num_rows / min_rows_per_slice));
-}
-
-void EvenSliceEnds(size_t num_rows, size_t slices, std::vector<size_t>* ends) {
-  PSK_DCHECK(slices > 0);
-  ends->clear();
-  ends->reserve(slices);
-  for (size_t s = 1; s <= slices; ++s) {
-    ends->push_back(num_rows * s / slices);
-  }
-}
-
-void GroupByCodesSliced(const std::vector<CodeColumnView>& columns,
-                        size_t num_rows, const std::vector<size_t>& slice_ends,
-                        size_t workers, ParallelGroupByScratch* scratch,
-                        EncodedGroups* out) {
-  const size_t num_slices = slice_ends.size();
-  PSK_DCHECK(num_slices > 0);
-  PSK_DCHECK(slice_ends.back() == num_rows);
-  if (scratch->slices_.size() < num_slices) {
-    scratch->slices_.resize(num_slices);
-  }
-  if (num_slices == 1) {
-    GroupByCodes(columns, num_rows, &scratch->slices_[0].scratch, out);
-    return;
-  }
-
-  // Stage 1 — independent refinement: each slice runs the sequential
-  // partition refinement over its own row range via slice-offset column
-  // views and its private scratch. Local group ids are numbered by first
-  // occurrence *within the slice*.
-  auto refine = [&](size_t, size_t s) {
-    ParallelGroupByScratch::Slice& slice = scratch->slices_[s];
-    const size_t begin = s == 0 ? 0 : slice_ends[s - 1];
-    const size_t end = slice_ends[s];
-    PSK_DCHECK(begin <= end);
-    const size_t rows = end - begin;
-    slice.columns.clear();
-    slice.columns.reserve(columns.size());
-    for (const CodeColumnView& c : columns) {
-      CodeColumnView view = c;
-      if (view.codes != nullptr) view.codes = c.codes + begin;
-      slice.columns.push_back(view);
-    }
-    GroupByCodes(slice.columns, rows, &slice.scratch, &slice.groups);
-    // First-occurrence (slice-relative) representative row per local gid:
-    // because local ids are themselves first-occurrence ordered, a row is
-    // the representative of a new group exactly when its gid equals the
-    // number of representatives found so far.
-    slice.reps.clear();
-    slice.reps.reserve(slice.groups.num_groups());
-    const std::vector<uint32_t>& row_gid = slice.groups.row_gid;
-    for (size_t r = 0; r < rows; ++r) {
-      if (row_gid[r] == slice.reps.size()) {
-        slice.reps.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    PSK_DCHECK(slice.reps.size() == slice.groups.num_groups());
-  };
-  const size_t lanes = std::min(workers, num_slices);
-  if (lanes > 1) {
-    ThreadPool::Shared().ParallelFor(num_slices, lanes, refine);
-  } else {
-    for (size_t s = 0; s < num_slices; ++s) refine(0, s);
-  }
-
-  // Stage 2 — sequential merge in global first-occurrence order: slices
-  // are contiguous row ranges visited in row order, and within a slice
-  // local gids ascend in first-occurrence order, so walking (slice, local
-  // gid) lexicographically visits group representatives in exactly the
-  // order sequential GroupByCodes first meets each group. Insertion order
-  // into the merge table therefore IS the sequential numbering.
-  size_t total_local = 0;
-  for (size_t s = 0; s < num_slices; ++s) {
-    total_local += scratch->slices_[s].groups.num_groups();
-  }
-  size_t cap = 16;
-  while (cap < 2 * total_local) cap <<= 1;
-  const size_t mask = cap - 1;
-  scratch->table_.assign(cap, UINT32_MAX);
-  scratch->global_rep_.clear();
-  scratch->global_rep_.reserve(total_local);
-  out->group_sizes.clear();
-
-  // Keys are compared by the full translated code tuple of representative
-  // rows — local gid spaces are slice-relative and carry no cross-slice
-  // meaning.
-  auto key_hash = [&columns](size_t row) {
-    size_t h = 0x345678;
-    for (const CodeColumnView& c : columns) {
-      h = CompositeKeyHash::Mix(h, TranslatedCode(c, row));
-    }
-    return h;
-  };
-  auto key_eq = [&columns](size_t a, size_t b) {
-    for (const CodeColumnView& c : columns) {
-      if (TranslatedCode(c, a) != TranslatedCode(c, b)) return false;
-    }
-    return true;
-  };
-
-  for (size_t s = 0; s < num_slices; ++s) {
-    ParallelGroupByScratch::Slice& slice = scratch->slices_[s];
-    const size_t begin = s == 0 ? 0 : slice_ends[s - 1];
-    const size_t local_groups = slice.groups.num_groups();
-    slice.remap.clear();
-    slice.remap.reserve(local_groups);
-    for (size_t g = 0; g < local_groups; ++g) {
-      const size_t row = begin + slice.reps[g];
-      size_t slot = key_hash(row) & mask;
-      uint32_t gid;
-      for (;;) {
-        const uint32_t occupant = scratch->table_[slot];
-        if (occupant == UINT32_MAX) {
-          gid = static_cast<uint32_t>(scratch->global_rep_.size());
-          scratch->table_[slot] = gid;
-          scratch->global_rep_.push_back(static_cast<uint32_t>(row));
-          out->group_sizes.push_back(0);
-          break;
-        }
-        if (key_eq(scratch->global_rep_[occupant], row)) {
-          gid = occupant;
-          break;
-        }
-        slot = (slot + 1) & mask;
-      }
-      slice.remap.push_back(gid);
-      out->group_sizes[gid] += slice.groups.group_sizes[g];
-    }
-  }
-
-  // Stage 3 — rewrite row ids through each slice's remap; slices write
-  // disjoint ranges, so this pass parallelizes without coordination.
-  out->row_gid.resize(num_rows);
-  auto rewrite = [&](size_t, size_t s) {
-    const ParallelGroupByScratch::Slice& slice = scratch->slices_[s];
-    const size_t begin = s == 0 ? 0 : slice_ends[s - 1];
-    const size_t rows = slice.groups.num_rows();
-    for (size_t r = 0; r < rows; ++r) {
-      out->row_gid[begin + r] = slice.remap[slice.groups.row_gid[r]];
-    }
-  };
-  if (lanes > 1) {
-    ThreadPool::Shared().ParallelFor(num_slices, lanes, rewrite);
-  } else {
-    for (size_t s = 0; s < num_slices; ++s) rewrite(0, s);
-  }
 }
 
 std::vector<size_t> DescendingValueFrequencies(const Table& table,

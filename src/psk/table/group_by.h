@@ -232,71 +232,6 @@ class GroupByScratch {
 void GroupByCodes(const std::vector<CodeColumnView>& columns, size_t num_rows,
                   GroupByScratch* scratch, EncodedGroups* out);
 
-/// Reusable buffers for GroupByCodesSliced: one refinement state per row
-/// slice plus the merge table that unifies local group ids into the global
-/// first-occurrence numbering. One instance per worker thread at the
-/// sweep level (slices inside it are handed to the pool by the control
-/// thread only).
-class ParallelGroupByScratch {
- public:
-  ParallelGroupByScratch() = default;
-
-  /// Heap footprint across all slices and the merge table — the
-  /// MemoryBudget charging seam, mirroring GroupByScratch::ApproxBytes.
-  size_t ApproxBytes() const;
-
- private:
-  friend void GroupByCodesSliced(const std::vector<CodeColumnView>& columns,
-                                 size_t num_rows,
-                                 const std::vector<size_t>& slice_ends,
-                                 size_t workers,
-                                 ParallelGroupByScratch* scratch,
-                                 EncodedGroups* out);
-
-  /// Per-slice refinement state. `columns` holds the slice-offset views,
-  /// `reps` the slice-relative first-occurrence row of each local group,
-  /// `remap` the local-gid -> global-gid translation filled by the merge.
-  struct Slice {
-    GroupByScratch scratch;
-    EncodedGroups groups;
-    std::vector<CodeColumnView> columns;
-    std::vector<uint32_t> reps;
-    std::vector<uint32_t> remap;
-  };
-
-  std::vector<Slice> slices_;
-  /// Open-addressing merge table over global group keys (power-of-two
-  /// capacity, UINT32_MAX = empty slot) and the absolute representative
-  /// row of each global group, in global-gid order.
-  std::vector<uint32_t> table_;
-  std::vector<uint32_t> global_rep_;
-};
-
-/// Number of row slices a sliced group-by should use: enough to feed
-/// `max_slices` workers but never slices thinner than `min_rows_per_slice`
-/// (merge cost is per-group-per-slice; starved slices cost more than they
-/// recover). Returns 1 when slicing is not worthwhile.
-size_t GroupBySliceCount(size_t num_rows, size_t max_slices,
-                         size_t min_rows_per_slice);
-
-/// Fills `ends` with `slices` cumulative slice boundaries splitting
-/// [0, num_rows) as evenly as possible (ends.back() == num_rows).
-void EvenSliceEnds(size_t num_rows, size_t slices, std::vector<size_t>* ends);
-
-/// Row-range-parallel GroupByCodes: partitions rows at `slice_ends`
-/// (cumulative, last == num_rows), refines each slice independently with
-/// its own GroupByScratch, then remaps local group ids through a global
-/// first-occurrence-ordered map so `out` is bit-identical to sequential
-/// GroupByCodes over the same columns — see DESIGN.md "Parallel search"
-/// for the ordering proof. Runs slices on the shared ThreadPool with up
-/// to `workers` lanes (1 = in-caller, still exercising the slice+merge
-/// path). Must be called from a control thread, never from inside a
-/// ThreadPool task (nested ParallelFor can deadlock).
-void GroupByCodesSliced(const std::vector<CodeColumnView>& columns,
-                        size_t num_rows, const std::vector<size_t>& slice_ends,
-                        size_t workers, ParallelGroupByScratch* scratch,
-                        EncodedGroups* out);
-
 }  // namespace psk
 
 #endif  // PSK_TABLE_GROUP_BY_H_

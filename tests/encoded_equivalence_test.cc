@@ -2,9 +2,9 @@
 // engine (and the full Anonymizer chain) must reproduce the releases,
 // SearchStats, suppression counts and guard verdicts the Value-path
 // evaluator produced on the same inputs (see release_golden.h) — at every
-// thread count, with and without intra-node row slicing. The decode is
-// checked byte for byte against ApplyGeneralization +
-// SuppressUndersizedGroups, which stay public as the Value-path reference.
+// thread count. The decode is checked byte for byte against
+// ApplyGeneralization + SuppressUndersizedGroups, which stay public as the
+// Value-path reference.
 
 #include <gtest/gtest.h>
 
@@ -80,8 +80,8 @@ const SearchGolden kOla4000 = {
     {{2, 0, 3, 1}, {2, 1, 1, 1}, {2, 1, 2, 0}, {2, 2, 1, 0}, {3, 1, 1, 0}},
     0, 0, {39, 0, 6, 20, 13, 262, 0, 0, 0, 0, 0}};
 
-// Adult 1500 rows, seed 2 (every engine: the intra-node matrix runs them all
-// on this fixture).
+// Adult 1500 rows, seed 2 (every engine: the sweeper thread matrix runs them
+// all on this fixture).
 const std::vector<std::vector<int>> kMinimal1500Seed2 = {
     {2, 1, 2, 1}, {2, 1, 3, 0}, {2, 2, 1, 1}, {2, 2, 2, 0},
     {3, 0, 3, 1}, {3, 1, 1, 1}, {3, 1, 2, 0}, {3, 2, 1, 0}};
@@ -391,46 +391,44 @@ TEST(EncodedEquivalenceTest, PatientTablesMatchLegacy) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-node parallelism (fine axis): min_rows_per_slice = 1 forces the
-// row-sliced group-by wherever the engines engage it (underfilled sweeps,
-// OLA's direct probes, Incognito's narrow subset waves, bottom-up's
-// sequential walk). Releases and stats must still match the goldens at
+// Every sweeper engine on one fixture at 1, 2, 7 and 16 threads (7 and 16
+// shard waves unevenly and past the core count), and every Anonymizer
+// algorithm at 4 threads. Releases and stats must match the goldens at
 // every thread count.
 
-TEST(EncodedEquivalenceTest, SweeperEnginesMatchWithIntraNodeParallelism) {
+TEST(EncodedEquivalenceTest, SweeperEnginesMatchSeed2AtEveryThreadCount) {
   AdultFixture fixture(1500, 2);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
-    SearchOptions sliced = BaseOptions(threads);
-    sliced.min_rows_per_slice = 1;
-    std::string what = " sliced threads=" + std::to_string(threads);
+    SearchOptions options = BaseOptions(threads);
+    std::string what = " threads=" + std::to_string(threads);
     ExpectSearchMatches(
-        UnwrapOk(ExhaustiveSearch(fixture.table, fixture.hierarchies, sliced)),
+        UnwrapOk(ExhaustiveSearch(fixture.table, fixture.hierarchies, options)),
         kExhaustive1500, "exhaustive" + what);
     ExpectSearchMatches(
-        UnwrapOk(SamaratiSearch(fixture.table, fixture.hierarchies, sliced)),
+        UnwrapOk(SamaratiSearch(fixture.table, fixture.hierarchies, options)),
         kSamarati1500, "samarati" + what);
     OlaOptions ola_options;
-    ola_options.search = sliced;
+    ola_options.search = options;
     ExpectSearchMatches(
         UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, ola_options)),
         kOla1500, "ola" + what);
     ExpectSearchMatches(
-        UnwrapOk(IncognitoSearch(fixture.table, fixture.hierarchies, sliced)),
+        UnwrapOk(IncognitoSearch(fixture.table, fixture.hierarchies, options)),
         kIncognito1500, "incognito" + what);
     ExpectSearchMatches(
-        UnwrapOk(BottomUpSearch(fixture.table, fixture.hierarchies, sliced)),
+        UnwrapOk(BottomUpSearch(fixture.table, fixture.hierarchies, options)),
         kBottomUp1500, "bottom-up" + what);
   }
 }
 
-TEST(EncodedEquivalenceTest, AnonymizerAllAlgorithmsIntraNodeParallel) {
+TEST(EncodedEquivalenceTest, AnonymizerAllAlgorithmsMatchAtFourThreads) {
   AdultFixture fixture(800, 7);
   for (const ReportGolden& want : kAnonymizer800) {
     Anonymizer anonymizer = MakeAnonymizer(fixture, want.algorithm);
-    anonymizer.set_threads(4).set_min_rows_per_slice(1);
+    anonymizer.set_threads(4);
     ExpectReportMatches(
         UnwrapOk(anonymizer.Run()), want,
-        "sliced algorithm=" + std::string(AlgorithmName(want.algorithm)));
+        "threads=4 algorithm=" + std::string(AlgorithmName(want.algorithm)));
   }
 }
 

@@ -320,5 +320,34 @@ TEST(GroupByCodesOracleTest, MatchesNaiveGroupingOnRandomLayouts) {
   }
 }
 
+// Column data generator: `cardinality` distinct codes, deterministic.
+std::vector<uint32_t> RandomCodes(size_t num_rows, uint32_t cardinality,
+                                  uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<uint32_t> codes(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) {
+    codes[i] = static_cast<uint32_t>(rng() % cardinality);
+  }
+  return codes;
+}
+
+TEST(GroupByScratchMemoryTest, SparseFallbackChargesOpenAddressingTable) {
+  // Past the dense limit a column is refined through an open-addressing
+  // table of at least 2 * rows slots, each a 64-bit key plus a 32-bit id.
+  // ApproxBytes must charge at least those arrays — they are the
+  // allocation that appears exactly when the key space leaves the dense
+  // range.
+  const size_t rows = 50000;
+  const uint32_t cardinality = (1u << 20) + 1;
+  std::vector<uint32_t> codes = RandomCodes(rows, cardinality, 3);
+  std::vector<CodeColumnView> views = {
+      CodeColumnView{codes.data(), nullptr, cardinality}};
+  GroupByScratch scratch;
+  EncodedGroups out;
+  GroupByCodes(views, rows, &scratch, &out);
+  EXPECT_GE(scratch.ApproxBytes(),
+            2 * rows * (sizeof(uint64_t) + sizeof(uint32_t)));
+}
+
 }  // namespace
 }  // namespace psk

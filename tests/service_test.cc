@@ -888,6 +888,14 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
     *pos += rows;
     return rows;
   };
+  // Then park the sequential attempt in its preflight until rung 3 has
+  // landed, as in the ladder test above, instead of racing the last climb
+  // against a search that may end first under load. The cancelled parallel
+  // attempt returns before its preflight, so it never parks.
+  request.spec.hierarchies[0] = std::make_shared<ParkingHierarchy>(
+      request.spec.hierarchies[0], [&scheduler] {
+        return scheduler.stats().degrade_force_exhausted > 0;
+      });
   uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
   SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
 
