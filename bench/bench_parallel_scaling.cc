@@ -1,6 +1,8 @@
 // Parallel-sweep scaling: every lattice engine at 1/2/4/8 worker threads
 // on two workloads. Emits machine-readable results (wall time, nodes/s,
 // speedup vs sequential) as BENCH_parallel.json for the CI scaling gate.
+// Each workload × engine × thread cell reports the median wall time of
+// kRunsPerCell runs, so one slow or fast run cannot swing a speedup_vs_1.
 //
 //   bench_parallel_scaling [--trace] [--threads=1,2,4,8] [rows] [out.json]
 //
@@ -24,9 +26,11 @@
 // speedup_vs_1 of an oversubscribed row measures scheduler thrash, not
 // scaling, so the CI gate must skip those rows rather than gate on noise.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -63,20 +67,39 @@ SearchOptions MakeOptions(size_t rows, size_t threads) {
   return options;
 }
 
-template <typename Fn>
-RunResult Measure(const std::string& workload, const std::string& engine,
-                  size_t threads, Fn&& fn) {
-  auto start = std::chrono::steady_clock::now();
-  SearchStats stats = fn();
-  auto end = std::chrono::steady_clock::now();
-  RunResult r;
-  r.workload = workload;
-  r.engine = engine;
-  r.threads = threads;
-  r.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  r.nodes_generalized = stats.nodes_generalized;
-  return r;
+constexpr size_t kRunsPerCell = 5;
+
+// One workload × engine × thread cell: the search it times, and the wall
+// time of each of its runs.
+struct Cell {
+  RunResult result;
+  std::function<SearchStats()> search;
+  std::vector<double> wall_ms;
+};
+
+// Runs every cell once per round, for kRunsPerCell rounds, and returns
+// each cell's median. Rounds rather than back-to-back runs, so host drift
+// during a capture touches every cell alike: over ten captures on a
+// 4-core Xeon, exhaustive's synthetic 4-thread ratio read 2.25–3.15×
+// this way and 1.82–4.11× with each cell's runs back to back.
+std::vector<RunResult> Measure(std::vector<Cell> cells) {
+  for (size_t round = 0; round < kRunsPerCell; ++round) {
+    for (Cell& cell : cells) {
+      auto start = std::chrono::steady_clock::now();
+      cell.result.nodes_generalized = cell.search().nodes_generalized;
+      auto end = std::chrono::steady_clock::now();
+      cell.wall_ms.push_back(
+          std::chrono::duration<double, std::milli>(end - start).count());
+    }
+  }
+  std::vector<RunResult> results;
+  for (Cell& cell : cells) {
+    auto median = cell.wall_ms.begin() + kRunsPerCell / 2;
+    std::nth_element(cell.wall_ms.begin(), median, cell.wall_ms.end());
+    cell.result.wall_ms = *median;
+    results.push_back(cell.result);
+  }
+  return results;
 }
 
 struct Workload {
@@ -171,42 +194,45 @@ int Main(int argc, char** argv) {
   workloads.push_back(MakeSyntheticWorkload(rows));
   workloads.push_back(MakeAdultWorkload(rows));
 
-  std::vector<RunResult> results;
+  std::vector<Cell> cells;
   for (const Workload& workload : workloads) {
     const Table& im = workload.table;
     const HierarchySet& hs = workload.hierarchies;
-    const std::string& name = workload.name;
     for (size_t threads : thread_counts) {
       SearchOptions options = MakeOptions(rows, threads);
-      results.push_back(Measure(name, "exhaustive", threads, [&] {
+      auto add = [&](const char* engine, std::function<SearchStats()> fn) {
+        cells.push_back({{workload.name, engine, threads}, std::move(fn), {}});
+      };
+      add("exhaustive", [&im, &hs, options] {
         auto r = ExhaustiveSearch(im, hs, options);
         PSK_CHECK(r.ok());
         return r->stats;
-      }));
-      results.push_back(Measure(name, "samarati", threads, [&] {
+      });
+      add("samarati", [&im, &hs, options] {
         auto r = SamaratiSearch(im, hs, options);
         PSK_CHECK(r.ok());
         return r->stats;
-      }));
-      results.push_back(Measure(name, "ola", threads, [&] {
+      });
+      add("ola", [&im, &hs, options] {
         OlaOptions ola;
         ola.search = options;
         auto r = OlaSearch(im, hs, ola);
         PSK_CHECK(r.ok());
         return r->stats;
-      }));
-      results.push_back(Measure(name, "incognito", threads, [&] {
+      });
+      add("incognito", [&im, &hs, options] {
         auto r = IncognitoSearch(im, hs, options);
         PSK_CHECK(r.ok());
         return r->stats;
-      }));
-      results.push_back(Measure(name, "bottomup", threads, [&] {
+      });
+      add("bottomup", [&im, &hs, options] {
         auto r = BottomUpSearch(im, hs, options);
         PSK_CHECK(r.ok());
         return r->stats;
-      }));
+      });
     }
   }
+  std::vector<RunResult> results = Measure(std::move(cells));
 
   // Sequential baseline per workload and engine, for the speedup column.
   auto baseline_ms = [&](const RunResult& run) {

@@ -536,6 +536,16 @@ void UpdateThroughput(size_t evaluated, size_t lanes,
 }  // namespace
 
 Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
+  // Scheduler rung 2 (MemoryBudget::LimitToOneLane): fold the secondary
+  // workers' counters into the primary and drop them, returning their
+  // scratch to the budget. Any lane count evaluates the same items.
+  const MemoryBudget* memory = options_.budget.memory.get();
+  if (workers_.size() > 1 && memory != nullptr && memory->one_lane()) {
+    for (size_t w = 1; w < workers_.size(); ++w) {
+      workers_.front()->mutable_stats()->Add(workers_[w]->stats());
+    }
+    workers_.resize(1);
+  }
   RunTrace* trace = options_.trace;
   TraceSpan span(trace, "sweep");
   span.Counter("nodes", count);

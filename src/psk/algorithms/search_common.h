@@ -493,7 +493,8 @@ class NodeEvaluator {
 /// use only one lane (a single item, one worker, or a pool whose fair
 /// share is down to one lane) runs its items on the primary, on the
 /// calling thread. Batch size and lane count never change any verdict or
-/// merged counter.
+/// merged counter, so a running search can drop to one lane between two
+/// sweeps (MemoryBudget::LimitToOneLane on options().budget.memory).
 class NodeSweeper {
  public:
   /// `initial_microdata` and `hierarchies` must outlive the sweeper.
@@ -542,8 +543,8 @@ class NodeSweeper {
                                       SearchSnapshot* fresh, size_t index)>;
 
   /// The loop behind Sweep and SweepSubsets: runs `evaluate` for every
-  /// index in [0, count) inside one "sweep" trace span, on one of the two
-  /// decomposition axes, and returns as Sweep documents.
+  /// index in [0, count) inside one "sweep" trace span, and returns as
+  /// Sweep documents.
   Status Drive(size_t count, const ItemFn& evaluate);
 
   /// Merges every pending per-worker trace event into the innermost open
@@ -555,9 +556,9 @@ class NodeSweeper {
   void MergeCheckpoint();
 
   /// Nodes per pool task for a sweep of `count` nodes over `active`
-  /// workers (coarse decomposition axis): sized from the measured
-  /// node-evaluation throughput so one task carries >= ~kTargetBatchNs of
-  /// work, but never so large that fewer than `active` tasks exist.
+  /// workers: sized from the measured node-evaluation throughput so one
+  /// task carries >= ~kTargetBatchNs of work, but never so large that
+  /// fewer than `active` tasks exist.
   /// Purely a scheduling choice — the set of evaluated nodes and all
   /// merged stats are batch-size-invariant.
   size_t BatchSize(size_t count, size_t active) const;

@@ -280,9 +280,9 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
         "k=" + std::to_string(k_) + " exceeds the number of rows (n=" +
         std::to_string(n) + "); no QI-group can ever reach k");
   }
-  // A run cancelled before it starts must not charge memory or touch the
-  // engines: the scheduler's sequential-restart demotion relies on a
-  // cancelled attempt unwinding without new budget activity.
+  // A run cancelled before it starts must not release: a user cancel can
+  // land between a scheduler's dispatch and this call, and a chain of
+  // only kFullSuppression is budget-exempt, so it never polls the token.
   if (budget_.cancel != nullptr && budget_.cancel->cancelled()) {
     return Status::Cancelled("run cancelled before start");
   }

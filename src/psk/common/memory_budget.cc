@@ -5,10 +5,6 @@
 namespace psk {
 
 Status MemoryBudget::Charge(uint64_t bytes) {
-  if (exhausted()) {
-    return Status::ResourceExhausted(
-        "memory budget force-exhausted by scheduler");
-  }
   if (bytes == 0) return Status::OK();
   // Commit with a CAS loop so a rejected charge never becomes visible to
   // concurrent readers (a fetch_add/fetch_sub undo would transiently

@@ -21,20 +21,20 @@ namespace psk {
 /// Two thresholds with different roles:
 ///  - soft limit: purely advisory. Charges never fail against it; the
 ///    scheduler's watchdog polls over_soft() to drive the degradation
-///    ladder (shrink the verdict cache, then fall back to the sequential
-///    path).
+///    ladder (shrink the verdict cache, narrow the running search to one
+///    lane, then stop it).
 ///  - hard limit: a Charge that would move usage past it fails with
 ///    kResourceExhausted and records nothing, so the caller can unwind
 ///    (skip a cache insert, fail an encode) without the books drifting.
 ///
-/// ForceExhausted() is the ladder's last rung: it makes every subsequent
-/// Charge — and every BudgetEnforcer checkpoint whose RunBudget carries
-/// this budget — fail with kResourceExhausted. Because that is a budget
-/// code (IsBudgetExhausted), the running search absorbs it into a
-/// best-so-far partial result and the fallback chain can still finish
-/// with the budget-exempt full-suppression stage, which is exactly the
-/// "cancel with partial results" semantics the scheduler wants, distinct
-/// from a user CancelToken (kCancelled aborts the chain).
+/// ForceExhausted() is the ladder's last rung: every later BudgetEnforcer
+/// checkpoint whose RunBudget carries this budget fails with
+/// kResourceExhausted. Because that is a budget code (IsBudgetExhausted),
+/// the running search absorbs it into a best-so-far partial result and
+/// the fallback chain can still finish with the budget-exempt
+/// full-suppression stage, which is exactly the "cancel with partial
+/// results" semantics the scheduler wants, distinct from a user
+/// CancelToken (kCancelled aborts the chain).
 ///
 /// A default-constructed budget (both limits 0 = unlimited) never fails
 /// a charge and never trips, so wiring the seams costs existing callers
@@ -46,18 +46,23 @@ class MemoryBudget {
       : soft_limit_(soft_limit_bytes), hard_limit_(hard_limit_bytes) {}
 
   /// Records `bytes` of new usage. Fails with kResourceExhausted — and
-  /// records nothing — when the budget was force-exhausted or the hard
-  /// limit would be crossed. Failure is not sticky by itself: releasing
-  /// memory (or shrinking a cache) lets later charges succeed again.
+  /// records nothing — when the hard limit would be crossed. Failure is
+  /// not sticky: releasing memory (or shrinking a cache) lets later
+  /// charges succeed again.
   Status Charge(uint64_t bytes);
 
   /// Returns `bytes` to the budget. Saturates at zero so a conservative
   /// caller double-releasing cannot wrap the counter.
   void Release(uint64_t bytes);
 
-  /// Makes every subsequent Charge() and BudgetEnforcer checkpoint fail
-  /// with kResourceExhausted. Sticky; used by the scheduler as the final
-  /// degradation step for a job that stayed over quota.
+  /// Sticky: every search charging this budget runs its later sweeps on
+  /// one lane (the scheduler's second degradation step).
+  void LimitToOneLane() { one_lane_.store(true, std::memory_order_relaxed); }
+  bool one_lane() const { return one_lane_.load(std::memory_order_relaxed); }
+
+  /// Sticky: every later BudgetEnforcer checkpoint fails with
+  /// kResourceExhausted (the scheduler's final degradation step). Charges
+  /// still succeed under the hard limit.
   void ForceExhausted() { exhausted_.store(true, std::memory_order_relaxed); }
   bool exhausted() const {
     return exhausted_.load(std::memory_order_relaxed);
@@ -96,6 +101,7 @@ class MemoryBudget {
   std::atomic<uint64_t> high_water_{0};
   std::atomic<uint64_t> soft_limit_{0};
   std::atomic<uint64_t> hard_limit_{0};
+  std::atomic<bool> one_lane_{false};
   std::atomic<bool> exhausted_{false};
 };
 

@@ -74,8 +74,8 @@ struct JobSpec {
   /// contract guarantees byte-identical releases and checkpoints for
   /// every value, so this is a runtime knob excluded from JobSpecHash
   /// (like trace_path): a job checkpointed at one thread count resumes at
-  /// any other, and a scheduler may degrade a resumed job from parallel
-  /// to sequential without invalidating its journal.
+  /// any other, and a scheduler may narrow a running job to one lane
+  /// (MemoryBudget::LimitToOneLane) without changing its checkpoints.
   size_t threads = 1;
   /// Externally owned verdict cache shared into every lattice stage (see
   /// Anonymizer::set_verdict_cache). A scheduler uses this to meter the

@@ -52,8 +52,6 @@ struct SchedulerJob {
   JobState state = JobState::kQueued;
   int attempts = 0;
   int degrade_level = 0;
-  /// Sweep threads for the next attempt (rung 2 drops this to 1).
-  size_t threads = 1;
 
   std::shared_ptr<CancelToken> cancel = std::make_shared<CancelToken>();
   std::shared_ptr<MemoryBudget> memory = std::make_shared<MemoryBudget>();
@@ -68,9 +66,6 @@ struct SchedulerJob {
   bool watchdog_cancelled = false;
   Clock::time_point hard_cancel_at{};
   bool user_cancelled = false;
-  /// Rung 2: the current attempt is being cancelled only to restart the
-  /// job sequentially — its kCancelled is a requeue, not a terminal.
-  bool restart_requested = false;
   /// Retry-backoff gate: not dispatched before this instant.
   Clock::time_point not_before{};
 
@@ -202,9 +197,8 @@ std::shared_ptr<SchedulerJob> PickLocked(JobScheduler::State& s,
 }
 
 /// One attempt of one job, run with State::mu released. Reads only fields
-/// no other thread writes while the job is running (the spec, the shared
-/// control objects, and `threads`, which only the owning executor
-/// mutates).
+/// no other thread writes while the job is running (the spec and the
+/// shared control objects).
 Status RunAttempt(const SchedulerOptions& options, SchedulerJob& job,
                   bool resume, AnonymizationReport* report) {
   if (job.on_start) job.on_start();
@@ -225,7 +219,7 @@ Status RunAttempt(const SchedulerOptions& options, SchedulerJob& job,
   spec.budget.cancel = job.cancel;
   spec.budget.memory = job.memory;
   spec.budget.heartbeat = job.heartbeat;
-  spec.threads = job.threads;
+  spec.threads = options.threads_per_job;
   spec.verdict_cache = job.cache;
 
   if (job.job_dir.empty()) {
@@ -254,8 +248,8 @@ Status RunAttempt(const SchedulerOptions& options, SchedulerJob& job,
   return Status::OK();
 }
 
-/// Books one finished attempt: terminal, degrade-restart requeue, or
-/// retry requeue. Caller holds State::mu.
+/// Books one finished attempt: terminal or retry requeue. Caller holds
+/// State::mu.
 void ResolveAttemptLocked(JobScheduler::State& s,
                           const std::shared_ptr<SchedulerJob>& job,
                           Status status, AnonymizationReport report) {
@@ -270,20 +264,6 @@ void ResolveAttemptLocked(JobScheduler::State& s,
     s.Append(job->report.partial ? "complete.partial" : "complete",
              job->name,
              "attempt " + std::to_string(job->attempts));
-  } else if (job->restart_requested &&
-             status.code() == StatusCode::kCancelled &&
-             !job->user_cancelled) {
-    // Ladder rung 2 landed: the parallel attempt was cancelled only to
-    // come back at threads=1 (a durable job resumes from its checkpoint).
-    job->restart_requested = false;
-    job->cancel->Reset();
-    job->threads = 1;
-    job->state = JobState::kQueued;
-    job->not_before = now;
-    s.queues[cls].push_back(job);
-    s.Append("degrade.sequential_restart", job->name, "threads=1");
-    s.work_cv.notify_all();
-    return;
   } else if (status.code() == StatusCode::kCancelled) {
     job->state = JobState::kCancelled;
     job->final_status = std::move(status);
@@ -332,7 +312,7 @@ void ExecutorLoop(std::shared_ptr<JobScheduler::State> state,
     slot->running = job;
     state->Append("start", job->name,
                   "attempt " + std::to_string(job->attempts) + " threads=" +
-                      std::to_string(job->threads));
+                      std::to_string(state->options.threads_per_job));
 
     lock.unlock();
     AnonymizationReport report;
@@ -422,14 +402,12 @@ void WatchdogLoop(std::shared_ptr<JobScheduler::State> state) {
       }
 
       // Degradation ladder, one rung per dwell while the job sits over
-      // its soft quota. ForceExhausted (rung 3) is a budget stop, not a
-      // cancellation: the search unwinds with best-so-far partials and
-      // the fallback chain still releases. The ladder holds while a rung-2
-      // restart is pending: ForceExhausted sticks to the job's budget, so
-      // climbing before the cancelled attempt is requeued would fail the
-      // sequential attempt's input charge with nothing to fall back on.
+      // its soft quota. LimitToOneLane (rung 2) narrows the running
+      // search at its next sweep. ForceExhausted (rung 3) is a budget
+      // stop, not a cancellation: the search unwinds with best-so-far
+      // partials at its next checkpoint and the fallback chain still
+      // releases.
       if (job->memory->over_soft() && job->degrade_level < 3 &&
-          !job->restart_requested &&
           now - job->last_rung_at >= options.watchdog_interval) {
         job->last_rung_at = now;
         if (job->degrade_level == 0) {
@@ -439,12 +417,11 @@ void WatchdogLoop(std::shared_ptr<JobScheduler::State> state) {
           state->Append("degrade.cache_shrink", job->name,
                         "cap " + std::to_string(options.cache_shrink_bytes));
         } else if (job->degrade_level == 1) {
-          if (job->threads > 1) {
-            job->restart_requested = true;
-            job->cancel->Cancel();
+          if (options.threads_per_job > 1) {
+            job->memory->LimitToOneLane();
             ++state->stats.degrade_sequential_restarts;
             state->Append("degrade.sequential", job->name,
-                          "restarting with threads=1");
+                          "narrowing to one lane");
           }
           job->degrade_level = 2;
         } else {
@@ -479,6 +456,7 @@ SchedulerJobStatus SnapshotLocked(const SchedulerJob& job) {
 JobScheduler::JobScheduler(SchedulerOptions options)
     : state_(std::make_shared<State>()) {
   if (options.max_running == 0) options.max_running = 1;
+  if (options.threads_per_job == 0) options.threads_per_job = 1;
   if (options.soft_quota_percent == 0 || options.soft_quota_percent > 100) {
     options.soft_quota_percent = 75;
   }
@@ -538,7 +516,6 @@ Result<uint64_t> JobScheduler::Submit(SchedulerJobRequest request) {
   job->spec = std::move(request.spec);
   job->job_dir = std::move(request.job_dir);
   job->on_start = std::move(request.on_start);
-  job->threads = std::max<size_t>(1, s.options.threads_per_job);
   uint64_t quota = request.memory_quota != 0 ? request.memory_quota
                                              : s.options.default_job_quota;
   if (quota > 0) {

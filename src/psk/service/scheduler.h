@@ -27,8 +27,8 @@ enum class JobPriority {
 const char* JobPriorityName(JobPriority priority);
 
 /// Lifecycle of one admitted job. Terminal states are kCompleted,
-/// kFailed and kCancelled; a retried or degraded-restart job moves back
-/// to kQueued between attempts.
+/// kFailed and kCancelled; a retried job moves back to kQueued between
+/// attempts.
 enum class JobState {
   kQueued = 0,
   kRunning = 1,
@@ -81,7 +81,7 @@ struct SchedulerOptions {
   uint64_t shed_retry_after_ms = 100;
   /// Directory-lock wait passed to JobRunner for durable jobs.
   std::chrono::milliseconds lock_wait{250};
-  /// Initial sweep threads per job (ladder rung 2 drops a job to 1).
+  /// Sweep threads per job (ladder rung 2 narrows a running job to one).
   size_t threads_per_job = 1;
 };
 
@@ -118,7 +118,7 @@ struct SchedulerJobResult {
   /// Attempts dispatched (1 = first attempt succeeded).
   int attempts = 0;
   /// Highest degradation rung reached: 0 none, 1 cache shrunk,
-  /// 2 restarted sequential, 3 memory force-exhausted.
+  /// 2 narrowed to one lane, 3 memory force-exhausted.
   int degrade_level = 0;
 };
 
@@ -148,6 +148,7 @@ struct SchedulerStats {
   uint64_t watchdog_cancels = 0;
   uint64_t hard_cancels = 0;
   uint64_t degrade_cache_shrinks = 0;
+  /// Rung-2 demotions: parallel jobs narrowed to one lane in place.
   uint64_t degrade_sequential_restarts = 0;
   uint64_t degrade_force_exhausted = 0;
 };
@@ -173,14 +174,14 @@ struct SchedulerStats {
 ///
 /// Degradation ladder. The watchdog walks an over-soft-quota job down
 /// one rung per tick: (1) shrink its VerdictCache to cache_shrink_bytes;
-/// (2) restart it at threads=1, so its sweeps hold one worker's scratch
-/// instead of N (a durable job resumes from the checkpoint its parallel
-/// attempt wrote); (3) force-exhaust its MemoryBudget, which turns every
-/// budget checkpoint into a kResourceExhausted budget stop: the search
-/// unwinds with best-so-far partial results and the fallback chain
-/// (typically ending in kFullSuppression) still releases. A rung-3 job
-/// therefore *completes*, with report.partial — deliberately distinct
-/// from Cancel(), whose kCancelled aborts the chain.
+/// (2) narrow its running search to one lane at the next sweep, so its
+/// sweeps hold one worker's scratch instead of N, with no work lost;
+/// (3) force-exhaust its MemoryBudget, which turns every budget
+/// checkpoint into a kResourceExhausted budget stop: the search unwinds
+/// with best-so-far partial results and the fallback chain (typically
+/// ending in kFullSuppression) still releases. A rung-3 job therefore
+/// *completes*, with report.partial — deliberately distinct from
+/// Cancel(), whose kCancelled aborts the chain.
 ///
 /// Watchdog. A job whose heartbeat freezes for hung_timeout is
 /// cooperatively cancelled; if it stays deaf past hard_cancel_grace, the

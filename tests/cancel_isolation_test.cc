@@ -16,6 +16,7 @@
 
 #include "psk/api/anonymizer.h"
 #include "psk/datagen/adult.h"
+#include "psk/datagen/synthetic.h"
 #include "psk/service/scheduler.h"
 #include "psk/table/csv.h"
 #include "test_util.h"
@@ -35,6 +36,25 @@ JobSpec MakeSpec(size_t rows, uint64_t seed,
   spec.p = 2;
   spec.max_suppression = 6;
   spec.algorithm = algorithm;
+  return spec;
+}
+
+// An exhaustive job over a 16,384-node lattice (seven QIs, four levels
+// each) whose QI tuples barely repeat, so every node groups all its rows:
+// long enough that a cancel sent once it is sweeping lands mid-sweep.
+JobSpec MakeWideLatticeSpec(size_t rows, uint64_t seed) {
+  SyntheticSpec synthetic = MakeUniformSpec(rows, 7, 6, 1, 50, 0.5);
+  for (size_t i = 0; i < 7; ++i) synthetic.attributes[i].hierarchy_levels = 4;
+  SyntheticData data = UnwrapOk(SyntheticGenerate(synthetic, seed));
+  JobSpec spec;
+  spec.input = std::move(data.table);
+  for (size_t i = 0; i < data.hierarchies.size(); ++i) {
+    spec.hierarchies.push_back(data.hierarchies.hierarchy_ptr(i));
+  }
+  spec.k = 3;
+  spec.p = 2;
+  spec.max_suppression = 6;
+  spec.algorithm = AnonymizationAlgorithm::kExhaustive;
   return spec;
 }
 
@@ -74,8 +94,9 @@ void ExpectSameStats(const SearchStats& a, const SearchStats& b) {
 TEST(CancelIsolationTest, CancellingOneJobLeavesNeighborsByteIdentical) {
   constexpr size_t kThreadsPerJob = 2;
 
-  // Four survivor jobs across distinct engines and seeds, plus one big
-  // exhaustive victim that will be cancelled mid-sweep.
+  // Four survivor jobs across distinct engines and seeds, plus one
+  // exhaustive victim over a wide lattice (about 0.4 s solo on a 4-core
+  // Xeon) that will be cancelled mid-sweep.
   struct Survivor {
     std::string name;
     JobSpec spec;
@@ -106,8 +127,7 @@ TEST(CancelIsolationTest, CancellingOneJobLeavesNeighborsByteIdentical) {
 
   SchedulerJobRequest victim_request;
   victim_request.name = "victim";
-  victim_request.spec =
-      MakeSpec(4000, 99, AnonymizationAlgorithm::kExhaustive);
+  victim_request.spec = MakeWideLatticeSpec(4000, 99);
   uint64_t victim_id = UnwrapOk(scheduler.Submit(std::move(victim_request)));
 
   std::vector<uint64_t> survivor_ids;

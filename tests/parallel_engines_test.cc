@@ -10,6 +10,7 @@
 #include "psk/algorithms/incognito.h"
 #include "psk/algorithms/ola.h"
 #include "psk/algorithms/samarati.h"
+#include "psk/common/memory_budget.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/synthetic.h"
 #include "psk/jobs/checkpoint_io.h"
@@ -244,24 +245,63 @@ class CompleteSnapshotTest : public ::testing::Test {
     }
   }
 
-  // Every snapshot `search` hands its sink at `threads`, serialized. Sets
-  // *sharded when some sweep ran on more than one worker: only the
-  // sharded branch records its lane count, as a "workers" timing.
+  // Every snapshot `search` hands its sink at `threads`, serialized, with
+  // the run's stats in *stats and its SweepLog in *log. With `narrow_at`
+  // > 0, the sink asks the run's MemoryBudget for one lane at its
+  // narrow_at-th flush, as the scheduler's degradation ladder does to a
+  // running job.
   template <typename Search>
   std::vector<std::string> SinkSequence(Search search, size_t threads,
-                                        bool* sharded) {
+                                        SearchStats* stats, std::string* log,
+                                        size_t narrow_at = 0) {
     std::vector<std::string> sequence;
     RunTrace trace;
     SearchOptions options = options_;
     options.threads = threads;
     options.trace = &trace;
+    if (narrow_at > 0) options.budget.memory = std::make_shared<MemoryBudget>();
     options.checkpoint_interval = 4;
-    options.checkpoint_sink = [&sequence](const SearchSnapshot& snapshot) {
+    options.checkpoint_sink = [&sequence, narrow_at,
+                               memory = options.budget.memory](
+                                  const SearchSnapshot& snapshot) {
       sequence.push_back(SerializeSnapshot(snapshot, 0, 0));
+      if (sequence.size() == narrow_at) memory->LimitToOneLane();
     };
-    UnwrapOk(search(options));
-    *sharded = trace.ToJson().find("\"workers\":") != std::string::npos;
+    *stats = UnwrapOk(search(options)).stats;
+    *log = SweepLog(trace.ToJson());
     return sequence;
+  }
+
+  // A run's sweeps and flushes in order, read off its trace JSON: 'S' for
+  // a sweep that ran on more than one worker (only the sharded branch
+  // records its lane count, as a "workers" timing), 's' for a one-lane
+  // sweep and 'F' for a checkpoint flush.
+  static std::string SweepLog(const std::string& json) {
+    const std::string name_key = "\"name\":\"";
+    std::string log;
+    size_t at = json.find(name_key);
+    while (at != std::string::npos) {
+      size_t begin = at + name_key.size();
+      size_t next = json.find(name_key, begin);
+      std::string name = json.substr(begin, json.find('"', begin) - begin);
+      if (name == "sweep") {
+        bool sharded = json.substr(begin, next - begin).find(
+                           "\"workers\":") != std::string::npos;
+        log += sharded ? 'S' : 's';
+      } else if (name == "checkpoint_io") {
+        log += 'F';
+      }
+      at = next;
+    }
+    return log;
+  }
+
+  // Position of the n-th (1-based) flush in a SweepLog; npos if none.
+  static size_t NthFlush(const std::string& log, size_t n) {
+    for (size_t at = 0; at < log.size(); ++at) {
+      if (log[at] == 'F' && --n == 0) return at;
+    }
+    return std::string::npos;
   }
 
   static void ExpectSameNodeSets(const MinimalSetResult& full,
@@ -334,15 +374,38 @@ TEST_F(CompleteSnapshotTest, Incognito) {
 }
 
 // A checkpointed run shards its sweeps like any other, and its sink sees
-// the same snapshots, in the same order, at 1 and at 4 threads.
+// the same snapshots, in the same order, at 1 and at 4 threads, and when
+// a 4-thread run drops to one lane partway through.
 TEST_F(CompleteSnapshotTest, SinkSeesTheSameSnapshotsAtEveryThreadCount) {
   auto expect_same = [&](auto search, const char* engine) {
-    bool sharded = false;
-    std::vector<std::string> sequential = SinkSequence(search, 1, &sharded);
+    SearchStats sequential_stats;
+    SearchStats stats;
+    std::string log;
+    std::vector<std::string> sequential =
+        SinkSequence(search, 1, &sequential_stats, &log);
     ASSERT_GT(sequential.size(), 1u) << engine;
-    EXPECT_FALSE(sharded) << engine;
-    EXPECT_EQ(SinkSequence(search, 4, &sharded), sequential) << engine;
-    EXPECT_TRUE(sharded) << engine;
+    EXPECT_EQ(log.find('S'), std::string::npos) << engine;
+    EXPECT_EQ(SinkSequence(search, 4, &stats, &log), sequential) << engine;
+    ExpectStatsEq(stats, sequential_stats, engine);
+
+    // Narrow at the first flush that follows a sharded sweep, with
+    // sharded sweeps still to come. (Bottom-up and Incognito flush before
+    // any sweep shards, so the first flush would not do.)
+    size_t first_sharded = log.find('S');
+    ASSERT_NE(first_sharded, std::string::npos) << engine;
+    size_t flush = log.find('F', first_sharded);
+    ASSERT_NE(flush, std::string::npos) << engine;
+    ASSERT_NE(log.find('S', flush), std::string::npos) << engine;
+    size_t narrow_at = static_cast<size_t>(
+        std::count(log.begin(), log.begin() + flush + 1, 'F'));
+    EXPECT_EQ(SinkSequence(search, 4, &stats, &log, narrow_at), sequential)
+        << engine;
+    ExpectStatsEq(stats, sequential_stats, engine);
+    // Sharded before the signal, one lane after it.
+    flush = NthFlush(log, narrow_at);
+    ASSERT_NE(flush, std::string::npos) << engine;
+    EXPECT_LT(log.find('S'), flush) << engine << " " << log;
+    EXPECT_EQ(log.find('S', flush), std::string::npos) << engine << " " << log;
   };
   expect_same([&](const SearchOptions& o) { return Samarati(o); },
               "samarati");

@@ -45,11 +45,11 @@ JobSpec MakeSpec(size_t rows, uint64_t seed,
   return spec;
 }
 
-// An exhaustive job over a 1,024-node lattice (five QIs, four levels each)
-// whose QI tuples barely repeat, so every node groups all its rows.
+// An exhaustive job over a 16,384-node lattice (seven QIs, four levels
+// each) whose QI tuples barely repeat, so every node groups all its rows.
 JobSpec MakeWideLatticeSpec(size_t rows, uint64_t seed) {
-  SyntheticSpec synthetic = MakeUniformSpec(rows, 5, 6, 1, 50, 0.5);
-  for (size_t i = 0; i < 5; ++i) synthetic.attributes[i].hierarchy_levels = 4;
+  SyntheticSpec synthetic = MakeUniformSpec(rows, 7, 6, 1, 50, 0.5);
+  for (size_t i = 0; i < 7; ++i) synthetic.attributes[i].hierarchy_levels = 4;
   SyntheticData data = UnwrapOk(SyntheticGenerate(synthetic, seed));
   JobSpec spec;
   spec.input = std::move(data.table);
@@ -132,17 +132,16 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
         WriteCsvString(SoloRun(survivor.spec, kThreadsPerJob).masked);
   }
 
-  // Over-quota job. Its *sustained* footprint is the verdict cache (the
-  // encode and scratch charges are transient spikes the watchdog never
-  // samples), so the soft quota is pinned below the rung-1 cache cap:
-  // even the shrunken cache keeps the job over-soft and the ladder walks
-  // to rung 3 instead of disarming as soon as the shrink lands. Sized so
-  // the sweep outlasts three watchdog dwells — rung 3 must land while
-  // the search is still charging its budget. An Adult input cannot be:
-  // its QI tuples repeat so heavily that its nodes group a few thousand
-  // entries, and a 12,000-row exhaustive search took 5-10 ms, often
-  // finishing before the ladder's first rung. A solo run of the wide
-  // lattice takes about 45 ms at 2 threads on a 4-core Xeon.
+  // Over-quota job. It holds its input and its encoding for the whole
+  // run, far more than its soft quota (sized below), so it stays over-soft
+  // after the rung-1 cache shrink and the ladder walks to rung 3. Sized so
+  // the sweep outlasts three watchdog dwells: rung 3 must land while the
+  // search is still sweeping. An Adult input cannot be: its QI tuples
+  // repeat so heavily that its nodes group a few thousand entries, and a
+  // 12,000-row exhaustive search took 5-10 ms, often finishing before the
+  // ladder's first rung. A 1,024-node lattice (about 30 ms solo) could
+  // still finish before rung 3 under load. A solo run of this 16,384-node
+  // lattice takes about 0.4 s at 2 threads on a 4-core Xeon.
   JobSpec hog_spec = MakeWideLatticeSpec(4000, 46);
   hog_spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
 
@@ -177,9 +176,10 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   options.hung_timeout = std::chrono::milliseconds(300);
   options.hard_cancel_grace = std::chrono::milliseconds(100);
   options.retry_backoff_base = std::chrono::milliseconds(1);
-  // hog quota below: hard = 700KB, above its transient peak (about 520KB
-  // in a solo run; nothing trips until rung 3 forces exhaustion); soft =
-  // 1% = 7KB, below the 8KB shrunken cache (stays armed through rung 1).
+  // hog quota below: hard = 5 MB, above its solo high-water of about 3.7
+  // MB at 2 threads (nothing trips until rung 3 forces exhaustion); soft
+  // = 1% = 52 KB, below the input and encoding it holds for its whole run
+  // (stays armed through every rung).
   options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;
   options.shed_retry_after_ms = 25;
@@ -223,7 +223,7 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   hog.name = "hog";
   hog.priority = JobPriority::kNormal;
   hog.spec = hog_spec;
-  hog.memory_quota = 700 * 1024;
+  hog.memory_quota = 5 * 1024 * 1024;
   uint64_t hog_id = UnwrapOk(scheduler.Submit(std::move(hog)));
 
   SchedulerJobRequest fault;

@@ -24,6 +24,7 @@
 #include "psk/common/durable_file.h"
 #include "psk/common/failpoint.h"
 #include "psk/common/memory_budget.h"
+#include "psk/common/run_budget.h"
 #include "psk/datagen/adult.h"
 #include "psk/hierarchy/hierarchy.h"
 #include "psk/table/csv.h"
@@ -69,15 +70,24 @@ TEST(MemoryBudgetTest, HardLimitRejectsWithoutRecording) {
 }
 
 TEST(MemoryBudgetTest, ForceExhaustedIsSticky) {
-  MemoryBudget budget;
-  PSK_ASSERT_OK(budget.Charge(10));
-  budget.ForceExhausted();
-  EXPECT_TRUE(budget.exhausted());
-  EXPECT_EQ(budget.Charge(1).code(), StatusCode::kResourceExhausted);
-  budget.Release(10);
+  auto budget = std::make_shared<MemoryBudget>();
+  budget->set_hard_limit(100);
+  PSK_ASSERT_OK(budget->Charge(10));
+  budget->ForceExhausted();
+  EXPECT_TRUE(budget->exhausted());
+  // Rung 3 stops searches, not charges: the hard limit alone bounds them,
+  // so the fallback chain can still charge what it needs.
+  PSK_ASSERT_OK(budget->Charge(1));
+  EXPECT_EQ(budget->Charge(100).code(), StatusCode::kResourceExhausted);
+  budget->Release(11);
   // Still exhausted: the ladder's last rung cannot be un-tripped by
   // freeing memory.
-  EXPECT_EQ(budget.Charge(1).code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(budget->exhausted());
+  // A search over this budget stops at its next checkpoint.
+  RunBudget run;
+  run.memory = budget;
+  BudgetEnforcer enforcer(run);
+  EXPECT_EQ(enforcer.Check().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(MemoryBudgetTest, SoftLimitIsAdvisoryOnly) {
@@ -837,47 +847,20 @@ TEST(SchedulerTest, DegradationLadderEndsInAPartialRelease) {
   EXPECT_NE(trace.find("scheduler"), std::string::npos);
 }
 
-TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
-  JobSpec spec = MakeSpec(12000, 12, AnonymizationAlgorithm::kExhaustive);
-  spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
-
-  SchedulerOptions options;
-  options.watchdog_interval = std::chrono::milliseconds(1);
-  options.cache_shrink_bytes = 8 * 1024;
-  options.soft_quota_percent = 1;  // same sizing as the ladder test above
-  options.threads_per_job = 2;  // rung 2 has a parallel attempt to demote
-  JobScheduler scheduler(options);
-  SchedulerJobRequest request;
-  request.name = "hog";
-  request.spec = std::move(spec);
-  // Roomy hard quota: the 1% *soft* quota drives the ladder. (Interned
-  // tables charge their input footprint now, so a tight hard quota would
-  // budget-stop the run before the ladder ever engages.)
-  request.memory_quota = 2 * 1024 * 1024;
-
-  // Stream the input through a source that parks after the first chunk
-  // until the watchdog has climbed to rung 2: the materialization
-  // reservation keeps the job over its soft quota while it waits, and
-  // the rung-2 cancel then lands before the run starts — deterministic,
-  // instead of racing the demotion against a search the interned data
-  // layer made too fast to catch mid-flight. The source then holds the
-  // job over its soft quota for ~20 watchdog ticks more: the ladder must
-  // not climb to rung 3 while the restart is pending, or the forced
-  // exhaustion would fail the sequential attempt's input charge.
-  auto source_table =
-      std::make_shared<Table>(std::move(request.spec.input));
-  request.spec.input = Table(source_table->schema());
+// Stream `request`'s input in chunks of `chunk_rows`. The source calls
+// `park()` before every chunk after the first, so the job's first chunk is
+// charged to its budget and holds it over a tiny soft quota while the
+// ladder climbs.
+void StreamInput(SchedulerJobRequest* request, size_t chunk_rows,
+                 std::function<void()> park) {
+  auto source_table = std::make_shared<Table>(std::move(request->spec.input));
+  request->spec.input = Table(source_table->schema());
+  request->spec.ingest_chunk_rows = chunk_rows;
   auto pos = std::make_shared<size_t>(0);
-  request.spec.input_source = [source_table, pos, &scheduler](
-                                  size_t max_rows,
-                                  IngestChunk* chunk) -> Result<size_t> {
-    if (*pos > 0) {
-      // First chunk is charged; park until the demotion fires.
-      while (scheduler.stats().degrade_sequential_restarts == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+  request->spec.input_source = [source_table, pos, park](
+                                   size_t max_rows,
+                                   IngestChunk* chunk) -> Result<size_t> {
+    if (*pos > 0) park();
     size_t rows = std::min(max_rows, source_table->num_rows() - *pos);
     chunk->Reset(source_table->schema(), rows);
     for (size_t c = 0; c < source_table->num_columns(); ++c) {
@@ -888,10 +871,50 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
     *pos += rows;
     return rows;
   };
-  // Then park the sequential attempt in its preflight until rung 3 has
-  // landed, as in the ladder test above, instead of racing the last climb
-  // against a search that may end first under load. The cancelled parallel
-  // attempt returns before its preflight, so it never parks.
+}
+
+// The names of the degradation events, in order.
+std::vector<std::string> DegradeActions(
+    const std::vector<std::string>& events) {
+  std::vector<std::string> actions;
+  for (const std::string& event : events) {
+    if (event.rfind("degrade.", 0) == 0) {
+      actions.push_back(event.substr(0, event.find(' ')));
+    }
+  }
+  return actions;
+}
+
+TEST(SchedulerTest, LadderDemotesAParallelJobInPlace) {
+  JobSpec spec = MakeSpec(12000, 12, AnonymizationAlgorithm::kExhaustive);
+  spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
+
+  SchedulerOptions options;
+  options.watchdog_interval = std::chrono::milliseconds(1);
+  options.cache_shrink_bytes = 8 * 1024;
+  options.soft_quota_percent = 1;  // same sizing as the ladder test above
+  options.threads_per_job = 2;  // rung 2 has a parallel job to narrow
+  // A parked job makes no progress: keep the hang watchdog out of it.
+  options.hung_timeout = std::chrono::seconds(60);
+  JobScheduler scheduler(options);
+  SchedulerJobRequest request;
+  request.name = "hog";
+  request.spec = std::move(spec);
+  // Roomy hard quota: the 1% *soft* quota drives the ladder. (Interned
+  // tables charge their input footprint now, so a tight hard quota would
+  // budget-stop the run before the ladder ever engages.)
+  request.memory_quota = 2 * 1024 * 1024;
+
+  // The source parks after the first chunk until the watchdog has climbed
+  // to rung 2, and the run then parks in its preflight until rung 3 has
+  // landed, as in the ladder test above: deterministic, instead of racing
+  // the last climbs against a search that may end first under load. The
+  // search then starts on one lane and stops at its first checkpoint.
+  StreamInput(&request, 64 * 1024, [&scheduler] {
+    while (scheduler.stats().degrade_sequential_restarts == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
   request.spec.hierarchies[0] = std::make_shared<ParkingHierarchy>(
       request.spec.hierarchies[0], [&scheduler] {
         return scheduler.stats().degrade_force_exhausted > 0;
@@ -902,14 +925,57 @@ TEST(SchedulerTest, LadderRestartsAParallelJobOnTheSequentialPath) {
   PSK_ASSERT_OK(result.status);
   EXPECT_EQ(result.state, JobState::kCompleted);
   EXPECT_EQ(result.degrade_level, 3);
-  // The rung-2 demotion cancelled the parallel attempt and re-ran the job
-  // sequentially: two attempts, with the restart visible in the events.
-  EXPECT_EQ(result.attempts, 2);
+  // Rung 2 narrowed the running attempt in place: one attempt, one start,
+  // and no degradation event but the three rungs.
+  EXPECT_EQ(result.attempts, 1);
   EXPECT_EQ(scheduler.stats().degrade_sequential_restarts, 1u);
   std::vector<std::string> events = scheduler.Events();
   EXPECT_TRUE(HasEvent(events, "degrade.sequential hog"));
-  EXPECT_TRUE(HasEvent(events, "degrade.sequential_restart hog"));
-  EXPECT_TRUE(HasEvent(events, "start hog (attempt 2 threads=1"));
+  EXPECT_EQ(DegradeActions(events),
+            (std::vector<std::string>{"degrade.cache_shrink",
+                                      "degrade.sequential",
+                                      "degrade.force_exhausted"}));
+  EXPECT_EQ(StartOrder(events), std::vector<std::string>{"hog"});
+}
+
+// Rung 3 stops searches, not charges: a sequential job still streaming its
+// input when the budget is force-exhausted finishes its ingest and
+// releases through its fallback chain.
+TEST(SchedulerTest, ForceExhaustedWhileStreamingReleasesThroughTheFallback) {
+  JobSpec spec = MakeSpec(12000, 13, AnonymizationAlgorithm::kExhaustive);
+  spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
+
+  SchedulerOptions options;
+  options.watchdog_interval = std::chrono::milliseconds(1);
+  // The stream parks with a frozen heartbeat: keep the hang watchdog out.
+  options.hung_timeout = std::chrono::seconds(60);
+  options.cache_shrink_bytes = 8 * 1024;
+  options.soft_quota_percent = 1;  // same sizing as the ladder tests above
+  options.threads_per_job = 1;  // rung 2 has nothing to narrow
+  JobScheduler scheduler(options);
+  SchedulerJobRequest request;
+  request.name = "stream";
+  request.spec = std::move(spec);
+  request.memory_quota = 2 * 1024 * 1024;
+  // Six chunks: the stream stays over its soft quota from the first chunk
+  // on and parks before the second until rung 3 has landed, so the five
+  // chunks after it are charged to a force-exhausted budget.
+  StreamInput(&request, 2000, [&scheduler] {
+    while (scheduler.stats().degrade_force_exhausted == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
+  SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
+
+  PSK_ASSERT_OK(result.status);
+  EXPECT_EQ(result.state, JobState::kCompleted);
+  EXPECT_EQ(result.degrade_level, 3);
+  EXPECT_EQ(result.attempts, 1);
+  EXPECT_EQ(result.report.masked.num_rows(), 12000u);
+  EXPECT_TRUE(result.report.partial || result.report.fallback_stage > 0);
+  EXPECT_EQ(scheduler.stats().degrade_sequential_restarts, 0u);
+  EXPECT_EQ(scheduler.stats().failed, 0u);
 }
 
 }  // namespace
