@@ -10,72 +10,6 @@
 
 namespace psk {
 
-VerdictCache::~VerdictCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (memory_ != nullptr) memory_->Release(bytes_);
-}
-
-bool VerdictCache::Lookup(const std::string& key, NodeEvaluation* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  // Bump recency: splice moves the node to the front without invalidating
-  // the iterators the map holds.
-  lru_.splice(lru_.begin(), lru_, it->second);
-  *out = it->second->second;
-  return true;
-}
-
-void VerdictCache::Insert(const std::string& key, const NodeEvaluation& eval) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (map_.find(key) != map_.end()) return;  // first verdict wins
-  uint64_t cost = EntryBytes(key);
-  if (max_bytes_ != 0 && cost > max_bytes_) return;  // could never fit
-  if (memory_ != nullptr) {
-    Status charged = memory_->Charge(cost);
-    if (!charged.ok()) {
-      // The job is at its hard memory limit: losing a memoization is the
-      // cheapest possible degradation, so drop the insert rather than
-      // failing the evaluation that produced it.
-      return;
-    }
-  }
-  lru_.emplace_front(key, eval);
-  map_.emplace(key, lru_.begin());
-  bytes_ += cost;
-  EvictToCapLocked();
-}
-
-void VerdictCache::set_max_bytes(uint64_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_bytes_ = max_bytes;
-  EvictToCapLocked();
-}
-
-void VerdictCache::set_memory_budget(std::shared_ptr<MemoryBudget> budget) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (memory_ != nullptr) memory_->Release(bytes_);
-  memory_ = std::move(budget);
-  if (memory_ != nullptr && bytes_ > 0) {
-    // Re-charge existing contents best effort: if the budget rejects
-    // them, keep the entries (they exist either way) — the next insert's
-    // eviction pressure will shrink the books back into line.
-    memory_->Charge(bytes_).ok();
-  }
-}
-
-void VerdictCache::EvictToCapLocked() {
-  if (max_bytes_ == 0) return;
-  while (bytes_ > max_bytes_ && !lru_.empty()) {
-    auto& victim = lru_.back();
-    uint64_t cost = EntryBytes(victim.first);
-    map_.erase(victim.first);
-    lru_.pop_back();
-    bytes_ = bytes_ > cost ? bytes_ - cost : 0;
-    if (memory_ != nullptr) memory_->Release(cost);
-  }
-}
-
 std::string SnapshotNodeKey(const LatticeNode& node) {
   std::string key;
   for (size_t i = 0; i < node.levels.size(); ++i) {
@@ -231,27 +165,20 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node,
     return Status::FailedPrecondition(
         "Condition 1 fails for the requested p; no node can satisfy it");
   }
-  std::string key;
-  if (options_.restore != nullptr || fresh != nullptr || cache_ != nullptr ||
-      trace_buffer_ != nullptr) {
-    key = SnapshotNodeKey(node);
-  }
+  std::string key = SnapshotNodeKey(node);
   int64_t trace_start = trace_buffer_ != nullptr ? trace_->NowNs() : 0;
-  if (options_.restore != nullptr) {
-    auto cached = options_.restore->verdicts.find(key);
-    if (cached != options_.restore->verdicts.end()) {
-      // Resume fast-forward: recount the stored verdict into the stats
-      // exactly as the original evaluation did, so a resumed run finishes
-      // with the same counters as an uninterrupted one. No budget charge —
-      // no table was generalized — but deadline and cancellation are still
-      // polled so a replay of a large snapshot can be stopped.
+  if (options_.memo != nullptr) {
+    auto known = options_.memo->verdicts.find(key);
+    if (known != options_.memo->verdicts.end()) {
+      // Memo replay: recount the stored verdict into the stats exactly as
+      // the original evaluation did, so a resumed run (or a later stage
+      // replaying an earlier one) finishes with the same counters as an
+      // uninterrupted one. No budget charge — no table was generalized —
+      // but deadline and cancellation are still polled so a replay of a
+      // large memo can be stopped.
       PSK_RETURN_IF_ERROR(TickReplay());
-      const NodeEvaluation& eval = cached->second;
+      const NodeEvaluation& eval = known->second;
       ++stats_.nodes_generalized;
-      // Recount the cache and evaluation counters the way the original
-      // evaluation did, so the resumed run's totals converge on the
-      // uninterrupted run's.
-      if (cache_ != nullptr) ++stats_.nodes_cache_misses;
       ++stats_.nodes_evaluated_encoded;
       switch (eval.stage) {
         case CheckStage::kKAnonymity:
@@ -267,38 +194,18 @@ Result<NodeEvaluation> NodeEvaluator::Evaluate(const LatticeNode& node,
           break;
       }
       if (eval.satisfied) ++stats_.nodes_satisfied;
-      // A re-request in this run would hit the snapshot again (it is
-      // looked up first) and recount; the insert is for a later search
-      // that shares an external cache, as a fresh verdict's is.
-      if (cache_ != nullptr) cache_->Insert(key, eval);
       if (trace_buffer_ != nullptr) {
         RecordEvalEvent(key, "replay", eval, trace_start);
       }
       return eval;
     }
   }
-  if (cache_ != nullptr) {
-    NodeEvaluation hit;
-    if (cache_->Lookup(key, &hit)) {
-      // Already evaluated (and counted) by an earlier search through this
-      // cache — re-serve the verdict for free, still honoring
-      // deadline/cancellation.
-      PSK_RETURN_IF_ERROR(TickReplay());
-      ++stats_.nodes_cache_hits;
-      if (trace_buffer_ != nullptr) {
-        RecordEvalEvent(key, "cache", hit, trace_start);
-      }
-      return hit;
-    }
-    ++stats_.nodes_cache_misses;
-  }
   Result<NodeEvaluation> body = EvaluateEncoded(node);
   if (!body.ok()) return body.status();
-  // Completed verdicts enter the snapshot so the next checkpoint persists
-  // them; a budget stop inside the body never reaches here, keeping the
-  // snapshot free of half-finished evaluations.
+  // Completed verdicts enter the memo (and so the next checkpoint) through
+  // `fresh`; a budget stop inside the body never reaches here, keeping the
+  // memo free of half-finished evaluations.
   NodeEvaluation eval = *body;
-  if (cache_ != nullptr) cache_->Insert(key, eval);
   if (trace_buffer_ != nullptr) {
     RecordEvalEvent(key, "encoded", eval, trace_start);
   }
@@ -321,16 +228,14 @@ Result<bool> NodeEvaluator::EvaluateSubset(const std::vector<size_t>& attrs,
   if (!initialized_) {
     return Status::FailedPrecondition("NodeEvaluator::Init was not called");
   }
-  std::string key;
-  if (options_.restore != nullptr || fresh != nullptr) {
-    key = SubsetFactKey(attrs, levels);
-  }
-  if (options_.restore != nullptr) {
-    auto fact = options_.restore->facts.find(key);
-    if (fact != options_.restore->facts.end()) {
-      // Resume fast-forward: the interrupted run decided this subset node,
-      // so reuse its verdict without scanning the table or charging the
-      // budget (deadline and cancellation are still polled).
+  std::string key = SubsetFactKey(attrs, levels);
+  if (options_.memo != nullptr) {
+    auto fact = options_.memo->facts.find(key);
+    if (fact != options_.memo->facts.end()) {
+      // Memo replay: this run (or the interrupted run it resumes) already
+      // decided this subset node, so reuse its verdict without scanning
+      // the table or charging the budget (deadline and cancellation are
+      // still polled).
       PSK_RETURN_IF_ERROR(TickReplay());
       ++stats_.subset_nodes_evaluated;
       return fact->second;
@@ -418,7 +323,9 @@ NodeSweeper::NodeSweeper(const Table& initial_microdata,
                          SearchOptions options)
     : im_(initial_microdata),
       hierarchies_(hierarchies),
-      options_(std::move(options)) {}
+      options_(std::move(options)) {
+  if (options_.memo == nullptr) options_.memo = &own_memo_;
+}
 
 Status NodeSweeper::Init() {
   size_t num_workers = std::max<size_t>(options_.threads, 1);
@@ -429,11 +336,7 @@ Status NodeSweeper::Init() {
   // must never reallocate after the first set_trace.
   trace_buffers_.clear();
   if (options_.trace != nullptr) trace_buffers_.resize(num_workers);
-  fresh_buffers_.clear();
-  if (options_.checkpoint_sink != nullptr) {
-    fresh_buffers_.resize(num_workers);
-    if (options_.restore != nullptr) snapshot_ = *options_.restore;
-  }
+  fresh_buffers_.assign(num_workers, {});
 
   // Encode the table once and share it across workers — the encoding is
   // immutable after Build, so concurrent GroupByNode calls (each with a
@@ -458,13 +361,12 @@ Status NodeSweeper::Init() {
                                                    encoded->ApproxBytes()));
 
   // Secondary workers share the primary's enforcer (limits stay global);
-  // every worker shares the caller's cache, if any.
+  // every worker reads the memo through its copy of options_.
   for (size_t w = 0; w < num_workers; ++w) {
     workers_.push_back(
         std::make_unique<NodeEvaluator>(im_, hierarchies_, options_));
     NodeEvaluator& worker = *workers_.back();
     if (w > 0) worker.set_enforcer(workers_.front()->enforcer());
-    worker.set_verdict_cache(options_.verdict_cache);
     worker.set_encoded_table(encoded);
     if (options_.trace != nullptr) {
       worker.set_trace(options_.trace, &trace_buffers_[w]);
@@ -536,7 +438,7 @@ void UpdateThroughput(size_t evaluated, size_t lanes,
 }  // namespace
 
 Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
-  // Scheduler rung 2 (MemoryBudget::LimitToOneLane): fold the secondary
+  // Scheduler rung 1 (MemoryBudget::LimitToOneLane): fold the secondary
   // workers' counters into the primary and drop them, returning their
   // scratch to the budget. Any lane count evaluates the same items.
   const MemoryBudget* memory = options_.budget.memory.get();
@@ -560,9 +462,6 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
   Status status = Status::OK();
   // Items completed per lane; each slot is written only by its lane.
   std::vector<size_t> evaluated(std::max<size_t>(active, 1), 0);
-  auto fresh = [&](size_t worker) {
-    return fresh_buffers_.empty() ? nullptr : &fresh_buffers_[worker];
-  };
 
   if (active <= 1) {
     // Too narrow to shard (one item, one worker, or the pool's fair share
@@ -570,7 +469,7 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
     // calling thread.
     NodeEvaluator& primary = *workers_.front();
     for (size_t index = 0; index < count && status.ok(); ++index) {
-      status = evaluate(primary, fresh(0), index);
+      status = evaluate(primary, &fresh_buffers_[0], index);
       if (status.ok()) ++evaluated[0];
     }
   } else {
@@ -613,8 +512,8 @@ Status NodeSweeper::Drive(size_t count, const ItemFn& evaluate) {
             if (stop.load(std::memory_order_relaxed)) break;
             Status item = cancel != nullptr && cancel->cancelled()
                               ? Status::Cancelled("run cancelled by caller")
-                              : evaluate(*workers_[worker], fresh(worker),
-                                         index);
+                              : evaluate(*workers_[worker],
+                                         &fresh_buffers_[worker], index);
             if (!item.ok()) {
               if (worker_status[worker].ok()) worker_status[worker] = item;
               // A tripped enforcer poisons every later Charge anyway; the
@@ -664,11 +563,11 @@ void NodeSweeper::FlushTraceEvents() {
 }
 
 void NodeSweeper::MergeCheckpoint() {
-  if (options_.checkpoint_sink == nullptr) return;
+  SearchSnapshot& memo = *options_.memo;
   for (SearchSnapshot& buffer : fresh_buffers_) {
     fresh_since_flush_ += buffer.verdicts.size() + buffer.facts.size();
-    snapshot_.verdicts.merge(buffer.verdicts);
-    snapshot_.facts.merge(buffer.facts);
+    memo.verdicts.merge(buffer.verdicts);
+    memo.facts.merge(buffer.facts);
     buffer = {};
   }
   if (fresh_since_flush_ >=
@@ -681,9 +580,9 @@ void NodeSweeper::FlushCheckpoint() {
   if (options_.checkpoint_sink == nullptr) return;
   fresh_since_flush_ = 0;
   TraceSpan span(options_.trace, "checkpoint_io");
-  span.Counter("verdicts", snapshot_.verdicts.size());
-  span.Counter("facts", snapshot_.facts.size());
-  options_.checkpoint_sink(snapshot_);
+  span.Counter("verdicts", options_.memo->verdicts.size());
+  span.Counter("facts", options_.memo->facts.size());
+  options_.checkpoint_sink(*options_.memo);
 }
 
 SearchStats NodeSweeper::MergedStats() const {

@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -36,7 +34,8 @@ struct NodeEvaluation {
   size_t num_groups = 0;
 };
 
-/// Durable search state for crash-safe checkpoint/resume (see psk/jobs).
+/// A run's verdict memo (SearchOptions::memo), and the durable search
+/// state its checkpoints persist for crash-safe resume (see psk/jobs).
 ///
 /// `verdicts` holds every completed node evaluation, keyed by
 /// SnapshotNodeKey; `facts` holds every completed subset-node verdict
@@ -61,102 +60,6 @@ std::string SnapshotNodeKey(const LatticeNode& node);
 /// it apart from SnapshotNodeKey, so both share one SearchSnapshot.
 std::string SubsetFactKey(const std::vector<size_t>& attrs,
                           const std::vector<int>& levels);
-
-/// Thread-safe in-memory verdict cache, owned by the caller and attached
-/// to a search only through SearchOptions::verdict_cache (the scheduler
-/// gives each job one); every worker of every search it is attached to
-/// shares it. A verdict is a pure function of (initial microdata,
-/// hierarchies, k, p, TS), so once any search has evaluated a node, no
-/// later request through the same cache generalizes the table for it
-/// again. No engine asks for one node twice within a search, so hits come
-/// from earlier searches against the same cache: a retried job, or a
-/// later stage of a fallback chain.
-///
-/// Unlike the crash-recovery snapshot (whose hits *recount* stats so a
-/// resumed run converges on the uninterrupted run's counters), a cache hit
-/// is work an earlier search already counted: it increments only
-/// SearchStats::nodes_cache_hits and charges no budget.
-///
-/// Memory governance: the cache is LRU-bounded. With max_bytes() == 0
-/// (the default) it grows without limit, exactly like the historical
-/// behavior, so a solo run's stats never change. With a cap — or when a
-/// scheduler calls Shrink() on an over-quota job — the least-recently
-/// touched verdicts are evicted first; an evicted node re-evaluates (and
-/// re-counts) on its next request, which trades determinism of the
-/// *stats* for bounded memory, never correctness of the verdicts
-/// themselves (each one is a pure function of the inputs). Every insert
-/// is charged against the attached MemoryBudget (if any); an insert the
-/// budget rejects is simply dropped — the search just loses a memoization.
-class VerdictCache {
- public:
-  VerdictCache() = default;
-  ~VerdictCache();
-
-  VerdictCache(const VerdictCache&) = delete;
-  VerdictCache& operator=(const VerdictCache&) = delete;
-
-  /// True and fills *out when `key` has a cached verdict; bumps the
-  /// entry's recency.
-  bool Lookup(const std::string& key, NodeEvaluation* out) const;
-
-  void Insert(const std::string& key, const NodeEvaluation& eval);
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-  }
-
-  /// Bytes held by the cached entries (keys + verdicts + bookkeeping
-  /// estimate).
-  uint64_t bytes_used() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
-  }
-
-  /// Eviction cap in bytes; 0 = unbounded (the default). Lowering the cap
-  /// evicts immediately. Thread-safe — a scheduler watchdog may call this
-  /// while the owning job is mid-sweep.
-  void set_max_bytes(uint64_t max_bytes);
-  uint64_t max_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_bytes_;
-  }
-
-  /// Degradation-ladder step: caps the cache at `max_bytes` and evicts
-  /// down to it right now (equivalent to set_max_bytes, named for
-  /// intent at the call sites).
-  void Shrink(uint64_t max_bytes) { set_max_bytes(max_bytes); }
-
-  /// Charges every byte this cache holds (now and in the future) against
-  /// `budget`. Call before the search starts; the current contents are
-  /// re-charged ex post (best effort — an over-budget re-charge keeps the
-  /// entries but the books saturate at the hard limit via eviction on the
-  /// next insert).
-  void set_memory_budget(std::shared_ptr<MemoryBudget> budget);
-
-  /// Cost model for one entry — exposed so tests can size caps exactly.
-  static uint64_t EntryBytes(const std::string& key) {
-    // Key stored twice (map key + recency-list back-reference), verdict
-    // once, plus node/bucket overhead for the map and list.
-    return 2 * key.size() + sizeof(NodeEvaluation) + kEntryOverhead;
-  }
-  static constexpr uint64_t kEntryOverhead = 96;
-
- private:
-  /// Recency list: front = most recent. The map points into the list.
-  using LruList = std::list<std::pair<std::string, NodeEvaluation>>;
-
-  /// Evicts from the back until bytes_ <= max_bytes_ (no-op when
-  /// unbounded). Caller holds mu_.
-  void EvictToCapLocked();
-
-  mutable std::mutex mu_;
-  mutable LruList lru_;
-  std::unordered_map<std::string, LruList::iterator> map_;
-  uint64_t bytes_ = 0;
-  uint64_t max_bytes_ = 0;
-  std::shared_ptr<MemoryBudget> memory_;
-};
 
 struct SearchStats;
 
@@ -186,37 +89,32 @@ struct SearchOptions {
   /// identical for any thread count (budget-tripped partial results may
   /// differ, since a limit trips at a thread-timing-dependent node).
   size_t threads = 1;
-  /// Externally owned verdict cache. When set, NodeSweeper shares it
-  /// across its workers, so a node some earlier search through the same
-  /// cache evaluated is re-served without generalizing the table; it is
-  /// also the seam a scheduler uses to read a job's bytes_used() and
-  /// Shrink() it mid-run (degradation ladder). The owner decides the
-  /// eviction cap and the memory budget. When unset, the search runs
-  /// without a cache: no engine asks for one node twice, so it would
-  /// never hit.
-  std::shared_ptr<VerdictCache> verdict_cache;
   /// Resource limits. When a limit trips mid-search, the search stops and
   /// returns whatever it found so far, with SearchStats::partial set and
   /// SearchStats::stop_reason naming the limit — it never hangs and never
   /// discards a usable best-so-far answer.
   RunBudget budget;
 
-  // Crash-safe checkpoint/resume hooks (see psk/jobs/JobRunner). Both
-  // default off, in which case the hot path pays nothing.
-  /// Search state recorded by a previous, interrupted run. The search
-  /// replays its deterministic enumeration; every preloaded node resolves
-  /// from the snapshot — with its stats recounted exactly as a fresh
-  /// evaluation would have — instead of re-generalizing the table, so the
-  /// run fast-forwards to the crash point and completes with output and
-  /// stats byte-identical to an uninterrupted run. Cache hits do not
-  /// charge the budget (they cost no real work), so node/row caps meter
-  /// only the work actually redone. Must outlive the search.
-  const SearchSnapshot* restore = nullptr;
-  /// Invoked on the control thread with the accumulated snapshot at the
-  /// end of a sweep once `checkpoint_interval` fresh verdicts have built
-  /// up, and at engine-specific boundaries (after a probed height, a
-  /// finished subset phase, ...). The sink persists the snapshot durably;
-  /// it must not re-enter the search.
+  // Verdict memo and crash-safe checkpoint hooks (see psk/jobs/JobRunner).
+  /// The run's verdict memo. Sweep workers look every node and subset
+  /// fact up in it, without locks; a node found there is replayed — its
+  /// stats recounted exactly as a fresh evaluation would have counted
+  /// them — instead of re-generalizing the table. Replays do not charge
+  /// the node/row budget (they cost no real work), so those caps meter
+  /// only fresh work; deadline and cancellation are still polled. After
+  /// every sweep, on the control thread, the sweeper merges the sweep's
+  /// fresh verdicts into it, so a later stage of a fallback chain sharing
+  /// the memo replays what an earlier stage decided. Seeded with an
+  /// interrupted run's snapshot, the search fast-forwards to the crash
+  /// point and completes with output and stats byte-identical to an
+  /// uninterrupted run. Null: the sweeper keeps a memo of its own. Must
+  /// outlive the search, and nothing else may touch it during the search.
+  SearchSnapshot* memo = nullptr;
+  /// Invoked on the control thread with the memo at the end of a sweep
+  /// once `checkpoint_interval` fresh verdicts have built up, and at
+  /// engine-specific boundaries (after a probed height, a finished subset
+  /// phase, ...). The sink persists the snapshot durably; it must not
+  /// re-enter the search.
   std::function<void(const SearchSnapshot&)> checkpoint_sink;
   /// Fresh verdicts and subset facts between checkpoint_sink invocations.
   uint64_t checkpoint_interval = 64;
@@ -245,22 +143,21 @@ struct SearchStats {
   /// Nodes skipped without generalization (dominance or lower-bound
   /// pruning in the bottom-up search).
   size_t nodes_skipped = 0;
-  /// Node requests resolved from the caller's VerdictCache — work an
-  /// earlier search through the same cache already counted, re-served for
-  /// free (no generalization, no budget charge).
+  /// Nothing increments these two any more: the verdict cache whose hits
+  /// and misses they counted is gone (a memo replay recounts the node's
+  /// own counters instead), so they stay 0. Kept declared for callers that
+  /// still name them.
   size_t nodes_cache_hits = 0;
-  /// Node requests that consulted the VerdictCache and missed (0 when no
-  /// cache is attached). With a cache, hits + misses = requests through it.
   size_t nodes_cache_misses = 0;
-  /// Fresh (non-cache) evaluations, all of which run on the
-  /// dictionary-encoded core; snapshot replays recount them too.
+  /// Node evaluations, all of which run on the dictionary-encoded core;
+  /// memo replays recount them too.
   size_t nodes_evaluated_encoded = 0;
   /// Nothing increments this any more: the legacy Value evaluator it
   /// counted is gone, so it stays 0. Kept declared for callers that still
   /// name it.
   size_t nodes_evaluated_legacy = 0;
-  /// Budget-free fast-forwards (snapshot verdict and subset-fact replays,
-  /// cache re-serves) — how much already-known work the run skipped.
+  /// Budget-free fast-forwards (memo verdict and subset-fact replays) —
+  /// how much already-known work the run skipped.
   size_t replay_ticks = 0;
   /// Lattice heights probed (binary search).
   size_t heights_probed = 0;
@@ -306,7 +203,9 @@ const char* CheckStageName(CheckStage stage);
 
 /// Records every SearchStats field but the retired nodes_evaluated_legacy
 /// as a structural counter (and partial/stop_reason as attributes) on the
-/// innermost open span of `trace`. No-op when trace is null.
+/// innermost open span of `trace`; the retired cache counters stay
+/// recorded, as 0, so the trace structure does not move. No-op when trace
+/// is null.
 void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 
 /// Evaluates lattice nodes against a fixed initial microdata: generalize,
@@ -346,15 +245,6 @@ class NodeEvaluator {
     return enforcer_;
   }
 
-  /// Attaches a caller-owned verdict cache (NodeSweeper passes
-  /// SearchOptions::verdict_cache to every worker). May be set any time
-  /// before the first Evaluate. A cached node is re-served without
-  /// generalizing the table, without charging the budget, counting only
-  /// SearchStats::nodes_cache_hits.
-  void set_verdict_cache(std::shared_ptr<VerdictCache> cache) {
-    cache_ = std::move(cache);
-  }
-
   /// Shares a prebuilt encoded table across evaluators (NodeSweeper
   /// encodes once and hands the same immutable EncodedTable to every
   /// worker). Must be called before Init; when unset, Init builds a
@@ -385,9 +275,9 @@ class NodeEvaluator {
   bool Condition1Holds() const { return condition1_holds_; }
 
   /// Evaluates one node, updating stats(). A node present in
-  /// options().restore is resolved from it — its counters recounted
-  /// identically, the budget not charged. A fresh verdict (not a
-  /// VerdictCache hit) is recorded into `fresh` when it is non-null.
+  /// options().memo is replayed from it — its counters recounted
+  /// identically, the budget not charged. A fresh verdict is recorded
+  /// into `fresh` when it is non-null.
   Result<NodeEvaluation> Evaluate(const LatticeNode& node,
                                   SearchSnapshot* fresh = nullptr);
 
@@ -396,14 +286,14 @@ class NodeEvaluator {
   /// suppressing every group smaller than k removes at most TS rows and,
   /// with `prune_p`, every group also holds p distinct values of each
   /// confidential attribute. The budget and the memory budget are charged
-  /// as for Evaluate. A subset node in options().restore's facts replays
+  /// as for Evaluate. A subset node in options().memo's facts replays
   /// from it; a fresh verdict is recorded into `fresh` (when non-null)
   /// under SubsetFactKey.
   Result<bool> EvaluateSubset(const std::vector<size_t>& attrs,
                               const std::vector<int>& levels, bool prune_p,
                               SearchSnapshot* fresh = nullptr);
 
-  /// Snapshot replays between budget polls (see TickReplay). Small enough
+  /// Memo replays between budget polls (see TickReplay). Small enough
   /// that even a replay cancelled immediately does at most this many map
   /// lookups past the request.
   static constexpr uint64_t kReplayCheckInterval = 32;
@@ -418,24 +308,24 @@ class NodeEvaluator {
   const SearchOptions& options() const { return options_; }
 
  private:
-  /// The charged evaluation body behind Evaluate (cache/snapshot handling
-  /// lives in Evaluate itself).
+  /// The charged evaluation body behind Evaluate (memo replays live in
+  /// Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
 
   /// Charges the budget for one group-by over the whole table; the caller
   /// then groups into ws_.
   Status BeginGroupBy();
 
-  /// Counts one budget-free fast-forward (a snapshot replay or a
-  /// VerdictCache hit) and polls BudgetEnforcer::Check() every
-  /// kReplayCheckInterval of them — without charging node/row budget — so
-  /// a resume replaying a large snapshot still honors its deadline and can
-  /// be cancelled before the first uncached node. A non-OK status is a
+  /// Counts one budget-free fast-forward (a memo replay) and polls
+  /// BudgetEnforcer::Check() every kReplayCheckInterval of them — without
+  /// charging node/row budget — so a resume replaying a large snapshot
+  /// still honors its deadline and can be cancelled before the first fresh
+  /// node. A non-OK status is a
   /// budget stop to absorb (or a hard enforcer error to propagate).
   Status TickReplay();
 
   /// Records one per-node trace event into trace_buffer_ (caller checked
-  /// it is non-null). `path` is "encoded"/"cache"/"replay".
+  /// it is non-null). `path` is "encoded" or "replay".
   void RecordEvalEvent(const std::string& key, const char* path,
                        const NodeEvaluation& eval, int64_t start_ns);
 
@@ -443,7 +333,6 @@ class NodeEvaluator {
   const HierarchySet& hierarchies_;
   SearchOptions options_;
   std::shared_ptr<BudgetEnforcer> enforcer_;
-  std::shared_ptr<VerdictCache> cache_;
   std::shared_ptr<const EncodedTable> encoded_;
   /// Per-evaluator scratch for the encoded path (never shared).
   EncodedWorkspace ws_;
@@ -474,18 +363,18 @@ class NodeEvaluator {
 /// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") is
 /// the evaluator engines use for engine-level bookkeeping (heights_probed,
 /// nodes_skipped, Materialize). All workers share the primary's
-/// BudgetEnforcer (limits stay global), SearchOptions::restore (read-only)
-/// and, when the caller owns one, SearchOptions::verdict_cache; without it
-/// the sweep runs uncached.
+/// BudgetEnforcer (limits stay global) and read the run's memo
+/// (SearchOptions::memo, or the sweeper's own when that is null) without
+/// locks: during a sweep nothing writes it.
 ///
 /// Determinism contract: a sweep evaluates *every* item it is given (no
 /// early exit), so the set of evaluated nodes — and therefore the merged
 /// SearchStats and the engine's release — is identical for every thread
 /// count. Engines that want early exit batch their nodes into fixed-size
 /// chunks (independent of the thread count) and stop between chunks.
-/// With a checkpoint_sink, each worker records its fresh verdicts in its
-/// own buffer, merged after every sweep, so the sink sees the same
-/// snapshots at every thread count.
+/// Each worker records its fresh verdicts in its own buffer, which the
+/// control thread merges into the memo after every sweep, so the memo and
+/// the snapshots the sink sees are the same at every thread count.
 ///
 /// Work decomposition: parallelism is across lattice nodes only. Items
 /// are grouped into per-task batches sized by measured throughput (>=
@@ -500,6 +389,8 @@ class NodeSweeper {
   /// `initial_microdata` and `hierarchies` must outlive the sweeper.
   NodeSweeper(const Table& initial_microdata, const HierarchySet& hierarchies,
               SearchOptions options);
+  /// Pinned: without a caller memo, the workers point at own_memo_.
+  NodeSweeper(NodeSweeper&&) = delete;
 
   /// Builds and initializes the workers. Fails like NodeEvaluator::Init.
   Status Init();
@@ -531,14 +422,14 @@ class NodeSweeper {
   /// worker order).
   SearchStats MergedStats() const;
 
-  /// Invokes options().checkpoint_sink now (engines call this at coarse
-  /// boundaries — after a probed height, a finished subset, a final-phase
-  /// height — so a crash loses at most one boundary's work).
+  /// Hands the memo to options().checkpoint_sink now (engines call this
+  /// at coarse boundaries — after a probed height, a finished subset, a
+  /// final-phase height — so a crash loses at most one boundary's work).
   void FlushCheckpoint();
 
  private:
   /// Evaluates one item of a sweep on `worker`, recording fresh verdicts
-  /// into `fresh` (null without a checkpoint sink); called once per index.
+  /// into `fresh`, the worker's buffer; called once per index.
   using ItemFn = std::function<Status(NodeEvaluator& worker,
                                       SearchSnapshot* fresh, size_t index)>;
 
@@ -551,7 +442,7 @@ class NodeSweeper {
   /// span of options().trace, sorted by node key (no-op without tracing).
   void FlushTraceEvents();
 
-  /// Moves the fresh buffers into snapshot_ and flushes once
+  /// Moves the fresh buffers into the memo and, with a sink, flushes once
   /// checkpoint_interval entries have built up since the last flush.
   void MergeCheckpoint();
 
@@ -584,10 +475,10 @@ class NodeSweeper {
   /// One lock-free event buffer per worker; stable addresses (sized once
   /// in Init, before the workers capture pointers into it).
   std::vector<TraceEventBuffer> trace_buffers_;
-  /// Fresh verdicts per worker (sized in Init; empty without a sink).
+  /// Fresh verdicts per worker (sized in Init).
   std::vector<SearchSnapshot> fresh_buffers_;
-  /// What the sink receives: restore plus every merged fresh verdict.
-  SearchSnapshot snapshot_;
+  /// The memo when the caller gave none (options_.memo then points here).
+  SearchSnapshot own_memo_;
   uint64_t fresh_since_flush_ = 0;
 };
 

@@ -358,11 +358,14 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
   base_options.max_suppression = max_suppression_;
   base_options.use_conditions = use_conditions_;
   base_options.threads = threads_;
-  base_options.verdict_cache = verdict_cache_;
   base_options.trace = trace;
-  // Crash-recovery hooks: node verdicts are pure functions of the data and
-  // (k, p, TS), so one snapshot serves every lattice stage of the chain.
-  base_options.restore = restore_snapshot_;
+  // One verdict memo for the whole chain, seeded from an interrupted run's
+  // snapshot: node verdicts are pure functions of the data and (k, p, TS),
+  // so every lattice stage replays what an earlier stage decided, and each
+  // checkpoint carries every stage's verdicts.
+  SearchSnapshot memo;
+  if (restore_snapshot_ != nullptr) memo = *restore_snapshot_;
+  base_options.memo = &memo;
   base_options.checkpoint_sink = checkpoint_sink_;
   base_options.checkpoint_interval = checkpoint_interval_;
 

@@ -118,9 +118,9 @@ class Anonymizer {
   /// Table::AppendChunk for the validation contract; the chunk's buffers
   /// survive for refill). When the run budget carries a MemoryBudget, the
   /// input table's current footprint is (re)charged against it, so a
-  /// scheduler sees ingest memory the same way it sees cache and encode
-  /// memory — and an over-quota ingest fails here with kResourceExhausted
-  /// instead of at Run.
+  /// scheduler sees ingest memory the same way it sees encode and
+  /// group-by scratch memory — and an over-quota ingest fails here with
+  /// kResourceExhausted instead of at Run.
   Status Ingest(IngestChunk* chunk) {
     PSK_RETURN_IF_ERROR(initial_microdata_.AppendChunk(chunk));
     return ChargeInputFootprint();
@@ -163,15 +163,6 @@ class Anonymizer {
   /// and stats are identical for every value.
   Anonymizer& set_threads(size_t threads) {
     threads_ = threads;
-    return *this;
-  }
-  /// Externally owned verdict cache shared into every lattice stage of
-  /// the run (see SearchOptions::verdict_cache). A scheduler uses this to
-  /// keep a handle on the job's cache so it can meter bytes_used() and
-  /// Shrink() it mid-run; normal callers leave it unset and each search
-  /// runs uncached.
-  Anonymizer& set_verdict_cache(std::shared_ptr<VerdictCache> cache) {
-    verdict_cache_ = std::move(cache);
     return *this;
   }
 
@@ -246,15 +237,18 @@ class Anonymizer {
 
   // Crash-safe checkpoint/resume hooks — normally driven by
   // psk/jobs/JobRunner rather than called directly.
-  /// Preloads search state recorded by an interrupted run; the lattice
-  /// engines fast-forward through it (see SearchOptions::restore). The
-  /// snapshot must outlive Run().
+  /// Preloads search state recorded by an interrupted run: Run() seeds
+  /// its verdict memo with a copy, so the lattice engines fast-forward
+  /// through it (see SearchOptions::memo). The snapshot must outlive
+  /// Run().
   Anonymizer& set_restore_snapshot(const SearchSnapshot* snapshot) {
     restore_snapshot_ = snapshot;
     return *this;
   }
-  /// Receives the accumulated search snapshot every `interval` fresh
-  /// verdicts and at engine boundaries, for durable persistence.
+  /// Receives the run's verdict memo every `interval` fresh verdicts and
+  /// at engine boundaries, for durable persistence. Each Run() keeps one
+  /// memo from its first lattice stage to its last, so every snapshot
+  /// holds the verdicts of every stage so far, restored ones included.
   Anonymizer& set_checkpoint_sink(
       std::function<void(const SearchSnapshot&)> sink,
       uint64_t interval = 64) {
@@ -313,7 +307,6 @@ class Anonymizer {
   AnonymizationAlgorithm algorithm_ = AnonymizationAlgorithm::kSamarati;
   bool use_conditions_ = true;
   size_t threads_ = 1;
-  std::shared_ptr<VerdictCache> verdict_cache_;
   std::string trace_sink_path_;
   bool trace_enabled_ = false;
   /// Mutable: Run() is const but publishes its trace here for readback.

@@ -13,19 +13,18 @@ namespace psk {
 /// Thread-safe byte accountant for one job's working memory.
 ///
 /// A MemoryBudget is charged at the allocation seams the runtime owns —
-/// EncodedTable::Build, the per-worker GroupByCodes scratch buffers, and
-/// VerdictCache inserts — so a scheduler multiplexing many jobs onto one
-/// process can see each job's footprint and act on it long before the
-/// allocator or the OOM killer would.
+/// the input table's footprint, EncodedTable::Build and the per-worker
+/// GroupByCodes scratch buffers — so a scheduler multiplexing many jobs
+/// onto one process can see each job's footprint and act on it long
+/// before the allocator or the OOM killer would.
 ///
 /// Two thresholds with different roles:
 ///  - soft limit: purely advisory. Charges never fail against it; the
 ///    scheduler's watchdog polls over_soft() to drive the degradation
-///    ladder (shrink the verdict cache, narrow the running search to one
-///    lane, then stop it).
+///    ladder (narrow the running search to one lane, then stop it).
 ///  - hard limit: a Charge that would move usage past it fails with
 ///    kResourceExhausted and records nothing, so the caller can unwind
-///    (skip a cache insert, fail an encode) without the books drifting.
+///    (fail an encode, stop a search) without the books drifting.
 ///
 /// ForceExhausted() is the ladder's last rung: every later BudgetEnforcer
 /// checkpoint whose RunBudget carries this budget fails with
@@ -47,8 +46,7 @@ class MemoryBudget {
 
   /// Records `bytes` of new usage. Fails with kResourceExhausted — and
   /// records nothing — when the hard limit would be crossed. Failure is
-  /// not sticky: releasing memory (or shrinking a cache) lets later
-  /// charges succeed again.
+  /// not sticky: releasing memory lets later charges succeed again.
   Status Charge(uint64_t bytes);
 
   /// Returns `bytes` to the budget. Saturates at zero so a conservative
@@ -56,7 +54,7 @@ class MemoryBudget {
   void Release(uint64_t bytes);
 
   /// Sticky: every search charging this budget runs its later sweeps on
-  /// one lane (the scheduler's second degradation step).
+  /// one lane (the scheduler's first degradation step).
   void LimitToOneLane() { one_lane_.store(true, std::memory_order_relaxed); }
   bool one_lane() const { return one_lane_.load(std::memory_order_relaxed); }
 

@@ -65,10 +65,10 @@ struct RunBudget {
   /// Optional cooperative cancellation; may be shared across runs.
   std::shared_ptr<CancelToken> cancel;
   /// Optional per-job byte accountant, charged at the allocation seams
-  /// (EncodedTable::Build, group-by scratch growth, VerdictCache
-  /// inserts). When the budget is force-exhausted, every enforcer
-  /// checkpoint fails with kResourceExhausted — a budget-stop code the
-  /// search absorbs into a best-so-far partial result.
+  /// (the input table, EncodedTable::Build, group-by scratch growth).
+  /// When the budget is force-exhausted, every enforcer checkpoint fails
+  /// with kResourceExhausted — a budget-stop code the search absorbs into
+  /// a best-so-far partial result.
   std::shared_ptr<MemoryBudget> memory;
   /// Optional liveness counter, bumped at every enforcer checkpoint. A
   /// scheduler watchdog polls it to tell a slow job (counter advancing)

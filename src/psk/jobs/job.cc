@@ -124,7 +124,7 @@ Result<uint64_t> ParseJournalUint(std::string_view value, size_t line_no) {
 
 // Digest of one hierarchy's observed generalization mapping: every
 // distinct ground value of its input column, generalized at every level.
-// Cached node verdicts are functions of these mappings, so two
+// Checkpointed node verdicts are functions of these mappings, so two
 // hierarchies that agree on attribute name and depth but group values
 // differently must fingerprint apart — name and num_levels alone would
 // let Resume() replay verdicts computed under a different grouping.
@@ -431,7 +431,7 @@ Result<JobOutcome> JobRunner::Resume(const JobSpec& spec) {
 
   // Interrupted mid-run: reload the last durable checkpoint, if any, and
   // replay. The engines enumerate deterministically and fast-forward
-  // through cached verdicts, so the resumed run's release and stats are
+  // through checkpointed verdicts, so the resumed run's release and stats are
   // byte-identical to an uninterrupted run's.
   SearchSnapshot snapshot;
   bool have_checkpoint = false;
@@ -464,8 +464,7 @@ Anonymizer MakeJobAnonymizer(const JobSpec& spec) {
       .set_fallback_chain(spec.fallback_chain)
       .set_budget(spec.budget)
       .set_threads(spec.threads)
-      .set_guard_enabled(spec.guard_enabled)
-      .set_verdict_cache(spec.verdict_cache);
+      .set_guard_enabled(spec.guard_enabled);
   return anonymizer;
 }
 

@@ -77,12 +77,6 @@ struct JobSpec {
   /// any other, and a scheduler may narrow a running job to one lane
   /// (MemoryBudget::LimitToOneLane) without changing its checkpoints.
   size_t threads = 1;
-  /// Externally owned verdict cache shared into every lattice stage (see
-  /// Anonymizer::set_verdict_cache). A scheduler uses this to meter the
-  /// job's cache bytes and Shrink() it under memory pressure; normal
-  /// callers leave it unset. Pure resource plumbing — excluded from
-  /// JobSpecHash (cached verdicts never change results, only speed).
-  std::shared_ptr<VerdictCache> verdict_cache;
 };
 
 /// Fingerprint of the requirements half of a spec (k, p, TS, algorithm,
@@ -93,9 +87,8 @@ struct JobSpec {
 uint64_t JobSpecHash(const JobSpec& spec);
 
 /// An Anonymizer configured from `spec`: its input, hierarchies, k, p, TS,
-/// algorithm, fallback chain, budget, threads, guard switch and verdict
-/// cache. Checkpointing, tracing and progress hooks are left to the
-/// caller.
+/// algorithm, fallback chain, budget, threads and guard switch.
+/// Checkpointing, tracing and progress hooks are left to the caller.
 Anonymizer MakeJobAnonymizer(const JobSpec& spec);
 
 /// Drains spec->input_source (if any) into spec->input in

@@ -39,7 +39,7 @@ bool IsTerminal(JobState state) {
 /// One scheduled job and all its run-control plumbing. Owned by a
 /// shared_ptr so an abandoned executor thread finishing late still holds
 /// valid state. All mutable fields are guarded by State::mu except the
-/// shared control objects (token/budget/heartbeat/cache), which are
+/// shared control objects (token/budget/heartbeat), which are
 /// thread-safe themselves and immutable as pointers after construction.
 struct SchedulerJob {
   uint64_t id = 0;
@@ -57,7 +57,6 @@ struct SchedulerJob {
   std::shared_ptr<MemoryBudget> memory = std::make_shared<MemoryBudget>();
   std::shared_ptr<std::atomic<uint64_t>> heartbeat =
       std::make_shared<std::atomic<uint64_t>>(0);
-  std::shared_ptr<VerdictCache> cache = std::make_shared<VerdictCache>();
 
   // Watchdog bookkeeping.
   uint64_t last_heartbeat = 0;
@@ -220,7 +219,6 @@ Status RunAttempt(const SchedulerOptions& options, SchedulerJob& job,
   spec.budget.memory = job.memory;
   spec.budget.heartbeat = job.heartbeat;
   spec.threads = options.threads_per_job;
-  spec.verdict_cache = job.cache;
 
   if (job.job_dir.empty()) {
     // In-memory job: no journal, no checkpoints — the retry path simply
@@ -402,31 +400,25 @@ void WatchdogLoop(std::shared_ptr<JobScheduler::State> state) {
       }
 
       // Degradation ladder, one rung per dwell while the job sits over
-      // its soft quota. LimitToOneLane (rung 2) narrows the running
-      // search at its next sweep. ForceExhausted (rung 3) is a budget
+      // its soft quota. LimitToOneLane (rung 1) narrows the running
+      // search at its next sweep. ForceExhausted (rung 2) is a budget
       // stop, not a cancellation: the search unwinds with best-so-far
       // partials at its next checkpoint and the fallback chain still
       // releases.
-      if (job->memory->over_soft() && job->degrade_level < 3 &&
+      if (job->memory->over_soft() && job->degrade_level < 2 &&
           now - job->last_rung_at >= options.watchdog_interval) {
         job->last_rung_at = now;
         if (job->degrade_level == 0) {
-          job->cache->Shrink(options.cache_shrink_bytes);
-          job->degrade_level = 1;
-          ++state->stats.degrade_cache_shrinks;
-          state->Append("degrade.cache_shrink", job->name,
-                        "cap " + std::to_string(options.cache_shrink_bytes));
-        } else if (job->degrade_level == 1) {
           if (options.threads_per_job > 1) {
             job->memory->LimitToOneLane();
             ++state->stats.degrade_sequential_restarts;
             state->Append("degrade.sequential", job->name,
                           "narrowing to one lane");
           }
-          job->degrade_level = 2;
+          job->degrade_level = 1;
         } else {
           job->memory->ForceExhausted();
-          job->degrade_level = 3;
+          job->degrade_level = 2;
           ++state->stats.degrade_force_exhausted;
           state->Append("degrade.force_exhausted", job->name,
                         "memory budget force-exhausted; job will release "
@@ -522,9 +514,6 @@ Result<uint64_t> JobScheduler::Submit(SchedulerJobRequest request) {
     job->memory->set_hard_limit(quota);
     job->memory->set_soft_limit(quota * s.options.soft_quota_percent / 100);
   }
-  // Every byte the job's verdict cache holds is charged to the job.
-  job->cache->set_memory_budget(job->memory);
-
   s.jobs.emplace(job->id, job);
   s.queues[static_cast<size_t>(job->priority)].push_back(job);
   ++s.stats.submitted;

@@ -59,8 +59,6 @@ struct SchedulerOptions {
   /// The soft (advisory) limit that arms the degradation ladder is this
   /// fraction of the job's hard quota, in percent.
   uint32_t soft_quota_percent = 75;
-  /// Ladder rung 1: the job's VerdictCache is shrunk to this cap.
-  uint64_t cache_shrink_bytes = 64 * 1024;
   /// Watchdog poll cadence; also the minimum dwell between ladder rungs.
   std::chrono::milliseconds watchdog_interval{20};
   /// A running job whose heartbeat has not advanced for this long is
@@ -81,13 +79,13 @@ struct SchedulerOptions {
   uint64_t shed_retry_after_ms = 100;
   /// Directory-lock wait passed to JobRunner for durable jobs.
   std::chrono::milliseconds lock_wait{250};
-  /// Sweep threads per job (ladder rung 2 narrows a running job to one).
+  /// Sweep threads per job (ladder rung 1 narrows a running job to one).
   size_t threads_per_job = 1;
 };
 
 /// One admission request. `spec` carries the work; the scheduler owns the
-/// run-control plumbing (CancelToken, MemoryBudget, heartbeat,
-/// VerdictCache) and overwrites whatever the spec's budget carried.
+/// run-control plumbing (CancelToken, MemoryBudget, heartbeat) and
+/// overwrites whatever the spec's budget carried.
 struct SchedulerJobRequest {
   /// Display name for events/traces; defaults to "job-<id>" when empty.
   std::string name;
@@ -117,8 +115,8 @@ struct SchedulerJobResult {
   JobState state = JobState::kQueued;
   /// Attempts dispatched (1 = first attempt succeeded).
   int attempts = 0;
-  /// Highest degradation rung reached: 0 none, 1 cache shrunk,
-  /// 2 narrowed to one lane, 3 memory force-exhausted.
+  /// Highest degradation rung reached: 0 none, 1 narrowed to one lane (a
+  /// no-op for a job that already runs on one), 2 memory force-exhausted.
   int degrade_level = 0;
 };
 
@@ -147,8 +145,11 @@ struct SchedulerStats {
   uint64_t retries = 0;
   uint64_t watchdog_cancels = 0;
   uint64_t hard_cancels = 0;
+  /// Nothing increments this any more: the ladder rung that shrank a
+  /// job's verdict cache is gone with the cache, so it stays 0. Kept
+  /// declared for callers that still name it.
   uint64_t degrade_cache_shrinks = 0;
-  /// Rung-2 demotions: parallel jobs narrowed to one lane in place.
+  /// Rung-1 demotions: parallel jobs narrowed to one lane in place.
   uint64_t degrade_sequential_restarts = 0;
   uint64_t degrade_force_exhausted = 0;
 };
@@ -166,22 +167,21 @@ struct SchedulerStats {
 /// batch 1), so a flood of batch work cannot starve interactive jobs and
 /// vice versa.
 ///
-/// Isolation. Every job gets its own CancelToken, MemoryBudget,
-/// VerdictCache and heartbeat counter, threaded through RunBudget into
-/// the engines. Cancelling one job never stalls its neighbors: the sweep
-/// workers observe only their owning job's token, and jobs sharing the
-/// process ThreadPool split its workers via FairShareWorkers.
+/// Isolation. Every job gets its own CancelToken, MemoryBudget and
+/// heartbeat counter, threaded through RunBudget into the engines.
+/// Cancelling one job never stalls its neighbors: the sweep workers
+/// observe only their owning job's token, and jobs sharing the process
+/// ThreadPool split its workers via FairShareWorkers.
 ///
 /// Degradation ladder. The watchdog walks an over-soft-quota job down
-/// one rung per tick: (1) shrink its VerdictCache to cache_shrink_bytes;
-/// (2) narrow its running search to one lane at the next sweep, so its
-/// sweeps hold one worker's scratch instead of N, with no work lost;
-/// (3) force-exhaust its MemoryBudget, which turns every budget
-/// checkpoint into a kResourceExhausted budget stop: the search unwinds
-/// with best-so-far partial results and the fallback chain (typically
-/// ending in kFullSuppression) still releases. A rung-3 job therefore
-/// *completes*, with report.partial — deliberately distinct from
-/// Cancel(), whose kCancelled aborts the chain.
+/// one rung per tick: (1) narrow its running search to one lane at the
+/// next sweep, so its sweeps hold one worker's scratch instead of N, with
+/// no work lost; (2) force-exhaust its MemoryBudget, which turns every
+/// budget checkpoint into a kResourceExhausted budget stop: the search
+/// unwinds with best-so-far partial results and the fallback chain
+/// (typically ending in kFullSuppression) still releases. A rung-2 job
+/// therefore *completes*, with report.partial — deliberately distinct
+/// from Cancel(), whose kCancelled aborts the chain.
 ///
 /// Watchdog. A job whose heartbeat freezes for hung_timeout is
 /// cooperatively cancelled; if it stays deaf past hard_cancel_grace, the
@@ -221,8 +221,8 @@ class JobScheduler {
 
   SchedulerStats stats() const;
 
-  /// Human-readable event log ("submit job-1 ...", "degrade.cache job-2
-  /// ...") in the order things happened.
+  /// Human-readable event log ("submit job-1 ...", "degrade.sequential
+  /// job-2 ...") in the order things happened.
   std::vector<std::string> Events() const;
 
   /// The event log rendered as a RunTrace ("scheduler" root, one span per

@@ -58,8 +58,7 @@ JobSpec MakeWideLatticeSpec(size_t rows, uint64_t seed) {
   return spec;
 }
 
-// A solo run of `spec` with a fresh VerdictCache, like the one the
-// scheduler gives each job.
+// A solo run of `spec`, outside the scheduler.
 AnonymizationReport SoloRun(const JobSpec& spec, size_t threads) {
   Anonymizer anonymizer(spec.input);
   for (const auto& hierarchy : spec.hierarchies) {
@@ -69,8 +68,7 @@ AnonymizationReport SoloRun(const JobSpec& spec, size_t threads) {
       .set_p(spec.p)
       .set_max_suppression(spec.max_suppression)
       .set_algorithm(spec.algorithm)
-      .set_threads(threads)
-      .set_verdict_cache(std::make_shared<VerdictCache>());
+      .set_threads(threads);
   return UnwrapOk(anonymizer.Run());
 }
 

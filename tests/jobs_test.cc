@@ -12,8 +12,10 @@
 
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "psk/common/durable_file.h"
 #include "psk/datagen/adult.h"
@@ -24,17 +26,6 @@
 
 namespace psk {
 namespace {
-
-std::string TestDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "psk_jobs_test_" + name;
-  // Start from a clean slate: tests re-run in the same TempDir.
-  std::remove((dir + "/job.journal").c_str());
-  std::remove((dir + "/checkpoint").c_str());
-  std::remove((dir + "/progress").c_str());
-  std::remove((dir + "/release.csv").c_str());
-  std::remove((dir + "/report.json").c_str());
-  return dir;
-}
 
 JobSpec MakeSpec(size_t rows = 200, uint64_t seed = 1) {
   JobSpec spec;
@@ -378,7 +369,7 @@ TEST(JobSpecHashTest, DurableFormatsArePinned) {
   EXPECT_EQ(HashToHex(TableDigest(spec.input)), "7511fa2af42de932");
   EXPECT_EQ(HashToHex(JobSpecHash(spec)), "35ece547b4948a41");
 
-  JobRunner runner(TestDir("pinned_formats"));
+  JobRunner runner(ProcessJobDir("psk_jobs_pinned_formats"));
   PSK_ASSERT_OK(runner.Run(spec).status());
   EXPECT_EQ(UnwrapOk(ReadFileToString(runner.journal_path())),
             "psk_job_version = 1\n"
@@ -449,7 +440,7 @@ TEST(ReportIoTest, ProvenanceParserRejectsMissingFields) {
 // JobRunner end-to-end.
 
 TEST(JobRunnerTest, RunCommitsReleaseReportAndJournal) {
-  std::string dir = TestDir("run_commits");
+  std::string dir = ProcessJobDir("psk_jobs_run_commits");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   JobOutcome outcome = UnwrapOk(runner.Run(spec));
@@ -472,7 +463,7 @@ TEST(JobRunnerTest, RunCommitsReleaseReportAndJournal) {
 }
 
 TEST(JobRunnerTest, ResumeOfCommittedJobReVerifiesArtifact) {
-  std::string dir = TestDir("resume_committed");
+  std::string dir = ProcessJobDir("psk_jobs_resume_committed");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   JobOutcome first = UnwrapOk(runner.Run(spec));
@@ -490,7 +481,7 @@ TEST(JobRunnerTest, ResumeOfCommittedJobReVerifiesArtifact) {
 }
 
 TEST(JobRunnerTest, ResumeRefusesTamperedCommittedRelease) {
-  std::string dir = TestDir("resume_tampered");
+  std::string dir = ProcessJobDir("psk_jobs_resume_tampered");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   PSK_ASSERT_OK(runner.Run(spec).status());
@@ -509,14 +500,14 @@ TEST(JobRunnerTest, ResumeRefusesTamperedCommittedRelease) {
 }
 
 TEST(JobRunnerTest, ResumeWithoutJournalIsNotFound) {
-  JobRunner runner(TestDir("resume_missing"));
+  JobRunner runner(ProcessJobDir("psk_jobs_resume_missing"));
   auto resumed = runner.Resume(MakeSpec());
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kNotFound);
 }
 
 TEST(JobRunnerTest, ResumeRefusesDifferentSpec) {
-  std::string dir = TestDir("resume_wrong_spec");
+  std::string dir = ProcessJobDir("psk_jobs_resume_wrong_spec");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   PSK_ASSERT_OK(runner.Run(spec).status());
@@ -531,7 +522,7 @@ TEST(JobRunnerTest, ResumeRefusesDifferentSpec) {
 }
 
 TEST(JobRunnerTest, ResumeRefusesDifferentInput) {
-  std::string dir = TestDir("resume_wrong_input");
+  std::string dir = ProcessJobDir("psk_jobs_resume_wrong_input");
   JobSpec spec = MakeSpec(200, 1);
   JobRunner runner(dir);
   PSK_ASSERT_OK(runner.Run(spec).status());
@@ -545,7 +536,7 @@ TEST(JobRunnerTest, ResumeRefusesDifferentInput) {
 }
 
 TEST(JobRunnerTest, ResumeFromCheckpointReproducesReleaseByteForByte) {
-  std::string dir = TestDir("resume_byte_identical");
+  std::string dir = ProcessJobDir("psk_jobs_resume_byte_identical");
   JobSpec spec = MakeSpec();
   spec.checkpoint_interval = 4;  // checkpoint often on this small lattice
   JobRunner runner(dir);
@@ -574,7 +565,7 @@ TEST(JobRunnerTest, ResumeFromCheckpointReproducesReleaseByteForByte) {
 }
 
 TEST(JobRunnerTest, ResumeRefusesCheckpointFromOtherSpec) {
-  std::string dir = TestDir("resume_foreign_checkpoint");
+  std::string dir = ProcessJobDir("psk_jobs_resume_foreign_checkpoint");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   PSK_ASSERT_OK(runner.Run(spec).status());
@@ -597,7 +588,7 @@ TEST(JobRunnerTest, ResumeRefusesCheckpointFromOtherSpec) {
 }
 
 TEST(JobRunnerTest, ResumeRefusesCheckpointFromDifferentInput) {
-  std::string dir = TestDir("resume_checkpoint_other_input");
+  std::string dir = ProcessJobDir("psk_jobs_resume_checkpoint_other_input");
   JobSpec spec = MakeSpec(200, 1);
   JobRunner runner(dir);
   PSK_ASSERT_OK(runner.Run(spec).status());
@@ -623,7 +614,7 @@ TEST(JobRunnerTest, ResumeRefusesCheckpointFromDifferentInput) {
 }
 
 TEST(JobRunnerTest, RunRetiresStaleCheckpointBeforeJournaling) {
-  std::string dir = TestDir("run_retires_checkpoint");
+  std::string dir = ProcessJobDir("psk_jobs_run_retires_checkpoint");
   JobSpec spec = MakeSpec();
   spec.checkpoint_interval = 4;
   JobRunner runner(dir);
@@ -648,7 +639,7 @@ TEST(JobRunnerTest, RunRetiresStaleCheckpointBeforeJournaling) {
 }
 
 TEST(JobRunnerTest, MondrianJobWritesProgressHeartbeat) {
-  std::string dir = TestDir("mondrian_progress");
+  std::string dir = ProcessJobDir("psk_jobs_mondrian_progress");
   JobSpec spec = MakeSpec();
   spec.algorithm = AnonymizationAlgorithm::kMondrian;
   spec.hierarchies.clear();  // Mondrian needs none
@@ -669,7 +660,7 @@ TEST(JobRunnerTest, MondrianJobWritesProgressHeartbeat) {
 }
 
 TEST(JobRunnerTest, ConcurrentRunnerFailsFastOnTheDirectoryLock) {
-  std::string dir = TestDir("concurrent_lock");
+  std::string dir = ProcessJobDir("psk_jobs_concurrent_lock");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   // Opt out of the contention wait: this test pins the fail-fast probe
@@ -709,7 +700,7 @@ TEST(JobRunnerTest, ConcurrentRunnerFailsFastOnTheDirectoryLock) {
 }
 
 TEST(JobRunnerTest, ContendedLockIsRetriedUntilTheIncumbentReleases) {
-  std::string dir = TestDir("concurrent_lock_retry");
+  std::string dir = ProcessJobDir("psk_jobs_concurrent_lock_retry");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   runner.set_lock_wait(std::chrono::milliseconds(2000));
@@ -732,7 +723,7 @@ TEST(JobRunnerTest, ContendedLockIsRetriedUntilTheIncumbentReleases) {
 }
 
 TEST(JobRunnerTest, CommittedJournalSurvivesARefusedConcurrentRunner) {
-  std::string dir = TestDir("concurrent_lock_committed");
+  std::string dir = ProcessJobDir("psk_jobs_concurrent_lock_committed");
   JobSpec spec = MakeSpec();
   JobRunner runner(dir);
   PSK_ASSERT_OK(runner.Run(spec).status());
@@ -754,8 +745,8 @@ TEST(JobRunnerTest, CommittedJournalSurvivesARefusedConcurrentRunner) {
 TEST(JobRunnerTest, ParallelJobMatchesSequentialRelease) {
   // threads is a runtime knob: same journal fingerprint, same release
   // bytes, and a checkpoint a resume replays to the same release.
-  std::string seq_dir = TestDir("threads_seq");
-  std::string par_dir = TestDir("threads_par");
+  std::string seq_dir = ProcessJobDir("psk_jobs_threads_seq");
+  std::string par_dir = ProcessJobDir("psk_jobs_threads_par");
   JobSpec spec = MakeSpec();
   spec.checkpoint_interval = 1;
   JobRunner seq(seq_dir);
@@ -793,17 +784,79 @@ TEST(JobRunnerTest, ParallelJobMatchesSequentialRelease) {
   EXPECT_EQ(UnwrapOk(ReadFileToString(par.release_path())), release);
 }
 
-TEST(JobRunnerTest, ExternalVerdictCacheIsPopulatedAndHashExcluded) {
-  std::string dir = TestDir("external_cache");
-  JobSpec spec = MakeSpec();
-  spec.verdict_cache = std::make_shared<VerdictCache>();
-  EXPECT_EQ(JobSpecHash(spec), JobSpecHash(MakeSpec()))
-      << "verdict_cache must be excluded from the spec fingerprint";
-  JobRunner runner(dir);
-  PSK_ASSERT_OK(runner.Run(spec).status());
-  EXPECT_GT(spec.verdict_cache->size(), 0u)
-      << "the job's lattice stages must share the externally owned cache";
-  EXPECT_GT(spec.verdict_cache->bytes_used(), 0u);
+// ---------------------------------------------------------------------------
+// One verdict memo per Run(): a fallback chain's later lattice stage
+// replays the verdicts of the stage before it, and every checkpoint carries
+// every stage's verdicts.
+
+// The distinct nodes the trace shows generalized fresh: eval events whose
+// path is "encoded". The signature renders an event as
+// "eval[node=<levels>,path=<path>,stage=<stage>]", and a node key holds
+// only digits and commas.
+std::set<std::string> FreshlyEvaluatedNodes(const std::string& signature) {
+  std::set<std::string> nodes;
+  const std::string open = "eval[node=";
+  for (size_t at = signature.find(open); at != std::string::npos;
+       at = signature.find(open, at + 1)) {
+    size_t key_begin = at + open.size();
+    size_t path = signature.find(",path=", key_begin);
+    if (path == std::string::npos) break;
+    if (signature.compare(path, 14, ",path=encoded,") == 0) {
+      nodes.insert(signature.substr(key_begin, path - key_begin));
+    }
+  }
+  return nodes;
+}
+
+TEST(CheckpointChainTest, FallbackStageKeepsTheEarlierStagesVerdicts) {
+  Table input = UnwrapOk(AdultGenerate(800, /*seed=*/17));
+  HierarchySet hierarchies = UnwrapOk(AdultHierarchies(input.schema()));
+  // Samarati stops at its node cap; exhaustive replays Samarati's nodes
+  // for free and stops at its own cap (caps apply per stage); full
+  // suppression ends the chain.
+  RunBudget budget;
+  budget.max_nodes_expanded = 10;
+  std::vector<size_t> sequential;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    Anonymizer anonymizer(input);
+    for (size_t i = 0; i < hierarchies.size(); ++i) {
+      anonymizer.AddHierarchy(hierarchies.hierarchy_ptr(i));
+    }
+    anonymizer.set_k(3)
+        .set_p(2)
+        .set_max_suppression(4)
+        .set_algorithm(AnonymizationAlgorithm::kSamarati)
+        .set_fallback_chain({AnonymizationAlgorithm::kExhaustive,
+                             AnonymizationAlgorithm::kFullSuppression})
+        .set_budget(budget)
+        .set_threads(threads)
+        .set_trace_enabled(true);
+    std::vector<size_t> sizes;
+    anonymizer.set_checkpoint_sink(
+        [&sizes](const SearchSnapshot& snapshot) {
+          sizes.push_back(snapshot.verdicts.size());
+        },
+        /*interval=*/4);
+    AnonymizationReport report = UnwrapOk(anonymizer.Run());
+    EXPECT_GE(report.fallback_stage, 1u) << what;
+
+    // A later stage's checkpoint never drops an earlier stage's verdicts.
+    ASSERT_FALSE(sizes.empty()) << what;
+    for (size_t i = 1; i < sizes.size(); ++i) {
+      EXPECT_LE(sizes[i - 1], sizes[i]) << what << " flush " << i;
+    }
+    // The last checkpoint holds exactly the nodes either stage generalized.
+    EXPECT_EQ(sizes.back(), FreshlyEvaluatedNodes(
+                                anonymizer.last_trace()->StructureSignature())
+                                .size())
+        << what;
+    if (threads == 1) {
+      sequential = sizes;
+    } else {
+      EXPECT_EQ(sizes, sequential) << what;
+    }
+  }
 }
 
 }  // namespace

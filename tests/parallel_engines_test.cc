@@ -159,9 +159,9 @@ TEST(ParallelEnginesTest, SyntheticSeedsDeterministic) {
 // Satellite 2 regression: cancellation during snapshot replay.
 
 // A resumed run whose snapshot covers the whole lattice used to
-// fast-forward through every cached verdict without ever consulting the
+// fast-forward through every stored verdict without ever consulting the
 // budget — an already-cancelled job would run to completion. TickReplay
-// now polls BudgetEnforcer::Check() every kReplayCheckInterval cache hits,
+// now polls BudgetEnforcer::Check() every kReplayCheckInterval replays,
 // so the replay itself is cancellable.
 TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
   // 4 key attributes x 3 hierarchy levels = 81 lattice nodes, comfortably
@@ -184,7 +184,7 @@ TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
   cancel->Cancel();  // cancelled before the resume even starts
   SearchOptions resume;
   resume.k = 2;
-  resume.restore = &snapshot;
+  resume.memo = &snapshot;
   resume.budget.cancel = cancel;
   MinimalSetResult resumed =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, resume));
@@ -232,9 +232,11 @@ class CompleteSnapshotTest : public ::testing::Test {
         const std::string what =
             "recorded at threads=" + std::to_string(record_threads) +
             ", resumed at threads=" + std::to_string(resume_threads);
+        // A copy: the memo is extended in place.
+        SearchSnapshot memo = last;
         SearchOptions resume = options_;
         resume.threads = resume_threads;
-        resume.restore = &last;
+        resume.memo = &memo;
         resume.budget.max_nodes_expanded = 0;
         auto resumed = UnwrapOk(search(resume));
         EXPECT_FALSE(resumed.stats.partial) << what;
@@ -419,130 +421,7 @@ TEST_F(CompleteSnapshotTest, SinkSeesTheSameSnapshotsAtEveryThreadCount) {
 }
 
 // --------------------------------------------------------------------------
-// A caller-owned verdict cache outlives one search: in every lattice
-// engine, a second search through the same cache re-serves every node the
-// first one generalized, and releases the same result.
-
-class SharedVerdictCacheTest : public ::testing::Test {
- protected:
-  SharedVerdictCacheTest()
-      : im_(UnwrapOk(AdultGenerate(1500, /*seed=*/2))),
-        hierarchies_(UnwrapOk(AdultHierarchies(im_.schema()))) {}
-
-  // Runs `search` twice at 1 and at 4 threads, both runs of a thread count
-  // sharing one fresh cache, and hands both results to `expect_same`.
-  template <typename Search, typename ExpectSame>
-  void RunTwice(Search search, ExpectSame expect_same) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SearchOptions options;
-      options.k = 3;
-      options.p = 2;
-      options.max_suppression = 40;
-      options.threads = threads;
-      options.verdict_cache = std::make_shared<VerdictCache>();
-      auto first = UnwrapOk(search(options));
-      auto second = UnwrapOk(search(options));
-      const std::string what = "threads=" + std::to_string(threads);
-      ASSERT_GT(first.stats.nodes_generalized, 0u) << what;
-      EXPECT_EQ(options.verdict_cache->size(), first.stats.nodes_generalized)
-          << what;
-      EXPECT_EQ(second.stats.nodes_generalized, 0u) << what;
-      EXPECT_EQ(second.stats.nodes_cache_hits, first.stats.nodes_generalized)
-          << what;
-      expect_same(first, second, what);
-    }
-  }
-
-  static void ExpectSameNodeSets(const MinimalSetResult& first,
-                                 const MinimalSetResult& second,
-                                 const std::string& what) {
-    EXPECT_EQ(second.minimal_nodes, first.minimal_nodes) << what;
-    EXPECT_EQ(second.satisfying_nodes, first.satisfying_nodes) << what;
-  }
-
-  Table im_;
-  HierarchySet hierarchies_;
-};
-
-TEST_F(SharedVerdictCacheTest, Samarati) {
-  RunTwice(
-      [&](const SearchOptions& options) {
-        return SamaratiSearch(im_, hierarchies_, options);
-      },
-      [](const SearchResult& first, const SearchResult& second,
-         const std::string& what) {
-        ASSERT_TRUE(first.found) << what;
-        ASSERT_TRUE(second.found) << what;
-        EXPECT_EQ(second.node, first.node) << what;
-        EXPECT_EQ(WriteCsvString(second.masked), WriteCsvString(first.masked))
-            << what;
-      });
-}
-
-TEST_F(SharedVerdictCacheTest, Exhaustive) {
-  RunTwice(
-      [&](const SearchOptions& options) {
-        return ExhaustiveSearch(im_, hierarchies_, options);
-      },
-      ExpectSameNodeSets);
-}
-
-TEST_F(SharedVerdictCacheTest, BottomUp) {
-  RunTwice(
-      [&](const SearchOptions& options) {
-        return BottomUpSearch(im_, hierarchies_, options);
-      },
-      ExpectSameNodeSets);
-}
-
-TEST_F(SharedVerdictCacheTest, Ola) {
-  RunTwice(
-      [&](const SearchOptions& options) {
-        OlaOptions ola;
-        ola.search = options;
-        return OlaSearch(im_, hierarchies_, ola);
-      },
-      [](const OlaResult& first, const OlaResult& second,
-         const std::string& what) {
-        ASSERT_TRUE(first.found) << what;
-        ASSERT_TRUE(second.found) << what;
-        EXPECT_EQ(second.optimal, first.optimal) << what;
-        EXPECT_EQ(second.minimal_nodes, first.minimal_nodes) << what;
-        EXPECT_EQ(WriteCsvString(second.masked), WriteCsvString(first.masked))
-            << what;
-      });
-}
-
-TEST_F(SharedVerdictCacheTest, Incognito) {
-  RunTwice(
-      [&](const SearchOptions& options) {
-        return IncognitoSearch(im_, hierarchies_, options);
-      },
-      ExpectSameNodeSets);
-}
-
-// --------------------------------------------------------------------------
 // Satellite 3 regression: no node is ever generalized twice in one search.
-
-TEST(VerdictCacheTest, SecondEvaluateIsACacheHit) {
-  SyntheticSpec spec = MakeUniformSpec(100, 2, 4, 1, 3, 0.5);
-  SyntheticData data = UnwrapOk(SyntheticGenerate(spec, 41));
-
-  SearchOptions options;
-  options.k = 2;
-  NodeEvaluator evaluator(data.table, data.hierarchies, options);
-  evaluator.set_verdict_cache(std::make_shared<VerdictCache>());
-  PSK_ASSERT_OK(evaluator.Init());
-
-  GeneralizationLattice lattice(data.hierarchies);
-  LatticeNode node = lattice.Top();
-  NodeEvaluation first = UnwrapOk(evaluator.Evaluate(node));
-  NodeEvaluation second = UnwrapOk(evaluator.Evaluate(node));
-  EXPECT_EQ(first.satisfied, second.satisfied);
-  // Exactly one generalization; the repeat is re-served from the cache.
-  EXPECT_EQ(evaluator.stats().nodes_generalized, 1u);
-  EXPECT_EQ(evaluator.stats().nodes_cache_hits, 1u);
-}
 
 TEST(SamaratiNoReevaluationTest, ConfirmationScanUsesCache) {
   Table im = UnwrapOk(AdultGenerate(800, /*seed=*/17));

@@ -64,8 +64,7 @@ JobSpec MakeWideLatticeSpec(size_t rows, uint64_t seed) {
 }
 
 AnonymizationReport SoloRun(const JobSpec& spec, size_t threads,
-                            RunBudget budget = {},
-                            std::shared_ptr<VerdictCache> cache = nullptr) {
+                            RunBudget budget = {}) {
   Anonymizer anonymizer(spec.input);
   for (const auto& hierarchy : spec.hierarchies) {
     anonymizer.AddHierarchy(hierarchy);
@@ -76,7 +75,6 @@ AnonymizationReport SoloRun(const JobSpec& spec, size_t threads,
       .set_algorithm(spec.algorithm)
       .set_budget(budget)
       .set_threads(threads);
-  if (cache != nullptr) anonymizer.set_verdict_cache(cache);
   if (!spec.fallback_chain.empty()) {
     anonymizer.set_fallback_chain(spec.fallback_chain);
   }
@@ -89,16 +87,6 @@ bool HasEvent(const std::vector<std::string>& events,
     if (event.rfind(prefix, 0) == 0) return true;
   }
   return false;
-}
-
-std::string StressDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "psk_sched_stress_" + name;
-  std::remove((dir + "/job.journal").c_str());
-  std::remove((dir + "/checkpoint").c_str());
-  std::remove((dir + "/progress").c_str());
-  std::remove((dir + "/release.csv").c_str());
-  std::remove((dir + "/report.json").c_str());
-  return dir;
 }
 
 TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
@@ -134,20 +122,20 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
 
   // Over-quota job. It holds its input and its encoding for the whole
   // run, far more than its soft quota (sized below), so it stays over-soft
-  // after the rung-1 cache shrink and the ladder walks to rung 3. Sized so
-  // the sweep outlasts three watchdog dwells: rung 3 must land while the
-  // search is still sweeping. An Adult input cannot be: its QI tuples
+  // after rung 1 narrows it to one lane and the ladder walks to rung 2.
+  // Sized so the sweep outlasts two watchdog dwells: rung 2 must land
+  // while the search is still sweeping. An Adult input cannot be: its QI tuples
   // repeat so heavily that its nodes group a few thousand entries, and a
   // 12,000-row exhaustive search took 5-10 ms, often finishing before the
   // ladder's first rung. A 1,024-node lattice (about 30 ms solo) could
-  // still finish before rung 3 under load. A solo run of this 16,384-node
+  // still finish before rung 2 under load. A solo run of this 16,384-node
   // lattice takes about 0.4 s at 2 threads on a 4-core Xeon.
   JobSpec hog_spec = MakeWideLatticeSpec(4000, 46);
   hog_spec.fallback_chain = {AnonymizationAlgorithm::kFullSuppression};
 
   // Transient fault: the only durable job's first journal write fails
   // with kUnavailable; the retry must succeed.
-  std::string fault_dir = StressDir("fault");
+  std::string fault_dir = ProcessJobDir("psk_sched_stress_fault");
   PSK_ASSERT_OK(
       FailPoints::ArmFromSpec("jobs.journal.begin=error(Unavailable)x1"));
 
@@ -177,10 +165,9 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   options.hard_cancel_grace = std::chrono::milliseconds(100);
   options.retry_backoff_base = std::chrono::milliseconds(1);
   // hog quota below: hard = 5 MB, above its solo high-water of about 3.7
-  // MB at 2 threads (nothing trips until rung 3 forces exhaustion); soft
+  // MB at 2 threads (nothing trips until rung 2 forces exhaustion); soft
   // = 1% = 52 KB, below the input and encoding it holds for its whole run
   // (stays armed through every rung).
-  options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;
   options.shed_retry_after_ms = 25;
   JobScheduler scheduler(options);
@@ -302,7 +289,7 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.watchdog_cancels, 1u);
   EXPECT_EQ(stats.hard_cancels, 1u);
-  EXPECT_GE(stats.degrade_cache_shrinks, 1u);
+  EXPECT_GE(stats.degrade_sequential_restarts, 1u);
   EXPECT_EQ(stats.completed, 3u + 1u + 1u + survivors.size());
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.failed, 0u);
@@ -312,12 +299,12 @@ TEST(SchedulerStressTest, MixedOverloadRoundCompletesDeterministically) {
   EXPECT_TRUE(HasEvent(events, "retry fault"));
   EXPECT_TRUE(HasEvent(events, "watchdog.cancel hung"));
   EXPECT_TRUE(HasEvent(events, "watchdog.hard_cancel hung"));
-  EXPECT_TRUE(HasEvent(events, "degrade.cache_shrink hog"));
+  EXPECT_TRUE(HasEvent(events, "degrade.sequential hog"));
 
   // The degradation ladder and the watchdog escalation are visible in
   // the scheduler's trace surface.
   std::string trace = scheduler.TraceJson();
-  EXPECT_NE(trace.find("degrade.cache_shrink"), std::string::npos);
+  EXPECT_NE(trace.find("degrade.sequential"), std::string::npos);
   EXPECT_NE(trace.find("watchdog.hard_cancel"), std::string::npos);
   EXPECT_NE(trace.find("shed.queue"), std::string::npos);
 

@@ -1,9 +1,8 @@
 // Multi-job scheduler and its resource-governance primitives: per-job
-// memory accounting (MemoryBudget/MemoryReservation), the LRU verdict
-// cache under a byte cap, admission control with load shedding, priority
-// dispatch, transient-fault retries, user cancellation, the hang
-// watchdog's cancel -> hard-cancel escalation, and the three-rung
-// degradation ladder.
+// memory accounting (MemoryBudget/MemoryReservation), admission control
+// with load shedding, priority dispatch, transient-fault retries, user
+// cancellation, the hang watchdog's cancel -> hard-cancel escalation, and
+// the two-rung degradation ladder.
 
 #include "psk/service/scheduler.h"
 
@@ -75,7 +74,7 @@ TEST(MemoryBudgetTest, ForceExhaustedIsSticky) {
   PSK_ASSERT_OK(budget->Charge(10));
   budget->ForceExhausted();
   EXPECT_TRUE(budget->exhausted());
-  // Rung 3 stops searches, not charges: the hard limit alone bounds them,
+  // Rung 2 stops searches, not charges: the hard limit alone bounds them,
   // so the fallback chain can still charge what it needs.
   PSK_ASSERT_OK(budget->Charge(1));
   EXPECT_EQ(budget->Charge(100).code(), StatusCode::kResourceExhausted);
@@ -164,80 +163,6 @@ TEST(MemoryReservationTest, NoBudgetIsANoop) {
 }
 
 // ---------------------------------------------------------------------------
-// VerdictCache under a byte cap / a memory budget.
-
-NodeEvaluation MakeEval(bool satisfied) {
-  NodeEvaluation eval;
-  eval.satisfied = satisfied;
-  eval.stage = satisfied ? CheckStage::kPassed : CheckStage::kKAnonymity;
-  eval.suppressed = 2;
-  eval.num_groups = 9;
-  return eval;
-}
-
-TEST(VerdictCacheTest, EvictsTheLeastRecentlyUsedEntryAtTheCap) {
-  VerdictCache cache;
-  uint64_t entry = VerdictCache::EntryBytes("a");
-  cache.set_max_bytes(2 * entry);
-  cache.Insert("a", MakeEval(true));
-  cache.Insert("b", MakeEval(false));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.bytes_used(), 2 * entry);
-  // Touch "a" so "b" becomes the least recently used entry.
-  NodeEvaluation out;
-  ASSERT_TRUE(cache.Lookup("a", &out));
-  EXPECT_TRUE(out.satisfied);
-  cache.Insert("c", MakeEval(true));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.Lookup("b", &out));
-  EXPECT_TRUE(cache.Lookup("a", &out));
-  EXPECT_TRUE(cache.Lookup("c", &out));
-}
-
-TEST(VerdictCacheTest, ShrinkEvictsImmediately) {
-  VerdictCache cache;  // unbounded by default
-  cache.Insert("a", MakeEval(true));
-  cache.Insert("b", MakeEval(true));
-  cache.Insert("c", MakeEval(false));
-  EXPECT_EQ(cache.size(), 3u);
-  cache.Shrink(VerdictCache::EntryBytes("a"));
-  EXPECT_EQ(cache.size(), 1u);
-  // The most recently inserted entry survives.
-  NodeEvaluation out;
-  EXPECT_TRUE(cache.Lookup("c", &out));
-  EXPECT_LE(cache.bytes_used(), VerdictCache::EntryBytes("a"));
-}
-
-TEST(VerdictCacheTest, InsertsChargeTheMemoryBudgetAndDropOnRejection) {
-  auto budget = std::make_shared<MemoryBudget>();
-  uint64_t entry = VerdictCache::EntryBytes("a");
-  budget->set_hard_limit(entry);  // room for exactly one entry
-  VerdictCache cache;
-  cache.set_memory_budget(budget);
-  cache.Insert("a", MakeEval(true));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(budget->bytes_used(), entry);
-  // The second insert would breach the hard limit: it is dropped (losing
-  // a memoization is the cheapest degradation) and the books stay exact.
-  cache.Insert("b", MakeEval(true));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(budget->bytes_used(), entry);
-  EXPECT_EQ(cache.bytes_used(), entry);
-}
-
-TEST(VerdictCacheTest, EvictionReturnsBytesToTheBudget) {
-  auto budget = std::make_shared<MemoryBudget>();
-  VerdictCache cache;
-  cache.set_memory_budget(budget);
-  cache.Insert("a", MakeEval(true));
-  cache.Insert("b", MakeEval(true));
-  uint64_t before = budget->bytes_used();
-  EXPECT_EQ(before, 2 * VerdictCache::EntryBytes("a"));
-  cache.Shrink(VerdictCache::EntryBytes("a"));
-  EXPECT_EQ(budget->bytes_used(), VerdictCache::EntryBytes("a"));
-}
-
-// ---------------------------------------------------------------------------
 // Scheduler helpers.
 
 JobSpec MakeSpec(size_t rows, uint64_t seed,
@@ -257,8 +182,7 @@ JobSpec MakeSpec(size_t rows, uint64_t seed,
 
 // Reference run without the scheduler: same engines, same knobs.
 AnonymizationReport DirectRun(const JobSpec& spec, size_t threads = 1,
-                              RunBudget budget = {},
-                              std::shared_ptr<VerdictCache> cache = nullptr) {
+                              RunBudget budget = {}) {
   Anonymizer anonymizer(spec.input);
   for (const auto& hierarchy : spec.hierarchies) {
     anonymizer.AddHierarchy(hierarchy);
@@ -269,7 +193,6 @@ AnonymizationReport DirectRun(const JobSpec& spec, size_t threads = 1,
       .set_algorithm(spec.algorithm)
       .set_budget(budget)
       .set_threads(threads);
-  if (cache != nullptr) anonymizer.set_verdict_cache(cache);
   if (!spec.fallback_chain.empty()) {
     anonymizer.set_fallback_chain(spec.fallback_chain);
   }
@@ -309,16 +232,6 @@ void WaitUntilRunning(JobScheduler& scheduler, uint64_t id) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   FAIL() << "job " << id << " never started running";
-}
-
-std::string SchedulerTestDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "psk_service_test_" + name;
-  std::remove((dir + "/job.journal").c_str());
-  std::remove((dir + "/checkpoint").c_str());
-  std::remove((dir + "/progress").c_str());
-  std::remove((dir + "/release.csv").c_str());
-  std::remove((dir + "/report.json").c_str());
-  return dir;
 }
 
 void ExpectSameStats(const SearchStats& a, const SearchStats& b) {
@@ -374,10 +287,7 @@ TEST(SchedulerTest, CompletesAnInMemoryJobAndReportsProgress) {
 
 TEST(SchedulerTest, MatchesADirectRunByteForByte) {
   JobSpec spec = MakeSpec(200, 7, AnonymizationAlgorithm::kOla);
-  // The scheduler gives each job a fresh VerdictCache; so does the
-  // reference run.
-  AnonymizationReport direct =
-      DirectRun(spec, 1, {}, std::make_shared<VerdictCache>());
+  AnonymizationReport direct = DirectRun(spec);
 
   JobScheduler scheduler({});
   SchedulerJobRequest request;
@@ -395,7 +305,7 @@ TEST(SchedulerTest, MatchesADirectRunByteForByte) {
 }
 
 TEST(SchedulerTest, RunsADurableJobThroughTheJobRunner) {
-  std::string dir = SchedulerTestDir("durable");
+  std::string dir = ProcessJobDir("psk_service_test_durable");
   JobScheduler scheduler({});
   SchedulerJobRequest request;
   request.name = "durable";
@@ -571,7 +481,7 @@ TEST(SchedulerTest, DispatchFollowsTheWeightedRoundRobinPattern) {
 // Retries of transient faults.
 
 TEST(SchedulerTest, RetriesATransientFaultAndCompletes) {
-  std::string dir = SchedulerTestDir("retry");
+  std::string dir = ProcessJobDir("psk_service_test_retry");
   // Clean slate first: site hit counters are process-lifetime, and the
   // x1 window below is relative to hit #0 (environment arming via
   // PSK_FAILPOINTS makes earlier tests in this binary accumulate hits).
@@ -599,7 +509,7 @@ TEST(SchedulerTest, RetriesATransientFaultAndCompletes) {
 }
 
 TEST(SchedulerTest, GivesUpAfterMaxRetries) {
-  std::string dir = SchedulerTestDir("retry_exhausted");
+  std::string dir = ProcessJobDir("psk_service_test_retry_exhausted");
   // Every journal begin fails: the job can never make progress.
   FailPoints::DisarmAll();
   PSK_ASSERT_OK(
@@ -806,19 +716,17 @@ TEST(SchedulerTest, DegradationLadderEndsInAPartialRelease) {
   // A parked job makes no progress: keep the hang watchdog out of it.
   options.hung_timeout = std::chrono::seconds(60);
   // From the moment the run charges its input (~400KB), the job sits far
-  // over its soft limit (1% of the quota = 7KB, below the rung-1 cache
-  // cap of 8KB, so shrinking the cache cannot bring it back under), and
-  // the watchdog climbs one rung per tick. The hard limit stays above
-  // the input, so nothing trips until rung 3 forces exhaustion.
-  options.cache_shrink_bytes = 8 * 1024;
+  // over its soft limit (1% of the quota = 7KB), and the watchdog climbs
+  // one rung per tick. The hard limit stays above the input, so nothing
+  // trips until rung 2 forces exhaustion.
   options.soft_quota_percent = 1;
   JobScheduler scheduler(options);
   SchedulerJobRequest request;
   request.name = "hog";
   request.spec = spec;
   request.memory_quota = 700 * 1024;
-  // Park the run in its preflight until rung 3 has landed — deterministic,
-  // instead of racing three watchdog ticks against a search that may end
+  // Park the run in its preflight until rung 2 has landed — deterministic,
+  // instead of racing two watchdog ticks against a search that may end
   // first under load. The exhaustive stage then fails its first budget
   // charge (kResourceExhausted) and the budget-exempt full-suppression
   // stage releases.
@@ -829,17 +737,17 @@ TEST(SchedulerTest, DegradationLadderEndsInAPartialRelease) {
   uint64_t id = UnwrapOk(scheduler.Submit(std::move(request)));
   SchedulerJobResult result = UnwrapOk(scheduler.Wait(id));
 
-  // Rung 3 is a budget stop, not a cancellation: the job *completes*
+  // Rung 2 is a budget stop, not a cancellation: the job *completes*
   // with best-so-far output through the fallback chain.
   PSK_ASSERT_OK(result.status);
   EXPECT_EQ(result.state, JobState::kCompleted);
-  EXPECT_EQ(result.degrade_level, 3);
+  EXPECT_EQ(result.degrade_level, 2);
   EXPECT_TRUE(result.report.partial || result.report.fallback_stage > 0);
   SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.degrade_cache_shrinks, 1u);
+  // The job runs on one lane, so rung 1 has nothing to narrow.
+  EXPECT_EQ(stats.degrade_sequential_restarts, 0u);
   EXPECT_EQ(stats.degrade_force_exhausted, 1u);
   std::vector<std::string> events = scheduler.Events();
-  EXPECT_TRUE(HasEvent(events, "degrade.cache_shrink hog"));
   EXPECT_TRUE(HasEvent(events, "degrade.force_exhausted hog"));
   // The ladder is observable in the trace surface too.
   std::string trace = scheduler.TraceJson();
@@ -891,9 +799,8 @@ TEST(SchedulerTest, LadderDemotesAParallelJobInPlace) {
 
   SchedulerOptions options;
   options.watchdog_interval = std::chrono::milliseconds(1);
-  options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;  // same sizing as the ladder test above
-  options.threads_per_job = 2;  // rung 2 has a parallel job to narrow
+  options.threads_per_job = 2;  // rung 1 has a parallel job to narrow
   // A parked job makes no progress: keep the hang watchdog out of it.
   options.hung_timeout = std::chrono::seconds(60);
   JobScheduler scheduler(options);
@@ -906,7 +813,7 @@ TEST(SchedulerTest, LadderDemotesAParallelJobInPlace) {
   request.memory_quota = 2 * 1024 * 1024;
 
   // The source parks after the first chunk until the watchdog has climbed
-  // to rung 2, and the run then parks in its preflight until rung 3 has
+  // to rung 1, and the run then parks in its preflight until rung 2 has
   // landed, as in the ladder test above: deterministic, instead of racing
   // the last climbs against a search that may end first under load. The
   // search then starts on one lane and stops at its first checkpoint.
@@ -924,21 +831,20 @@ TEST(SchedulerTest, LadderDemotesAParallelJobInPlace) {
 
   PSK_ASSERT_OK(result.status);
   EXPECT_EQ(result.state, JobState::kCompleted);
-  EXPECT_EQ(result.degrade_level, 3);
-  // Rung 2 narrowed the running attempt in place: one attempt, one start,
-  // and no degradation event but the three rungs.
+  EXPECT_EQ(result.degrade_level, 2);
+  // Rung 1 narrowed the running attempt in place: one attempt, one start,
+  // and no degradation event but the two rungs.
   EXPECT_EQ(result.attempts, 1);
   EXPECT_EQ(scheduler.stats().degrade_sequential_restarts, 1u);
   std::vector<std::string> events = scheduler.Events();
   EXPECT_TRUE(HasEvent(events, "degrade.sequential hog"));
   EXPECT_EQ(DegradeActions(events),
-            (std::vector<std::string>{"degrade.cache_shrink",
-                                      "degrade.sequential",
+            (std::vector<std::string>{"degrade.sequential",
                                       "degrade.force_exhausted"}));
   EXPECT_EQ(StartOrder(events), std::vector<std::string>{"hog"});
 }
 
-// Rung 3 stops searches, not charges: a sequential job still streaming its
+// Rung 2 stops searches, not charges: a sequential job still streaming its
 // input when the budget is force-exhausted finishes its ingest and
 // releases through its fallback chain.
 TEST(SchedulerTest, ForceExhaustedWhileStreamingReleasesThroughTheFallback) {
@@ -949,16 +855,15 @@ TEST(SchedulerTest, ForceExhaustedWhileStreamingReleasesThroughTheFallback) {
   options.watchdog_interval = std::chrono::milliseconds(1);
   // The stream parks with a frozen heartbeat: keep the hang watchdog out.
   options.hung_timeout = std::chrono::seconds(60);
-  options.cache_shrink_bytes = 8 * 1024;
   options.soft_quota_percent = 1;  // same sizing as the ladder tests above
-  options.threads_per_job = 1;  // rung 2 has nothing to narrow
+  options.threads_per_job = 1;  // rung 1 has nothing to narrow
   JobScheduler scheduler(options);
   SchedulerJobRequest request;
   request.name = "stream";
   request.spec = std::move(spec);
   request.memory_quota = 2 * 1024 * 1024;
   // Six chunks: the stream stays over its soft quota from the first chunk
-  // on and parks before the second until rung 3 has landed, so the five
+  // on and parks before the second until rung 2 has landed, so the five
   // chunks after it are charged to a force-exhausted budget.
   StreamInput(&request, 2000, [&scheduler] {
     while (scheduler.stats().degrade_force_exhausted == 0) {
@@ -970,7 +875,7 @@ TEST(SchedulerTest, ForceExhaustedWhileStreamingReleasesThroughTheFallback) {
 
   PSK_ASSERT_OK(result.status);
   EXPECT_EQ(result.state, JobState::kCompleted);
-  EXPECT_EQ(result.degrade_level, 3);
+  EXPECT_EQ(result.degrade_level, 2);
   EXPECT_EQ(result.attempts, 1);
   EXPECT_EQ(result.report.masked.num_rows(), 12000u);
   EXPECT_TRUE(result.report.partial || result.report.fallback_stage > 0);

@@ -1,8 +1,12 @@
 #ifndef PSK_TESTS_TEST_UTIL_H_
 #define PSK_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "psk/common/result.h"
@@ -38,6 +42,20 @@ T UnwrapOk(Result<T> result) {
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) std::abort();
   return std::move(result).value();
+}
+
+/// A job directory under ::testing::TempDir() that belongs to this
+/// process: `name` suffixed with the process id, so two concurrent runs of
+/// one suite never share job files. The five files a job leaves behind
+/// are removed first, so a reused pid starts clean too.
+inline std::string ProcessJobDir(const std::string& name) {
+  std::string dir =
+      ::testing::TempDir() + name + "_" + std::to_string(getpid());
+  for (const char* file : {"job.journal", "checkpoint", "progress",
+                           "release.csv", "report.json"}) {
+    std::remove((dir + "/" + file).c_str());
+  }
+  return dir;
 }
 
 }  // namespace psk
