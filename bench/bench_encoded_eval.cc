@@ -1,6 +1,6 @@
 // Node-evaluation throughput of the dictionary-encoded core: every node of
-// the Adult lattice evaluated through NodeEvaluator. Emits wall time and
-// nodes/s as BENCH_encoded.json.
+// the Adult lattice evaluated by one sweep of a one-lane NodeSweeper.
+// Emits wall time and nodes/s as BENCH_encoded.json.
 //
 //   bench_encoded_eval [--trace] [rows] [rounds] [out.json]
 //
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,13 +48,13 @@ RunResult Measure(const Table& im, const HierarchySet& hs,
   RunResult r;
   auto start = std::chrono::steady_clock::now();
   for (size_t round = 0; round < rounds; ++round) {
-    // A fresh evaluator per round so every round pays the same setup
-    // (including the one-time dictionary encode).
-    NodeEvaluator evaluator(im, hs, options);
-    PSK_CHECK(evaluator.Init().ok());
-    for (const LatticeNode& node : nodes) {
-      auto eval = evaluator.Evaluate(node);
-      PSK_CHECK(eval.ok());
+    // A fresh sweeper (and memo) per round so every round pays the same
+    // setup (including the one-time dictionary encode).
+    NodeSweeper sweeper(im, hs, options);
+    PSK_CHECK(sweeper.Init().ok());
+    std::vector<std::optional<NodeEvaluation>> evals;
+    PSK_CHECK(sweeper.Sweep(nodes, &evals).ok());
+    for (const std::optional<NodeEvaluation>& eval : evals) {
       ++r.nodes_evaluated;
       if (eval->satisfied) ++r.nodes_satisfied;
     }
@@ -72,18 +73,14 @@ void WriteTrace(const Table& im, const HierarchySet& hs,
   RunTrace trace("bench_encoded_eval");
   trace.Counter("rows", rows);
   trace.Counter("lattice_nodes", nodes.size());
-  TraceEventBuffer buffer;
   SearchOptions options = BenchOptions(rows);
   options.trace = &trace;
   trace.Begin("encoded_pass");
-  NodeEvaluator evaluator(im, hs, options);
-  evaluator.set_trace(&trace, &buffer);
-  PSK_CHECK(evaluator.Init().ok());
-  for (const LatticeNode& node : nodes) {
-    PSK_CHECK(evaluator.Evaluate(node).ok());
-  }
-  if (!buffer.empty()) trace.MergeEvents(buffer.Take());
-  RecordStatsCounters(&trace, evaluator.stats());
+  NodeSweeper sweeper(im, hs, options);
+  PSK_CHECK(sweeper.Init().ok());
+  std::vector<std::optional<NodeEvaluation>> evals;
+  PSK_CHECK(sweeper.Sweep(nodes, &evals).ok());
+  RecordStatsCounters(&trace, sweeper.MergedStats());
   trace.End();
   Status written = trace.WriteJsonFile(trace_path);
   PSK_CHECK(written.ok());

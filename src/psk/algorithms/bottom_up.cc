@@ -17,7 +17,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   NodeEvaluator& primary = sweeper.primary();
 
   MinimalSetResult result;
-  if (!primary.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -34,7 +34,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   if (bu_options.use_subset_lower_bounds) {
     TraceSpan span(options.trace, "lower_bounds");
     span.Counter("attributes", hierarchies.size());
-    const EncodedTable& encoded = *primary.encoded_table();
+    const EncodedTable& encoded = sweeper.encoded();
     EncodedWorkspace ws;
     for (size_t i = 0; i < hierarchies.size(); ++i) {
       int level = 0;

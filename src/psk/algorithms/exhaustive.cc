@@ -12,7 +12,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
   PSK_RETURN_IF_ERROR(sweeper.Init());
 
   MinimalSetResult result;
-  if (!sweeper.primary().Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -23,9 +23,8 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
   // One sweep per lattice height, enumerated lazily: a budget that trips
   // early never pays for materializing the rest of an exponential lattice.
   // The sweeper evaluates every node of a wave whatever the thread count,
-  // verdicts land in height-major node order, and worker stats survive
-  // every outcome — including a hard error in one shard, which previously
-  // dropped that shard's counters (and the other shards' entirely).
+  // verdicts land in height-major node order, and lane stats survive
+  // every outcome, a hard error on one lane included.
   for (int h = 0; h <= lattice.height(); ++h) {
     TraceSpan span(options.trace, "height");
     span.Attr("height", std::to_string(h));

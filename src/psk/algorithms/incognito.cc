@@ -54,10 +54,9 @@ Result<MinimalSetResult> IncognitoSearch(
     const IncognitoOptions& incognito_options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
-  NodeEvaluator& evaluator = sweeper.primary();
 
   MinimalSetResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -65,7 +64,7 @@ Result<MinimalSetResult> IncognitoSearch(
 
   std::vector<int> max_levels = hierarchies.MaxLevels();
   size_t m = max_levels.size();
-  SearchStats* stats = evaluator.mutable_stats();
+  SearchStats* stats = sweeper.primary().mutable_stats();
   // The subset p-prune is sound only without suppression — see
   // IncognitoOptions::prune_p_on_subsets.
   const bool prune_p = incognito_options.prune_p_on_subsets &&

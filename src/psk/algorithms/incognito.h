@@ -25,8 +25,9 @@ namespace psk {
 /// frontier is actually checked (on a dictionary-encoded column cache, so
 /// a subset check costs one hashed scan). The final phase evaluates the
 /// surviving full-QI candidates; with p >= 2 each candidate additionally
-/// runs the p-sensitive check (via the shared NodeEvaluator, Conditions
-/// 1-2 included), since the subset phases prune with k-anonymity only.
+/// runs the p-sensitive check (through the same NodeSweeper lanes,
+/// Conditions 1-2 included), since the subset phases prune with
+/// k-anonymity only.
 ///
 /// Returns all p-k-minimal generalizations, like BottomUpSearch; the same
 /// monotonicity caveat applies to the p >= 2 + suppression corner case.

@@ -71,7 +71,7 @@ void EnumerateInterval(const LatticeNode& bottom, const LatticeNode& top,
 // k, read off the node's partition: sum of |G|^2 over the groups of at
 // least k rows, plus `total_rows` for each suppressed row. Equals
 // DiscernibilityMetric over the decoded release (k == 0 suppresses
-// nothing, as in Materialize).
+// nothing, as in DecodeMasked).
 uint64_t SuppressedDiscernibility(const EncodedGroups& groups, size_t k,
                                   size_t total_rows) {
   uint64_t dm = 0;
@@ -171,10 +171,10 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
                             const OlaOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options.search);
   PSK_RETURN_IF_ERROR(sweeper.Init());
-  NodeEvaluator& evaluator = sweeper.primary();
+  SearchStats* stats = sweeper.primary().mutable_stats();
 
   OlaResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -194,7 +194,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
   }();
   if (!top_ok.ok()) {
     // Budget spent before even the lattice top was checked: nothing usable.
-    if (!AbsorbBudgetStop(top_ok.status(), evaluator.mutable_stats())) {
+    if (!AbsorbBudgetStop(top_ok.status(), stats)) {
       return top_ok.status();
     }
     result.stats = sweeper.MergedStats();
@@ -211,7 +211,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     return ok;
   }();
   if (!bottom_ok.ok()) {
-    if (!AbsorbBudgetStop(bottom_ok.status(), evaluator.mutable_stats())) {
+    if (!AbsorbBudgetStop(bottom_ok.status(), stats)) {
       return bottom_ok.status();
     }
     // The top satisfies and is the only verified node; fall through so the
@@ -229,7 +229,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     // before the verification and metric phases re-consume them.
     sweeper.FlushCheckpoint();
     if (!bisected.ok()) {
-      if (!AbsorbBudgetStop(bisected, evaluator.mutable_stats())) {
+      if (!AbsorbBudgetStop(bisected, stats)) {
         return bisected;
       }
       // Candidates collected before the stop are sub-lattice tops already
@@ -251,7 +251,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     for (const LatticeNode& node : candidates) {
       Result<bool> ok = driver.Satisfies(node);
       if (!ok.ok()) {
-        if (!AbsorbBudgetStop(ok.status(), evaluator.mutable_stats())) {
+        if (!AbsorbBudgetStop(ok.status(), stats)) {
           return ok.status();
         }
         // Unverifiable under the exhausted budget; tag-known candidates are
@@ -277,7 +277,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     double metric;
     switch (options.metric) {
       case OlaMetric::kDiscernibility:
-        PSK_RETURN_IF_ERROR(evaluator.encoded_table()->GroupByNode(node, &ws));
+        PSK_RETURN_IF_ERROR(sweeper.encoded().GroupByNode(node, &ws));
         metric = static_cast<double>(SuppressedDiscernibility(
             ws.groups, options.search.k, initial_microdata.num_rows()));
         break;
@@ -293,7 +293,9 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
       result.optimal_metric = metric;
     }
   }
-  PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm, evaluator.Materialize(*best));
+  PSK_ASSIGN_OR_RETURN(
+      MaskedMicrodata mm,
+      DecodeMasked(sweeper.encoded(), *best, options.search.k, &ws));
   result.optimal = *best;
   result.masked = std::move(mm.table);
   result.suppressed = mm.suppressed;

@@ -23,8 +23,9 @@ constexpr size_t kProbeChunk = 64;
 // together. The span's `hit` attribute records the verdict ("1" or "0");
 // a probe cut short by an error or a budget stop carries none.
 Result<std::optional<LatticeNode>> ProbeHeight(
-    NodeSweeper& sweeper, int h, const std::vector<LatticeNode>& nodes) {
-  TraceSpan span(sweeper.primary().trace(), "probe_height");
+    NodeSweeper& sweeper, RunTrace* trace, int h,
+    const std::vector<LatticeNode>& nodes) {
+  TraceSpan span(trace, "probe_height");
   span.Attr("height", std::to_string(h));
   ++sweeper.primary().mutable_stats()->heights_probed;
   std::vector<std::optional<NodeEvaluation>> evals;
@@ -70,10 +71,10 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
                                     const SearchOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
-  NodeEvaluator& evaluator = sweeper.primary();
+  SearchStats* stats = sweeper.primary().mutable_stats();
 
   SearchResult result;
-  if (!evaluator.Condition1Holds()) {
+  if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
     return result;
@@ -90,11 +91,12 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
     std::vector<LatticeNode> nodes;
     while (low < high) {
       int h = NextProbe(lattice, low, high, best.has_value(), &nodes);
-      Result<std::optional<LatticeNode>> hit = ProbeHeight(sweeper, h, nodes);
+      Result<std::optional<LatticeNode>> hit =
+          ProbeHeight(sweeper, options.trace, h, nodes);
       if (!hit.ok()) {
         // A budget stop keeps the best satisfying node seen so far (it is a
         // valid, if possibly non-minimal, solution); hard errors propagate.
-        if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
+        if (!AbsorbBudgetStop(hit.status(), stats)) {
           return hit.status();
         }
         stopped = true;
@@ -115,18 +117,21 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
   // reached: probe the lattice top.
   if (!stopped && !best.has_value()) {
     TraceSpan phase(options.trace, "confirm");
-    Result<std::optional<LatticeNode>> hit = ProbeHeight(
-        sweeper, lattice.height(), lattice.NodesAtHeight(lattice.height()));
+    Result<std::optional<LatticeNode>> hit =
+        ProbeHeight(sweeper, options.trace, lattice.height(),
+                    lattice.NodesAtHeight(lattice.height()));
     if (hit.ok()) {
       best = *hit;
-    } else if (!AbsorbBudgetStop(hit.status(), evaluator.mutable_stats())) {
+    } else if (!AbsorbBudgetStop(hit.status(), stats)) {
       return hit.status();
     }
   }
 
   if (best.has_value()) {
     TraceSpan phase(options.trace, "materialize");
-    Result<MaskedMicrodata> mm = evaluator.Materialize(*best);
+    EncodedWorkspace ws;
+    Result<MaskedMicrodata> mm =
+        DecodeMasked(sweeper.encoded(), *best, options.k, &ws);
     if (!mm.ok()) return mm.status();
     result.found = true;
     result.node = *best;

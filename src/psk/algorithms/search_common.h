@@ -96,7 +96,7 @@ struct SearchOptions {
   RunBudget budget;
 
   // Verdict memo and crash-safe checkpoint hooks (see psk/jobs/JobRunner).
-  /// The run's verdict memo. Sweep workers look every node and subset
+  /// The run's verdict memo. Sweep lanes look every node and subset
   /// fact up in it, without locks; a node found there is replayed — its
   /// stats recounted exactly as a fresh evaluation would have counted
   /// them — instead of re-generalizing the table. Replays do not charge
@@ -120,8 +120,8 @@ struct SearchOptions {
   uint64_t checkpoint_interval = 64;
 
   /// Structured run trace (see psk/trace). Engines open phase spans on it
-  /// from their control thread; per-node events recorded by sweep workers
-  /// land in per-worker buffers and are merged deterministically at span
+  /// from their control thread; per-node events recorded by sweep lanes
+  /// land in per-lane buffers and are merged deterministically at span
   /// close. Null (the default) disables tracing at one branch per span.
   /// Must outlive the search.
   RunTrace* trace = nullptr;
@@ -208,106 +208,53 @@ const char* CheckStageName(CheckStage stage);
 /// is null.
 void RecordStatsCounters(RunTrace* trace, const SearchStats& stats);
 
-/// Evaluates lattice nodes against a fixed initial microdata: generalize,
-/// suppress up to TS, then test p-sensitive k-anonymity, with Condition 1
-/// checked once up front and Condition 2 applied per node (Theorems 1-2
-/// justify computing both bounds on the initial microdata only).
+/// One lane of a NodeSweeper: evaluates lattice nodes against the
+/// sweeper's encoding of the initial microdata — generalize, suppress up
+/// to TS, then test p-sensitive k-anonymity, with Condition 2 applied per
+/// node against the sweeper's maxGroups (Theorems 1-2 justify computing
+/// the Condition 1/2 bounds once, on the initial microdata).
 /// EvaluateSubset answers the TS gate for Incognito's nodes over a subset
 /// of the quasi-identifier.
 ///
-/// All searches in this library share this component so that their work
-/// counters are comparable. Every lattice engine evaluates only through a
-/// NodeSweeper, which owns one evaluator per worker; a standalone
-/// evaluator is for tests and benchmarks of one node at a time.
+/// Only NodeSweeper::Init builds one and only its sweeps evaluate
+/// through one, so every search's work counters stay comparable. A lane
+/// owns only per-lane state: group-by scratch, its memory charge, its
+/// stats, and the trace events and fresh verdicts the sweeper drains
+/// after every sweep. The encoding, the enforcer and the bounds are the
+/// sweeper's; engines read a lane's stats only.
 class NodeEvaluator {
  public:
-  /// `initial_microdata` and `hierarchies` must outlive the evaluator.
-  NodeEvaluator(const Table& initial_microdata,
-                const HierarchySet& hierarchies, SearchOptions options);
+  /// Memo replays between budget polls (see TickReplay). Small enough
+  /// that even a replay cancelled immediately does at most this many map
+  /// lookups past the request.
+  static constexpr uint64_t kReplayCheckInterval = 32;
 
-  /// Encodes the initial microdata (unless set_encoded_table supplied the
-  /// encoding) and computes the Condition 1/2 bounds from it. Must be
-  /// called before Evaluate. Fails when the schema lacks key or
-  /// confidential attributes (confidential required only when p >= 2), and
-  /// with EncodedTable::Build's own status — e.g. the hierarchy's
-  /// Generalize error for a value it cannot generalize — before any node
-  /// is evaluated.
-  Status Init();
+  const SearchStats& stats() const { return stats_; }
+  SearchStats* mutable_stats() { return &stats_; }
 
-  /// Shares a budget accountant across evaluators (the threaded exhaustive
-  /// sweep gives all shards one enforcer so every limit is global). Must
-  /// be called before Init; when absent, Init creates a private enforcer
-  /// from options().budget.
-  void set_enforcer(std::shared_ptr<BudgetEnforcer> enforcer) {
-    enforcer_ = std::move(enforcer);
-  }
-  const std::shared_ptr<BudgetEnforcer>& enforcer() const {
-    return enforcer_;
-  }
+ private:
+  friend class NodeSweeper;
 
-  /// Shares a prebuilt encoded table across evaluators (NodeSweeper
-  /// encodes once and hands the same immutable EncodedTable to every
-  /// worker). Must be called before Init; when unset, Init builds a
-  /// private encoding.
-  void set_encoded_table(std::shared_ptr<const EncodedTable> encoded) {
-    encoded_ = std::move(encoded);
-  }
-  /// The encoded core this evaluator runs on (non-null after Init).
-  const std::shared_ptr<const EncodedTable>& encoded_table() const {
-    return encoded_;
-  }
+  /// `options`, `encoded` and `enforcer` are the sweeper's and outlive
+  /// the lane; `max_groups` is Theorem 2's bound (0 when p < 2).
+  NodeEvaluator(const SearchOptions& options, const EncodedTable& encoded,
+                BudgetEnforcer& enforcer, uint64_t max_groups);
 
-  /// Attaches run tracing: every completed Evaluate records one TraceEvent
-  /// (node key, how it was resolved, verdict stage) into `buffer`, which is
-  /// per-worker and written without locks — its owner merges it into
-  /// `trace` at span boundaries (NodeSweeper, at the end of each sweep).
-  /// Both pointers must outlive the evaluator; pass nullptrs (the default
-  /// state) to disable.
-  void set_trace(RunTrace* trace, TraceEventBuffer* buffer) {
-    trace_ = trace;
-    trace_buffer_ = buffer;
-  }
-  RunTrace* trace() const { return trace_; }
-
-  /// True iff Condition 1 admits the requested p. When false, no node can
-  /// ever satisfy the property and searches should report failure
-  /// immediately.
-  bool Condition1Holds() const { return condition1_holds_; }
-
-  /// Evaluates one node, updating stats(). A node present in
-  /// options().memo is replayed from it — its counters recounted
-  /// identically, the budget not charged. A fresh verdict is recorded
-  /// into `fresh` when it is non-null.
-  Result<NodeEvaluation> Evaluate(const LatticeNode& node,
-                                  SearchSnapshot* fresh = nullptr);
+  /// Evaluates one node, updating stats(). A node present in the run's
+  /// memo is replayed from it — its counters recounted identically, the
+  /// budget not charged. A fresh verdict is recorded into fresh_.
+  Result<NodeEvaluation> Evaluate(const LatticeNode& node);
 
   /// Evaluates one Incognito subset node — QI slots `attrs` generalized to
   /// `levels` — counting SearchStats::subset_nodes_evaluated: true when
   /// suppressing every group smaller than k removes at most TS rows and,
   /// with `prune_p`, every group also holds p distinct values of each
   /// confidential attribute. The budget and the memory budget are charged
-  /// as for Evaluate. A subset node in options().memo's facts replays
-  /// from it; a fresh verdict is recorded into `fresh` (when non-null)
-  /// under SubsetFactKey.
+  /// as for Evaluate. A subset node in the memo's facts replays from it;
+  /// a fresh verdict is recorded into fresh_ under SubsetFactKey.
   Result<bool> EvaluateSubset(const std::vector<size_t>& attrs,
-                              const std::vector<int>& levels, bool prune_p,
-                              SearchSnapshot* fresh = nullptr);
+                              const std::vector<int>& levels, bool prune_p);
 
-  /// Memo replays between budget polls (see TickReplay). Small enough
-  /// that even a replay cancelled immediately does at most this many map
-  /// lookups past the request.
-  static constexpr uint64_t kReplayCheckInterval = 32;
-
-  /// Produces the masked microdata (generalized + suppressed) for a node —
-  /// used to materialize the winning node once a search finishes.
-  Result<MaskedMicrodata> Materialize(const LatticeNode& node) const;
-
-  const SearchStats& stats() const { return stats_; }
-  SearchStats* mutable_stats() { return &stats_; }
-
-  const SearchOptions& options() const { return options_; }
-
- private:
   /// The charged evaluation body behind Evaluate (memo replays live in
   /// Evaluate itself).
   Result<NodeEvaluation> EvaluateEncoded(const LatticeNode& node);
@@ -325,87 +272,98 @@ class NodeEvaluator {
   Status TickReplay();
 
   /// Records one per-node trace event into trace_buffer_ (caller checked
-  /// it is non-null). `path` is "encoded" or "replay".
+  /// that tracing is on). `path` is "encoded" or "replay".
   void RecordEvalEvent(const std::string& key, const char* path,
                        const NodeEvaluation& eval, int64_t start_ns);
 
-  const Table& im_;
-  const HierarchySet& hierarchies_;
-  SearchOptions options_;
-  std::shared_ptr<BudgetEnforcer> enforcer_;
-  std::shared_ptr<const EncodedTable> encoded_;
-  /// Per-evaluator scratch for the encoded path (never shared).
+  const SearchOptions& options_;
+  const EncodedTable& encoded_;
+  BudgetEnforcer& enforcer_;
+  const uint64_t max_groups_;
+  /// Per-lane scratch for the encoded path (never shared).
   EncodedWorkspace ws_;
   EncodedDistinctScratch distinct_scratch_;
-  /// Memory-budget charges: the self-built encoding (only when this
-  /// evaluator built its own — an external one is charged by its owner)
-  /// and the scratch buffers, delta-resized after every group-by. No-ops
-  /// when options().budget.memory is unset.
-  MemoryReservation encoded_reservation_;
+  /// Memory-budget charge for the scratch buffers, delta-resized after
+  /// every group-by. No-op without a memory budget.
   MemoryReservation scratch_reservation_;
-  bool initialized_ = false;
-  bool condition1_holds_ = true;
-  uint64_t max_groups_ = 0;
   SearchStats stats_;
   uint64_t replay_hits_since_check_ = 0;
-  RunTrace* trace_ = nullptr;
-  TraceEventBuffer* trace_buffer_ = nullptr;
+  /// Written only by the thread holding this lane; the sweeper drains
+  /// both on the control thread after every sweep.
+  TraceEventBuffer trace_buffer_;
+  SearchSnapshot fresh_;
 };
 
-/// Parallel (or sequential) evaluator over batches of independent lattice
-/// nodes — the only executor of lattice work in all five lattice engines
-/// (Samarati, exhaustive, OLA, Incognito, bottom-up). Sweep runs full
-/// lattice nodes (NodeEvaluator::Evaluate); SweepSubsets runs one height
-/// of an Incognito subset lattice (NodeEvaluator::EvaluateSubset). Both
-/// run through the same private Drive loop and record one "sweep" trace
-/// span each.
+/// Parallel (or sequential) evaluator of independent lattice nodes — the
+/// only executor of lattice work in all five lattice engines (Samarati,
+/// exhaustive, OLA, Incognito, bottom-up). Sweep runs full lattice nodes
+/// (NodeEvaluator::Evaluate); SweepSubsets runs one height of an
+/// Incognito subset lattice (NodeEvaluator::EvaluateSubset). Both run
+/// through the same private Drive loop and record one "sweep" trace span
+/// each.
 ///
-/// A sweeper owns one NodeEvaluator per worker. Worker 0 ("primary") is
-/// the evaluator engines use for engine-level bookkeeping (heights_probed,
-/// nodes_skipped, Materialize). All workers share the primary's
-/// BudgetEnforcer (limits stay global) and read the run's memo
-/// (SearchOptions::memo, or the sweeper's own when that is null) without
-/// locks: during a sweep nothing writes it.
+/// Init encodes the initial microdata once, computes the Condition 1/2
+/// bounds once, creates the run's BudgetEnforcer and builds one
+/// NodeEvaluator per lane over that shared, immutable state. Lane 0
+/// ("primary") also carries engine-level counters (heights_probed,
+/// nodes_skipped, absorbed budget stops). All lanes share the enforcer
+/// (limits stay global) and read the run's memo (SearchOptions::memo, or
+/// the sweeper's own when that is null) without locks: during a sweep
+/// nothing writes it.
 ///
 /// Determinism contract: a sweep evaluates *every* item it is given (no
 /// early exit), so the set of evaluated nodes — and therefore the merged
 /// SearchStats and the engine's release — is identical for every thread
 /// count. Engines that want early exit batch their nodes into fixed-size
 /// chunks (independent of the thread count) and stop between chunks.
-/// Each worker records its fresh verdicts in its own buffer, which the
+/// Each lane records its fresh verdicts in its own buffer, which the
 /// control thread merges into the memo after every sweep, so the memo and
 /// the snapshots the sink sees are the same at every thread count.
 ///
-/// Work decomposition: parallelism is across lattice nodes only. Items
-/// are grouped into per-task batches sized by measured throughput (>=
-/// ~10ms of work per pool task so dispatch amortizes); a sweep that can
-/// use only one lane (a single item, one worker, or a pool whose fair
-/// share is down to one lane) runs its items on the primary, on the
-/// calling thread. Batch size and lane count never change any verdict or
-/// merged counter, so a running search can drop to one lane between two
-/// sweeps (MemoryBudget::LimitToOneLane on options().budget.memory).
+/// Work decomposition: parallelism is across lattice nodes only, one node
+/// per ThreadPool::ParallelFor index; a sweep that can use only one lane
+/// (a single item, one lane, or a pool whose fair share is down to one
+/// lane) runs its items on the primary, on the calling thread. The lane
+/// count never changes any verdict or merged counter, so a running search
+/// can drop to one lane between two sweeps (MemoryBudget::LimitToOneLane
+/// on options().budget.memory).
 class NodeSweeper {
  public:
   /// `initial_microdata` and `hierarchies` must outlive the sweeper.
   NodeSweeper(const Table& initial_microdata, const HierarchySet& hierarchies,
               SearchOptions options);
-  /// Pinned: without a caller memo, the workers point at own_memo_.
+  /// Pinned: the lanes point at its options, encoding and enforcer.
   NodeSweeper(NodeSweeper&&) = delete;
 
-  /// Builds and initializes the workers. Fails like NodeEvaluator::Init.
+  /// Encodes the initial microdata, computes the Condition 1/2 bounds and
+  /// builds the lanes. Fails when the parameters are invalid (k < 1,
+  /// p < 1, p > k) or the schema lacks key or confidential attributes
+  /// (confidential required only when p >= 2), and with
+  /// EncodedTable::Build's own status — e.g. the hierarchy's Generalize
+  /// error for a value it cannot generalize — before any node is
+  /// evaluated.
   Status Init();
 
-  /// Worker 0, which carries engine-level counters. Valid after Init.
-  NodeEvaluator& primary() { return *workers_.front(); }
+  /// True iff Condition 1 admits the requested p. When false, no node can
+  /// ever satisfy the property: searches report failure immediately, and
+  /// Sweep fails with kFailedPrecondition. Valid after Init.
+  bool Condition1Holds() const { return condition1_holds_; }
+
+  /// The dictionary-encoded initial microdata every lane evaluates on.
+  /// Valid after Init.
+  const EncodedTable& encoded() const { return encoded_; }
+
+  /// Lane 0, which carries engine-level counters. Valid after Init.
+  NodeEvaluator& primary() { return *lanes_.front(); }
 
   /// Evaluates every node, writing per-node verdicts into (*evals)[i]
   /// (nullopt = not evaluated because the sweep stopped early). Returns:
   ///  - OK when every node was evaluated;
   ///  - the budget-stop status when a shared limit tripped mid-sweep (the
   ///    caller decides whether to absorb it via AbsorbBudgetStop);
-  ///  - otherwise the first hard error by worker order. Worker stats are
-  ///    never lost on any path: they stay in the worker evaluators and are
-  ///    all merged by MergedStats.
+  ///  - otherwise the first hard error by lane order. Lane stats are
+  ///    never lost on any path: they stay in the lanes and are all merged
+  ///    by MergedStats.
   Status Sweep(const std::vector<LatticeNode>& nodes,
                std::vector<std::optional<NodeEvaluation>>* evals);
 
@@ -417,9 +375,9 @@ class NodeSweeper {
                       const std::vector<std::vector<int>>& levels,
                       bool prune_p, std::vector<std::optional<bool>>* passed);
 
-  /// Work counters summed over every worker (deterministic: per-counter
+  /// Work counters summed over every lane (deterministic: per-counter
   /// sums are order-independent; partial/stop_reason are first-wins in
-  /// worker order).
+  /// lane order).
   SearchStats MergedStats() const;
 
   /// Hands the memo to options().checkpoint_sink now (engines call this
@@ -428,55 +386,34 @@ class NodeSweeper {
   void FlushCheckpoint();
 
  private:
-  /// Evaluates one item of a sweep on `worker`, recording fresh verdicts
-  /// into `fresh`, the worker's buffer; called once per index.
-  using ItemFn = std::function<Status(NodeEvaluator& worker,
-                                      SearchSnapshot* fresh, size_t index)>;
+  /// Evaluates item `index` of a sweep on `lane`; called once per index.
+  using ItemFn = std::function<Status(NodeEvaluator& lane, size_t index)>;
 
   /// The loop behind Sweep and SweepSubsets: runs `evaluate` for every
   /// index in [0, count) inside one "sweep" trace span, and returns as
   /// Sweep documents.
   Status Drive(size_t count, const ItemFn& evaluate);
 
-  /// Merges every pending per-worker trace event into the innermost open
+  /// Merges every pending per-lane trace event into the innermost open
   /// span of options().trace, sorted by node key (no-op without tracing).
   void FlushTraceEvents();
 
-  /// Moves the fresh buffers into the memo and, with a sink, flushes once
-  /// checkpoint_interval entries have built up since the last flush.
+  /// Moves the lanes' fresh buffers into the memo and, with a sink,
+  /// flushes once checkpoint_interval entries have built up since the
+  /// last flush.
   void MergeCheckpoint();
-
-  /// Nodes per pool task for a sweep of `count` nodes over `active`
-  /// workers: sized from the measured node-evaluation throughput so one
-  /// task carries >= ~kTargetBatchNs of work, but never so large that
-  /// fewer than `active` tasks exist.
-  /// Purely a scheduling choice — the set of evaluated nodes and all
-  /// merged stats are batch-size-invariant.
-  size_t BatchSize(size_t count, size_t active) const;
-
-  /// Target work per pool task. Well above the dispatch cost of one task
-  /// (~microseconds), well below a sweep's runtime, so batches amortize
-  /// dispatch without starving the dynamic load balance.
-  static constexpr double kTargetBatchNs = 10e6;
 
   const Table& im_;
   const HierarchySet& hierarchies_;
   SearchOptions options_;
-  std::vector<std::unique_ptr<NodeEvaluator>> workers_;
-  /// EWMA of observed per-worker node-evaluation throughput (nodes/sec),
-  /// fed back into BatchSize after every sweep. Control-thread state: read
-  /// and written only between sweeps, never by workers. 0 until the first
-  /// sweep completes (first batch defaults to 1 node — per-node dispatch —
-  /// and the measurement corrects from there).
-  double nodes_per_sec_ = 0;
-  /// Charge for the shared encoded table (EncodedTable::Build seam);
-  /// released when the sweeper dies. No-op without a memory budget.
+  EncodedTable encoded_;
+  /// Charge for encoded_ (EncodedTable::Build seam); released when the
+  /// sweeper dies. No-op without a memory budget.
   MemoryReservation encoded_reservation_;
-  /// One lock-free event buffer per worker; stable addresses (sized once
-  /// in Init, before the workers capture pointers into it).
-  std::vector<TraceEventBuffer> trace_buffers_;
-  /// Fresh verdicts per worker (sized in Init).
-  std::vector<SearchSnapshot> fresh_buffers_;
+  bool condition1_holds_ = true;
+  /// Created in Init, after the encode, so a deadline counts from there.
+  std::unique_ptr<BudgetEnforcer> enforcer_;
+  std::vector<std::unique_ptr<NodeEvaluator>> lanes_;
   /// The memo when the caller gave none (options_.memo then points here).
   SearchSnapshot own_memo_;
   uint64_t fresh_since_flush_ = 0;

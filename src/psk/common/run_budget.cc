@@ -66,10 +66,6 @@ Status BudgetEnforcer::Charge(uint64_t nodes, uint64_t rows) {
       budget_.memory == nullptr) {
     return Status::OK();
   }
-  uint64_t check = checks_.fetch_add(1, std::memory_order_relaxed);
-  if (budget_.check_interval > 1 && check % budget_.check_interval != 0) {
-    return Status::OK();
-  }
   return Check();
 }
 

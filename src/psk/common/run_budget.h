@@ -51,11 +51,6 @@ struct RunBudget {
   /// Wall-clock limit, measured from the moment the enforcer is created
   /// (i.e. from the start of the search, not of process).
   std::optional<std::chrono::milliseconds> deadline;
-  /// Budget checkpoints between wall-clock reads. 1 (the default) reads
-  /// the clock at every checkpoint — a steady_clock read is tens of
-  /// nanoseconds, negligible next to evaluating a lattice node. Raise it
-  /// only for workloads with very cheap checkpoints.
-  uint64_t check_interval = 1;
   /// Cap on lattice nodes expanded (generalizations applied). For the
   /// clustering algorithms this counts splits/growth steps instead.
   std::optional<uint64_t> max_nodes_expanded;
@@ -90,8 +85,8 @@ struct RunBudget {
 /// checkpoint; the first exceeded limit makes every subsequent Charge()
 /// fail, so a search cannot accidentally keep working after a stop.
 ///
-/// One enforcer may be shared by several NodeEvaluators (the threaded
-/// exhaustive sweep), making every limit global across threads.
+/// A NodeSweeper shares one enforcer across all its lanes, making every
+/// limit global across threads.
 class BudgetEnforcer {
  public:
   explicit BudgetEnforcer(RunBudget budget);
@@ -133,7 +128,6 @@ class BudgetEnforcer {
   std::chrono::steady_clock::time_point deadline_point_;
   std::atomic<uint64_t> nodes_{0};
   std::atomic<uint64_t> rows_{0};
-  std::atomic<uint64_t> checks_{0};
   /// StatusCode of the first exceeded limit; kOk while within budget.
   std::atomic<int> tripped_code_{0};
 };

@@ -49,7 +49,7 @@ class ThreadPool {
   /// `workers` concurrent workers (clamped to [1, count]). Worker 0 is the
   /// calling thread; workers 1..w-1 are pool threads. Each worker id is
   /// held by exactly one thread at a time, so fn may keep per-worker
-  /// mutable state (e.g. one NodeEvaluator per worker) without locking.
+  /// mutable state (e.g. one sweep lane per worker) without locking.
   /// Indices are handed out dynamically in increasing order; blocks until
   /// every index has been processed.
   ///
@@ -66,13 +66,6 @@ class ThreadPool {
   /// Instantaneous task-queue length; racy by nature — for trace timings
   /// only, never for scheduling decisions.
   size_t ApproxQueueDepth() const;
-
-  /// Number of ParallelFor calls currently in flight on this pool (each
-  /// call counts itself for its whole duration). Racy by nature; a
-  /// fair-share signal, not a synchronization primitive.
-  size_t ActiveRegions() const {
-    return active_regions_.load(std::memory_order_relaxed);
-  }
 
   /// Fair-share advice: how many workers a sweep that *wants* `requested`
   /// should actually use given the other ParallelFor regions currently on
@@ -91,6 +84,8 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
+  /// ParallelFor calls in flight (each counts itself for its whole
+  /// duration); the racy fair-share signal FairShareWorkers reads.
   std::atomic<size_t> active_regions_{0};
 };
 

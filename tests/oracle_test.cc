@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "psk/algorithms/search_common.h"
 #include "psk/anonymity/frequency_stats.h"
@@ -283,6 +286,8 @@ SyntheticSpec OracleNodeSpec(uint64_t seed, double theta) {
   return MakeUniformSpec(80, 3, key_cardinality, 2, 4, theta);
 }
 constexpr uint64_t kOracleNodeSeeds = 10;
+// Sweep widths the node verdicts are checked at.
+constexpr size_t kOracleLanes[] = {1, 4};
 
 // Counts which layout EncodedTable::Build takes for `data`, so a test can
 // assert that it covered both.
@@ -294,6 +299,8 @@ void CountLayout(const SyntheticData& data, size_t* entry_layouts,
                                                  : row_layouts);
 }
 
+// Every node is swept at once, by one lane and by four, so a multi-lane
+// sweep's per-node verdicts are checked against the definitions too.
 TEST(OracleTest, NodeEvaluatorAgreesOnEveryNodeOfRandomLattices) {
   size_t nodes_checked = 0;
   size_t stages_seen[5] = {0, 0, 0, 0, 0};
@@ -318,27 +325,43 @@ TEST(OracleTest, NodeEvaluatorAgreesOnEveryNodeOfRandomLattices) {
             options.p = p;
             options.max_suppression = ts;
             options.use_conditions = use_conditions;
-            NodeEvaluator evaluator(data.table, data.hierarchies, options);
-            PSK_ASSERT_OK(evaluator.Init());
             bool condition1 = p < 2 || OracleCondition1(data.table, p);
-            ASSERT_EQ(evaluator.Condition1Holds(), condition1)
-                << "seed=" << seed << " p=" << p;
+            // swept[w]: every node's verdict from one sweep of
+            // kOracleLanes[w] lanes.
+            std::vector<std::vector<std::optional<NodeEvaluation>>> swept(
+                std::size(kOracleLanes));
+            for (size_t w = 0; w < swept.size(); ++w) {
+              SearchOptions sweep_options = options;
+              sweep_options.threads = kOracleLanes[w];
+              NodeSweeper sweeper(data.table, data.hierarchies,
+                                  sweep_options);
+              PSK_ASSERT_OK(sweeper.Init());
+              ASSERT_EQ(sweeper.Condition1Holds(), condition1)
+                  << "seed=" << seed << " p=" << p;
+              if (condition1) PSK_ASSERT_OK(sweeper.Sweep(nodes, &swept[w]));
+            }
             if (!condition1) continue;
-            for (const LatticeNode& node : nodes) {
-              std::string what = "seed=" + std::to_string(seed) +
-                                 " k=" + std::to_string(k) +
-                                 " p=" + std::to_string(p) +
-                                 " ts=" + std::to_string(ts) +
-                                 " conditions=" +
-                                 std::to_string(use_conditions) +
-                                 " node=" + SnapshotNodeKey(node);
-              NodeEvaluation got = UnwrapOk(evaluator.Evaluate(node));
+            for (size_t i = 0; i < nodes.size(); ++i) {
+              const LatticeNode& node = nodes[i];
               NodeEvaluation want = OracleEvaluateNode(
                   data.table, data.hierarchies, node, options);
-              EXPECT_EQ(got.satisfied, want.satisfied) << what;
-              EXPECT_EQ(got.stage, want.stage) << what;
-              EXPECT_EQ(got.suppressed, want.suppressed) << what;
-              EXPECT_EQ(got.num_groups, want.num_groups) << what;
+              for (size_t w = 0; w < swept.size(); ++w) {
+                std::string what = "seed=" + std::to_string(seed) +
+                                   " k=" + std::to_string(k) +
+                                   " p=" + std::to_string(p) +
+                                   " ts=" + std::to_string(ts) +
+                                   " conditions=" +
+                                   std::to_string(use_conditions) +
+                                   " threads=" +
+                                   std::to_string(kOracleLanes[w]) +
+                                   " node=" + SnapshotNodeKey(node);
+                ASSERT_TRUE(swept[w][i].has_value()) << what;
+                const NodeEvaluation& got = *swept[w][i];
+                EXPECT_EQ(got.satisfied, want.satisfied) << what;
+                EXPECT_EQ(got.stage, want.stage) << what;
+                EXPECT_EQ(got.suppressed, want.suppressed) << what;
+                EXPECT_EQ(got.num_groups, want.num_groups) << what;
+              }
               ++stages_seen[static_cast<size_t>(want.stage)];
               ++nodes_checked;
             }

@@ -170,22 +170,6 @@ TEST(RunBudgetTest, FirstTripLatchesItsCode) {
   }
 }
 
-TEST(RunBudgetTest, CheckIntervalSkipsClockReads) {
-  // With a large check interval, charges between the Nth slots skip the
-  // clock — an expired deadline goes unnoticed until a modulo slot or an
-  // explicit Check().
-  RunBudget budget;
-  budget.deadline = std::chrono::milliseconds(15);
-  budget.check_interval = 1000000;
-  BudgetEnforcer enforcer(budget);
-  PSK_ASSERT_OK(enforcer.Charge());  // slot 0 consults the clock: in time
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  PSK_ASSERT_OK(enforcer.Charge());  // slot 1 skips the clock
-  EXPECT_EQ(enforcer.nodes_expanded(), 2u);
-  // An explicit Check always consults the clock.
-  EXPECT_EQ(enforcer.Check().code(), StatusCode::kDeadlineExceeded);
-}
-
 TEST(RunBudgetTest, RemainingClampsAtZero) {
   RunBudget budget;
   budget.deadline = std::chrono::milliseconds(0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -274,9 +275,11 @@ TEST(SamaratiSearchTest, WideLatticeHeightMatchesExhaustiveMinimum) {
                 << what << " node=" << binary.node.ToString();
           } else {
             if (!binary.found) continue;
-            NodeEvaluator evaluator(data.table, data.hierarchies, options);
-            PSK_ASSERT_OK(evaluator.Init());
-            EXPECT_TRUE(UnwrapOk(evaluator.Evaluate(binary.node)).satisfied)
+            NodeSweeper sweeper(data.table, data.hierarchies, options);
+            PSK_ASSERT_OK(sweeper.Init());
+            std::vector<std::optional<NodeEvaluation>> evals;
+            PSK_ASSERT_OK(sweeper.Sweep({binary.node}, &evals));
+            EXPECT_TRUE(evals[0]->satisfied)
                 << what << " node=" << binary.node.ToString();
           }
           const int h = binary.node.Height();

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 #include "psk/common/result.h"
 #include "psk/common/status.h"
@@ -44,10 +47,38 @@ T UnwrapOk(Result<T> result) {
   return std::move(result).value();
 }
 
+/// Removes every directory ProcessJobDir handed out once the test run
+/// has passed; after a failure it keeps them for inspection and prints
+/// where they are.
+class ProcessJobDirCleanup : public ::testing::Environment {
+ public:
+  static std::vector<std::string>& Dirs() {
+    static std::vector<std::string> dirs;
+    return dirs;
+  }
+
+  void TearDown() override {
+    const bool passed = ::testing::UnitTest::GetInstance()->Passed();
+    for (const std::string& dir : Dirs()) {
+      std::error_code ignored;
+      if (passed) {
+        std::filesystem::remove_all(dir, ignored);
+      } else if (std::filesystem::exists(dir, ignored)) {
+        std::fprintf(stderr, "kept job dir %s\n", dir.c_str());
+      }
+    }
+    Dirs().clear();
+  }
+};
+
+inline ::testing::Environment* const kProcessJobDirCleanup =
+    ::testing::AddGlobalTestEnvironment(new ProcessJobDirCleanup);
+
 /// A job directory under ::testing::TempDir() that belongs to this
 /// process: `name` suffixed with the process id, so two concurrent runs of
 /// one suite never share job files. The five files a job leaves behind
-/// are removed first, so a reused pid starts clean too.
+/// are removed first, so a reused pid starts clean too. The directory is
+/// removed at the end of a passing run (ProcessJobDirCleanup).
 inline std::string ProcessJobDir(const std::string& name) {
   std::string dir =
       ::testing::TempDir() + name + "_" + std::to_string(getpid());
@@ -55,6 +86,7 @@ inline std::string ProcessJobDir(const std::string& name) {
                            "release.csv", "report.json"}) {
     std::remove((dir + "/" + file).c_str());
   }
+  ProcessJobDirCleanup::Dirs().push_back(dir);
   return dir;
 }
 
