@@ -134,9 +134,8 @@ void BM_OlaSearch(benchmark::State& state) {
   AdultFixture fixture = MakeAdult(static_cast<size_t>(state.range(0)));
   size_t nodes = 0;
   for (auto _ : state) {
-    OlaOptions options;
-    options.search = DefaultOptions(state.range(0));
-    auto result = OlaSearch(fixture.table, fixture.hierarchies, options);
+    auto result = OlaSearch(fixture.table, fixture.hierarchies,
+                            DefaultOptions(state.range(0)));
     PSK_CHECK(result.ok());
     nodes = result->stats.nodes_generalized;
     benchmark::DoNotOptimize(result->found);

@@ -34,6 +34,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "psk/algorithms/bottom_up.h"
@@ -68,6 +69,14 @@ SearchOptions MakeOptions(size_t rows, size_t threads) {
 }
 
 constexpr size_t kRunsPerCell = 5;
+
+// Every lattice engine, in the order the cells and the trace run them.
+using Engine = Result<SearchResult> (*)(const Table&, const HierarchySet&,
+                                        const SearchOptions&);
+const std::pair<const char*, Engine> kEngines[] = {
+    {"exhaustive", ExhaustiveSearch}, {"samarati", SamaratiSearch},
+    {"ola", OlaSearch},               {"incognito", IncognitoSearch},
+    {"bottomup", BottomUpSearch}};
 
 // One workload × engine × thread cell: the search it times, and the wall
 // time of each of its runs.
@@ -134,23 +143,11 @@ void WriteTrace(const Table& im, const HierarchySet& hs, size_t rows,
   trace.Timing("threads", threads);
   SearchOptions options = MakeOptions(rows, threads);
   options.trace = &trace;
-  trace.Begin("exhaustive");
-  PSK_CHECK(ExhaustiveSearch(im, hs, options).ok());
-  trace.End();
-  trace.Begin("samarati");
-  PSK_CHECK(SamaratiSearch(im, hs, options).ok());
-  trace.End();
-  trace.Begin("ola");
-  OlaOptions ola;
-  ola.search = options;
-  PSK_CHECK(OlaSearch(im, hs, ola).ok());
-  trace.End();
-  trace.Begin("incognito");
-  PSK_CHECK(IncognitoSearch(im, hs, options).ok());
-  trace.End();
-  trace.Begin("bottomup");
-  PSK_CHECK(BottomUpSearch(im, hs, options).ok());
-  trace.End();
+  for (const auto& [name, engine] : kEngines) {
+    trace.Begin(name);
+    PSK_CHECK(engine(im, hs, options).ok());
+    trace.End();
+  }
   Status written = trace.WriteJsonFile(trace_path);
   PSK_CHECK(written.ok());
   std::cout << "wrote " << trace_path << "\n";
@@ -200,36 +197,15 @@ int Main(int argc, char** argv) {
     const HierarchySet& hs = workload.hierarchies;
     for (size_t threads : thread_counts) {
       SearchOptions options = MakeOptions(rows, threads);
-      auto add = [&](const char* engine, std::function<SearchStats()> fn) {
-        cells.push_back({{workload.name, engine, threads}, std::move(fn), {}});
-      };
-      add("exhaustive", [&im, &hs, options] {
-        auto r = ExhaustiveSearch(im, hs, options);
-        PSK_CHECK(r.ok());
-        return r->stats;
-      });
-      add("samarati", [&im, &hs, options] {
-        auto r = SamaratiSearch(im, hs, options);
-        PSK_CHECK(r.ok());
-        return r->stats;
-      });
-      add("ola", [&im, &hs, options] {
-        OlaOptions ola;
-        ola.search = options;
-        auto r = OlaSearch(im, hs, ola);
-        PSK_CHECK(r.ok());
-        return r->stats;
-      });
-      add("incognito", [&im, &hs, options] {
-        auto r = IncognitoSearch(im, hs, options);
-        PSK_CHECK(r.ok());
-        return r->stats;
-      });
-      add("bottomup", [&im, &hs, options] {
-        auto r = BottomUpSearch(im, hs, options);
-        PSK_CHECK(r.ok());
-        return r->stats;
-      });
+      for (const auto& [name, engine] : kEngines) {
+        cells.push_back({{workload.name, name, threads},
+                         [&im, &hs, options, engine = engine] {
+                           auto r = engine(im, hs, options);
+                           PSK_CHECK(r.ok());
+                           return r->stats;
+                         },
+                         {}});
+      }
     }
   }
   std::vector<RunResult> results = Measure(std::move(cells));

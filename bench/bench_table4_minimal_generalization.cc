@@ -39,7 +39,7 @@ int main() {
     options.k = 3;
     options.p = 1;
     options.max_suppression = ts;
-    psk::MinimalSetResult result =
+    psk::SearchResult result =
         Unwrap(psk::ExhaustiveSearch(im, hierarchies, options));
     std::string nodes;
     for (const psk::LatticeNode& node : result.minimal_nodes) {

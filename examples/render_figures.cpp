@@ -56,7 +56,7 @@ int main() {
   psk::GeneralizationLattice lattice(hierarchies);
   psk::SearchOptions options;
   options.k = 3;
-  psk::MinimalSetResult minimal =
+  psk::SearchResult minimal =
       Unwrap(psk::ExhaustiveSearch(fig3, hierarchies, options));
   WriteFile("fig2_lattice.dot",
             psk::LatticeToDot(lattice, hierarchies, minimal.minimal_nodes));

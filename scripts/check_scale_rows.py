@@ -65,7 +65,8 @@ def main():
               f"{MAX_PEAK_RATIO}x final {fmt_bytes(final)} + chunk "
               f"{fmt_bytes(chunk)} = {fmt_bytes(bound)} "
               f"(rss {fmt_bytes(rss)}, "
-              f"{r.get('rows_per_sec', 0):,.0f} rows/s)")
+              f"generate+append "
+              f"{r.get('generate_append_rows_per_sec', 0):,.0f} rows/s)")
 
     e2e = doc.get("end_to_end", {})
     if not e2e.get("ok", False):

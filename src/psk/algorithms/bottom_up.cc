@@ -8,15 +8,14 @@
 
 namespace psk {
 
-Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
-                                        const HierarchySet& hierarchies,
-                                        const SearchOptions& options,
-                                        const BottomUpOptions& bu_options) {
+Result<SearchResult> BottomUpSearch(const Table& initial_microdata,
+                                    const HierarchySet& hierarchies,
+                                    const SearchOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
   NodeEvaluator& primary = sweeper.primary();
 
-  MinimalSetResult result;
+  SearchResult result;
   if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
@@ -31,7 +30,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   // single-column code pass over the encoded core, run sequentially in a
   // local workspace.
   std::vector<int> lower_bounds(hierarchies.size(), 0);
-  if (bu_options.use_subset_lower_bounds) {
+  {
     TraceSpan span(options.trace, "lower_bounds");
     span.Counter("attributes", hierarchies.size());
     const EncodedTable& encoded = sweeper.encoded();
@@ -104,6 +103,7 @@ Result<MinimalSetResult> BottomUpSearch(const Table& initial_microdata,
   }
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
   result.stats = sweeper.MergedStats();
+  PSK_RETURN_IF_ERROR(ReleaseLowestMinimalNode(sweeper, options, &result));
   return result;
 }
 

@@ -5,13 +5,13 @@
 
 namespace psk {
 
-Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
-                                          const HierarchySet& hierarchies,
-                                          const SearchOptions& options) {
+Result<SearchResult> ExhaustiveSearch(const Table& initial_microdata,
+                                      const HierarchySet& hierarchies,
+                                      const SearchOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
 
-  MinimalSetResult result;
+  SearchResult result;
   if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
@@ -49,6 +49,7 @@ Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
   sweeper.FlushCheckpoint();
   result.stats = sweeper.MergedStats();
   result.minimal_nodes = MinimalNodes(result.satisfying_nodes);
+  PSK_RETURN_IF_ERROR(ReleaseLowestMinimalNode(sweeper, options, &result));
   return result;
 }
 

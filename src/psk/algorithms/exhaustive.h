@@ -10,10 +10,11 @@ namespace psk {
 /// in the number of key attributes, but exact regardless of monotonicity —
 /// the oracle the other searches are tested against, and the generator of
 /// Table 4 (which lists *sets* of minimal generalizations per suppression
-/// threshold).
-Result<MinimalSetResult> ExhaustiveSearch(const Table& initial_microdata,
-                                          const HierarchySet& hierarchies,
-                                          const SearchOptions& options);
+/// threshold). Releases the lowest-height minimal node
+/// (ReleaseLowestMinimalNode).
+Result<SearchResult> ExhaustiveSearch(const Table& initial_microdata,
+                                      const HierarchySet& hierarchies,
+                                      const SearchOptions& options);
 
 }  // namespace psk
 

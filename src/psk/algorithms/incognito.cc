@@ -48,14 +48,13 @@ void Subsets(size_t m, size_t size, std::vector<std::vector<size_t>>* out) {
 
 }  // namespace
 
-Result<MinimalSetResult> IncognitoSearch(
-    const Table& initial_microdata, const HierarchySet& hierarchies,
-    const SearchOptions& options,
-    const IncognitoOptions& incognito_options) {
+Result<SearchResult> IncognitoSearch(const Table& initial_microdata,
+                                     const HierarchySet& hierarchies,
+                                     const SearchOptions& options) {
   NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
 
-  MinimalSetResult result;
+  SearchResult result;
   if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
@@ -65,10 +64,9 @@ Result<MinimalSetResult> IncognitoSearch(
   std::vector<int> max_levels = hierarchies.MaxLevels();
   size_t m = max_levels.size();
   SearchStats* stats = sweeper.primary().mutable_stats();
-  // The subset p-prune is sound only without suppression — see
-  // IncognitoOptions::prune_p_on_subsets.
-  const bool prune_p = incognito_options.prune_p_on_subsets &&
-                       options.p >= 2 && options.max_suppression == 0;
+  // The subset p-prune is sound only without suppression (see the
+  // soundness note on IncognitoSearch).
+  const bool prune_p = options.p >= 2 && options.max_suppression == 0;
 
   // sat[subset] = level vectors (over that subset) that are k-anonymous
   // within the suppression budget.
@@ -192,8 +190,9 @@ Result<MinimalSetResult> IncognitoSearch(
   // candidates are processed in per-height waves: filter sequentially,
   // then evaluate the survivors of one height as a single parallel sweep.
   // The evaluated set matches the sequential node-at-a-time scan exactly.
-  TraceSpan final_span(trace, "final_phase");
-  final_span.Counter("candidates", candidates.size());
+  // The span is reset before the release opens its sibling.
+  std::optional<TraceSpan> final_span(std::in_place, trace, "final_phase");
+  final_span->Counter("candidates", candidates.size());
   size_t wave_begin = 0;
   bool final_stopped = false;
   while (wave_begin < candidates.size() && !final_stopped) {
@@ -247,9 +246,11 @@ Result<MinimalSetResult> IncognitoSearch(
     }
     wave_begin = wave_end;
   }
+  final_span.reset();
   std::sort(result.minimal_nodes.begin(), result.minimal_nodes.end());
   std::sort(result.satisfying_nodes.begin(), result.satisfying_nodes.end());
   result.stats = sweeper.MergedStats();
+  PSK_RETURN_IF_ERROR(ReleaseLowestMinimalNode(sweeper, options, &result));
   return result;
 }
 

@@ -29,22 +29,19 @@ namespace psk {
 /// Conditions 1-2 included), since the subset phases prune with
 /// k-anonymity only.
 ///
-/// Returns all p-k-minimal generalizations, like BottomUpSearch; the same
+/// With p >= 2 and no suppression (TS = 0) the subset phases also prune
+/// nodes that violate p-sensitivity: p-sensitivity w.r.t. a QI subset is
+/// implied by p-sensitivity w.r.t. the full QI, because subset groups are
+/// unions of full groups. Suppression removes different rows per node,
+/// which breaks the implication, so with TS > 0 the subset phases prune
+/// with k-anonymity only.
+///
+/// Returns all p-k-minimal generalizations, like BottomUpSearch, and
+/// releases the lowest-height one (ReleaseLowestMinimalNode); the same
 /// monotonicity caveat applies to the p >= 2 + suppression corner case.
-struct IncognitoOptions {
-  /// Also prune subset-lattice nodes that violate p-sensitivity, not just
-  /// k-anonymity. Sound only without suppression (p-sensitivity w.r.t. a
-  /// QI subset is implied by p-sensitivity w.r.t. the full QI because
-  /// subset groups are unions of full groups — but suppression removes
-  /// different rows per node, breaking the implication), so the flag is
-  /// ignored unless max_suppression == 0 and p >= 2.
-  bool prune_p_on_subsets = true;
-};
-
-Result<MinimalSetResult> IncognitoSearch(
-    const Table& initial_microdata, const HierarchySet& hierarchies,
-    const SearchOptions& options,
-    const IncognitoOptions& incognito_options = {});
+Result<SearchResult> IncognitoSearch(const Table& initial_microdata,
+                                     const HierarchySet& hierarchies,
+                                     const SearchOptions& options);
 
 }  // namespace psk
 

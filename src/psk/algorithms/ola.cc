@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "psk/metrics/metrics.h"
-
 namespace psk {
 namespace {
 
@@ -166,14 +164,14 @@ class OlaDriver {
 
 }  // namespace
 
-Result<OlaResult> OlaSearch(const Table& initial_microdata,
-                            const HierarchySet& hierarchies,
-                            const OlaOptions& options) {
-  NodeSweeper sweeper(initial_microdata, hierarchies, options.search);
+Result<SearchResult> OlaSearch(const Table& initial_microdata,
+                               const HierarchySet& hierarchies,
+                               const SearchOptions& options) {
+  NodeSweeper sweeper(initial_microdata, hierarchies, options);
   PSK_RETURN_IF_ERROR(sweeper.Init());
   SearchStats* stats = sweeper.primary().mutable_stats();
 
-  OlaResult result;
+  SearchResult result;
   if (!sweeper.Condition1Holds()) {
     result.condition1_failed = true;
     result.stats = sweeper.MergedStats();
@@ -186,7 +184,7 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
 
   LatticeNode bottom = lattice.Bottom();
   LatticeNode top = lattice.Top();
-  RunTrace* trace = options.search.trace;
+  RunTrace* trace = options.trace;
   Result<bool> top_ok = [&] {
     TraceSpan span(trace, "check_top");
     Result<bool> ok = driver.Satisfies(top);
@@ -267,39 +265,26 @@ Result<OlaResult> OlaSearch(const Table& initial_microdata,
     return result;
   }
 
-  // Metric-optimal node among the minimal ones, ties to the first. Each
-  // node is scored from its encoded partition; only the winner is decoded.
+  // Discernibility-optimal node among the minimal ones, ties to the first.
+  // Each node is scored from its encoded partition; only the winner is
+  // decoded.
   TraceSpan metric_span(trace, "metrics");
   metric_span.Counter("minimal_nodes", result.minimal_nodes.size());
-  EncodedWorkspace ws;
   const LatticeNode* best = nullptr;
-  for (const LatticeNode& node : result.minimal_nodes) {
-    double metric;
-    switch (options.metric) {
-      case OlaMetric::kDiscernibility:
-        PSK_RETURN_IF_ERROR(sweeper.encoded().GroupByNode(node, &ws));
-        metric = static_cast<double>(SuppressedDiscernibility(
-            ws.groups, options.search.k, initial_microdata.num_rows()));
-        break;
-      case OlaMetric::kPrecision:
-        // Negate so smaller-is-better uniformly.
-        metric = -Precision(node, hierarchies);
-        break;
-      default:
-        return Status::Internal("unhandled OLA metric");
-    }
-    if (best == nullptr || metric < result.optimal_metric) {
-      best = &node;
-      result.optimal_metric = metric;
+  {
+    EncodedWorkspace ws;
+    uint64_t best_dm = 0;
+    for (const LatticeNode& node : result.minimal_nodes) {
+      PSK_RETURN_IF_ERROR(sweeper.encoded().GroupByNode(node, &ws));
+      uint64_t dm = SuppressedDiscernibility(ws.groups, options.k,
+                                             initial_microdata.num_rows());
+      if (best == nullptr || dm < best_dm) {
+        best = &node;
+        best_dm = dm;
+      }
     }
   }
-  PSK_ASSIGN_OR_RETURN(
-      MaskedMicrodata mm,
-      DecodeMasked(sweeper.encoded(), *best, options.search.k, &ws));
-  result.optimal = *best;
-  result.masked = std::move(mm.table);
-  result.suppressed = mm.suppressed;
-  result.found = true;
+  PSK_RETURN_IF_ERROR(ReleaseNode(sweeper, *best, options.k, &result));
   result.stats = sweeper.MergedStats();
   return result;
 }

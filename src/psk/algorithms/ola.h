@@ -5,34 +5,6 @@
 
 namespace psk {
 
-/// Which information-loss measure OLA optimizes over the minimal nodes.
-enum class OlaMetric {
-  /// Discernibility metric of the masked microdata (default).
-  kDiscernibility = 0,
-  /// Sweeney precision of the node (maximized).
-  kPrecision = 1,
-};
-
-struct OlaOptions {
-  SearchOptions search;
-  OlaMetric metric = OlaMetric::kDiscernibility;
-};
-
-struct OlaResult {
-  bool found = false;
-  bool condition1_failed = false;
-  /// All minimal satisfying nodes OLA discovered.
-  std::vector<LatticeNode> minimal_nodes;
-  /// The metric-optimal node among them, with its masked microdata.
-  LatticeNode optimal;
-  Table masked;
-  size_t suppressed = 0;
-  /// Value of the chosen metric at `optimal` (discernibility, or negated
-  /// precision so that smaller is always better).
-  double optimal_metric = 0.0;
-  SearchStats stats;
-};
-
 /// OLA — Optimal Lattice Anonymization (El Emam et al., JAMIA 2009) —
 /// generalized to p-sensitive k-anonymity.
 ///
@@ -42,16 +14,18 @@ struct OlaResult {
 /// avoid re-evaluating: a node above a known-satisfying node is satisfying
 /// (monotonicity), a node below a known-failing node is failing. Height-1
 /// sub-lattices yield locally minimal nodes; after deduplication and
-/// dominance filtering, the node minimizing the chosen information-loss
-/// metric is returned — unlike Samarati's binary search, which stops at
-/// any node of minimal *height*, OLA returns the minimal node an analyst
-/// actually prefers.
+/// dominance filtering they are the result's minimal_nodes, and the one
+/// whose release has the lowest discernibility (ties to the first in
+/// sorted order) is released, decoded in the "metrics" span that scored
+/// them — unlike Samarati's binary search, which stops at any node of
+/// minimal *height*, OLA returns the minimal node an analyst actually
+/// prefers. satisfying_nodes stays empty.
 ///
 /// The same monotonicity caveat as the other lattice searches applies for
 /// p >= 2 with suppression.
-Result<OlaResult> OlaSearch(const Table& initial_microdata,
-                            const HierarchySet& hierarchies,
-                            const OlaOptions& options);
+Result<SearchResult> OlaSearch(const Table& initial_microdata,
+                               const HierarchySet& hierarchies,
+                               const SearchOptions& options);
 
 }  // namespace psk
 

@@ -129,14 +129,7 @@ Result<SearchResult> SamaratiSearch(const Table& initial_microdata,
 
   if (best.has_value()) {
     TraceSpan phase(options.trace, "materialize");
-    EncodedWorkspace ws;
-    Result<MaskedMicrodata> mm =
-        DecodeMasked(sweeper.encoded(), *best, options.k, &ws);
-    if (!mm.ok()) return mm.status();
-    result.found = true;
-    result.node = *best;
-    result.masked = std::move(mm->table);
-    result.suppressed = mm->suppressed;
+    PSK_RETURN_IF_ERROR(ReleaseNode(sweeper, *best, options.k, &result));
   }
   result.stats = sweeper.MergedStats();
   return result;

@@ -25,9 +25,11 @@ namespace psk {
 /// otherwise. On a lattice whose heights all fit in one chunk this is
 /// plain bisection.
 ///
-/// Returns the satisfying node of minimal height found (a p-k-minimal
+/// Releases the satisfying node of minimal height found (a p-k-minimal
 /// generalization's height; the node itself is one of possibly several
-/// minimal nodes — use ExhaustiveSearch to enumerate them all).
+/// minimal nodes — use ExhaustiveSearch to enumerate them all), decoded
+/// in a "materialize" span. Leaves minimal_nodes and satisfying_nodes
+/// empty.
 ///
 /// Caveat (documented deviation): height-level binary search is complete
 /// only when the property is monotone along generalization paths. That

@@ -186,7 +186,7 @@ Result<bool> NodeEvaluator::EvaluateSubset(const std::vector<size_t>& attrs,
   bool ok = ws_.groups.RowsInGroupsSmallerThan(options_.k) <=
             options_.max_suppression;
   // The subset p-prune is sound only without suppression; the caller
-  // decides (see IncognitoOptions::prune_p_on_subsets).
+  // decides (see the soundness note on IncognitoSearch).
   if (ok && prune_p) {
     ok = IsPSensitiveEncoded(ws_.groups, encoded_, options_.p,
                              /*min_group_size=*/1, &distinct_scratch_);
@@ -469,6 +469,44 @@ SearchStats NodeSweeper::MergedStats() const {
   SearchStats merged;
   for (const auto& lane : lanes_) merged.Add(lane->stats());
   return merged;
+}
+
+Status ReleaseNode(const NodeSweeper& sweeper, const LatticeNode& node,
+                   size_t k, SearchResult* result) {
+  EncodedWorkspace ws;
+  PSK_ASSIGN_OR_RETURN(MaskedMicrodata mm,
+                       DecodeMasked(sweeper.encoded(), node, k, &ws));
+  result->found = true;
+  result->node = node;
+  result->masked = std::move(mm.table);
+  result->suppressed = mm.suppressed;
+  return Status::OK();
+}
+
+namespace {
+
+// Among a set of minimal nodes, prefer the lowest height, then
+// lexicographic order (deterministic).
+const LatticeNode* PickNode(const std::vector<LatticeNode>& nodes) {
+  const LatticeNode* best = nullptr;
+  for (const LatticeNode& node : nodes) {
+    if (best == nullptr || node.Height() < best->Height() ||
+        (node.Height() == best->Height() && node < *best)) {
+      best = &node;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
+Status ReleaseLowestMinimalNode(const NodeSweeper& sweeper,
+                                const SearchOptions& options,
+                                SearchResult* result) {
+  const LatticeNode* best = PickNode(result->minimal_nodes);
+  if (best == nullptr) return Status::OK();
+  TraceSpan span(options.trace, "materialize");
+  return ReleaseNode(sweeper, *best, options.k, result);
 }
 
 }  // namespace psk

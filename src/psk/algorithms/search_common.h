@@ -419,29 +419,44 @@ class NodeSweeper {
   uint64_t fresh_since_flush_ = 0;
 };
 
-/// Outcome of a single-solution lattice search (Samarati binary search).
+/// Outcome of every lattice search (Samarati, OLA, exhaustive, bottom-up,
+/// Incognito): the released node, decoded from the engine's own encoding
+/// before the engine returns, and the node sets the engine enumerated.
 struct SearchResult {
   /// False when no node satisfies the property (or Condition 1 rules the
-  /// requested p out entirely — see condition1_failed).
+  /// requested p out entirely — see condition1_failed), or when a budget
+  /// stop came before any satisfying node.
   bool found = false;
   bool condition1_failed = false;
+  /// The released node (valid when found).
   LatticeNode node;
   /// The masked microdata at `node` (valid when found).
   Table masked;
   size_t suppressed = 0;
-  SearchStats stats;
-};
-
-/// Outcome of a search that enumerates all minimal satisfying nodes
-/// (exhaustive sweep and bottom-up BFS).
-struct MinimalSetResult {
-  bool condition1_failed = false;
-  /// All p-k-minimal generalizations (Definition 3), sorted.
+  /// The p-k-minimal generalizations (Definition 3) the search found,
+  /// sorted. Samarati leaves it empty.
   std::vector<LatticeNode> minimal_nodes;
-  /// Every satisfying node encountered (exhaustive search only).
+  /// Every satisfying node the search evaluated or derived (exhaustive,
+  /// bottom-up and Incognito). Samarati and OLA leave it empty.
   std::vector<LatticeNode> satisfying_nodes;
   SearchStats stats;
 };
+
+/// Decodes `node` from the sweeper's encoding of the initial microdata
+/// (DecodeMasked: suppress the groups smaller than `k`, then decode) and
+/// records it as `result`'s release: sets found, node, masked and
+/// suppressed. A search's release is decoded from the encoding its sweeps
+/// ran on, so a search encodes its table exactly once.
+Status ReleaseNode(const NodeSweeper& sweeper, const LatticeNode& node,
+                   size_t k, SearchResult* result);
+
+/// The minimal-set engines' release rule (exhaustive, bottom-up,
+/// Incognito): releases, inside a "materialize" trace span, the node of
+/// result->minimal_nodes with the lowest height, ties broken
+/// lexicographically. No-op when minimal_nodes is empty.
+Status ReleaseLowestMinimalNode(const NodeSweeper& sweeper,
+                                const SearchOptions& options,
+                                SearchResult* result);
 
 }  // namespace psk
 

@@ -37,19 +37,6 @@ Status FillScorecard(const Table& im, size_t k, AnonymizationReport* report) {
   return Status::OK();
 }
 
-// Among a set of minimal nodes, prefer the lowest height, then
-// lexicographic order (deterministic).
-const LatticeNode* PickNode(const std::vector<LatticeNode>& nodes) {
-  const LatticeNode* best = nullptr;
-  for (const LatticeNode& node : nodes) {
-    if (best == nullptr || node.Height() < best->Height() ||
-        (node.Height() == best->Height() && node < *best)) {
-      best = &node;
-    }
-  }
-  return best;
-}
-
 bool NeedsHierarchies(AnonymizationAlgorithm algorithm) {
   return algorithm != AnonymizationAlgorithm::kMondrian &&
          algorithm != AnonymizationAlgorithm::kGreedyCluster;
@@ -138,77 +125,42 @@ Result<AnonymizationReport> RunStage(
     return report;
   }
 
+  // Every lattice engine shares one contract: it searches, then decodes
+  // its own release from the encoding its sweeps ran on.
+  using LatticeEngine = Result<SearchResult> (*)(
+      const Table&, const HierarchySet&, const SearchOptions&);
+  LatticeEngine engine = nullptr;
+  switch (algorithm) {
+    case AnonymizationAlgorithm::kSamarati:
+      engine = SamaratiSearch;
+      break;
+    case AnonymizationAlgorithm::kOla:
+      engine = OlaSearch;
+      break;
+    case AnonymizationAlgorithm::kIncognito:
+      engine = IncognitoSearch;
+      break;
+    case AnonymizationAlgorithm::kBottomUp:
+      engine = BottomUpSearch;
+      break;
+    case AnonymizationAlgorithm::kExhaustive:
+      engine = ExhaustiveSearch;
+      break;
+    default:
+      return Status::Internal("unhandled algorithm");
+  }
   SearchOptions options = base_options;
   options.budget = budget;
+  PSK_ASSIGN_OR_RETURN(SearchResult result, engine(im, *hierarchies, options));
 
-  std::optional<LatticeNode> node;
-  SearchStats stats;
-  // Samarati and OLA decode their node before they return; the minimal-set
-  // engines leave the winner to the Mask below.
-  std::optional<MaskedMicrodata> masked;
-  if (algorithm == AnonymizationAlgorithm::kOla) {
-    OlaOptions ola_options;
-    ola_options.search = options;
-    PSK_ASSIGN_OR_RETURN(OlaResult ola, OlaSearch(im, *hierarchies,
-                                                  ola_options));
-    stats = ola.stats;
-    if (ola.condition1_failed) {
-      return Status::FailedPrecondition(
-          "Condition 1 fails: some confidential attribute has fewer than p "
-          "distinct values");
-    }
-    if (ola.found) {
-      node = ola.optimal;
-      masked = MaskedMicrodata{std::move(ola.masked), ola.optimal,
-                               ola.suppressed};
-    }
-  } else if (algorithm == AnonymizationAlgorithm::kSamarati) {
-    PSK_ASSIGN_OR_RETURN(SearchResult result,
-                         SamaratiSearch(im, *hierarchies, options));
-    stats = result.stats;
-    if (result.condition1_failed) {
-      return Status::FailedPrecondition(
-          "Condition 1 fails: some confidential attribute has fewer than p "
-          "distinct values");
-    }
-    if (result.found) {
-      node = result.node;
-      masked = MaskedMicrodata{std::move(result.masked), result.node,
-                               result.suppressed};
-    }
-  } else {
-    MinimalSetResult result;
-    switch (algorithm) {
-      case AnonymizationAlgorithm::kIncognito: {
-        PSK_ASSIGN_OR_RETURN(result,
-                             IncognitoSearch(im, *hierarchies, options));
-        break;
-      }
-      case AnonymizationAlgorithm::kBottomUp: {
-        PSK_ASSIGN_OR_RETURN(result,
-                             BottomUpSearch(im, *hierarchies, options));
-        break;
-      }
-      case AnonymizationAlgorithm::kExhaustive: {
-        PSK_ASSIGN_OR_RETURN(result,
-                             ExhaustiveSearch(im, *hierarchies, options));
-        break;
-      }
-      default:
-        return Status::Internal("unhandled algorithm");
-    }
-    stats = result.stats;
-    if (result.condition1_failed) {
-      return Status::FailedPrecondition(
-          "Condition 1 fails: some confidential attribute has fewer than p "
-          "distinct values");
-    }
-    if (const LatticeNode* best = PickNode(result.minimal_nodes)) {
-      node = *best;
-    }
+  if (result.condition1_failed) {
+    return Status::FailedPrecondition(
+        "Condition 1 fails: some confidential attribute has fewer than p "
+        "distinct values");
   }
 
-  if (stats.partial && stats.stop_reason == StatusCode::kCancelled) {
+  if (result.stats.partial &&
+      result.stats.stop_reason == StatusCode::kCancelled) {
     // An explicit caller cancel abandons the run. Unlike a deadline or
     // memory stop (whose partial best-so-far release is the point), a
     // cancelled stage must not surface a release that depends on how far
@@ -216,12 +168,12 @@ Result<AnonymizationReport> RunStage(
     return Status::Cancelled("run cancelled by caller");
   }
 
-  if (!node.has_value()) {
-    if (stats.partial) {
+  if (!result.found) {
+    if (result.stats.partial) {
       // The budget ran out before the search reached any satisfying node;
       // surface the budget's own status so the caller (or the next
       // fallback stage) knows time, not feasibility, was the problem.
-      return Status(stats.stop_reason,
+      return Status(result.stats.stop_reason,
                     "budget exhausted before any satisfying generalization "
                     "was found");
     }
@@ -230,17 +182,12 @@ Result<AnonymizationReport> RunStage(
         "the suppression budget");
   }
 
-  if (!masked.has_value()) {
-    TraceSpan materialize_span(trace, "materialize");
-    PSK_ASSIGN_OR_RETURN(masked,
-                         Mask(im, *hierarchies, *node, base_options.k));
-  }
-  report.masked = std::move(masked->table);
-  report.node = *node;
-  report.suppressed = masked->suppressed;
-  report.stats = stats;
-  report.partial = stats.partial;
-  report.precision = Precision(*node, *hierarchies);
+  report.masked = std::move(result.masked);
+  report.node = result.node;
+  report.suppressed = result.suppressed;
+  report.stats = result.stats;
+  report.partial = result.stats.partial;
+  report.precision = Precision(result.node, *hierarchies);
   return report;
 }
 
@@ -356,7 +303,6 @@ Result<AnonymizationReport> Anonymizer::RunImpl(RunTrace* trace) const {
   base_options.k = k_;
   base_options.p = p_;
   base_options.max_suppression = max_suppression_;
-  base_options.use_conditions = use_conditions_;
   base_options.threads = threads_;
   base_options.trace = trace;
   // One verdict memo for the whole chain, seeded from an interrupted run's

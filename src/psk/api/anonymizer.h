@@ -22,12 +22,14 @@ enum class AnonymizationAlgorithm {
   /// Samarati binary search / the paper's Algorithm 3 (one minimal-height
   /// solution; the default).
   kSamarati = 0,
-  /// Incognito-style subset-lattice search; picks the minimal node with
-  /// the best precision among all p-k-minimal generalizations.
+  /// Incognito-style subset-lattice search; releases, among all
+  /// p-k-minimal generalizations, the one of lowest height, ties broken
+  /// lexicographically.
   kIncognito = 1,
   /// Full-lattice bottom-up BFS; same selection rule as Incognito.
   kBottomUp = 2,
-  /// Exhaustive sweep (exact, exponential in the QI count).
+  /// Exhaustive sweep (exact, exponential in the QI count); same selection
+  /// rule as Incognito.
   kExhaustive = 3,
   /// Mondrian multidimensional local recoding (no hierarchies required).
   kMondrian = 4,
@@ -151,11 +153,6 @@ class Anonymizer {
   }
   Anonymizer& set_algorithm(AnonymizationAlgorithm algorithm) {
     algorithm_ = algorithm;
-    return *this;
-  }
-  /// Disables the Condition 1/2 pruning (for measurement only).
-  Anonymizer& set_use_conditions(bool use_conditions) {
-    use_conditions_ = use_conditions;
     return *this;
   }
   /// Worker threads for the lattice engines' node sweeps (see
@@ -305,7 +302,6 @@ class Anonymizer {
   size_t p_ = 1;
   size_t max_suppression_ = 0;
   AnonymizationAlgorithm algorithm_ = AnonymizationAlgorithm::kSamarati;
-  bool use_conditions_ = true;
   size_t threads_ = 1;
   std::string trace_sink_path_;
   bool trace_enabled_ = false;

@@ -35,7 +35,7 @@ TEST(BottomUpTest, ReproducesTable4MinimalSets) {
     SearchOptions options;
     options.k = 3;
     options.max_suppression = row.ts;
-    MinimalSetResult result =
+    SearchResult result =
         UnwrapOk(BottomUpSearch(f.table, f.hierarchies, options));
     EXPECT_EQ(result.minimal_nodes, row.minimal) << "TS=" << row.ts;
   }
@@ -50,13 +50,31 @@ TEST(BottomUpTest, AgreesWithExhaustiveOnKAnonymity) {
       options.k = 3;
       options.p = 1;
       options.max_suppression = ts;
-      MinimalSetResult bottom_up =
+      SearchResult bottom_up =
           UnwrapOk(BottomUpSearch(data.table, data.hierarchies, options));
-      MinimalSetResult exhaustive =
+      SearchResult exhaustive =
           UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
       EXPECT_EQ(bottom_up.minimal_nodes, exhaustive.minimal_nodes)
           << "seed=" << seed << " ts=" << ts;
     }
+  }
+  for (uint64_t seed = 3; seed <= 5; ++seed) {
+    // High-cardinality keys force real generalization, making the
+    // single-attribute lower bounds bite.
+    SyntheticSpec spec = MakeUniformSpec(60, 2, 30, 1, 4, 0.5);
+    SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
+    SearchOptions options;
+    options.k = 3;
+    SearchResult bottom_up =
+        UnwrapOk(BottomUpSearch(data.table, data.hierarchies, options));
+    SearchResult exhaustive =
+        UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
+    // Same answer, no more work.
+    EXPECT_EQ(bottom_up.minimal_nodes, exhaustive.minimal_nodes)
+        << "seed=" << seed;
+    EXPECT_LE(bottom_up.stats.nodes_generalized,
+              exhaustive.stats.nodes_generalized)
+        << "seed=" << seed;
   }
 }
 
@@ -70,38 +88,12 @@ TEST(BottomUpTest, AgreesWithExhaustiveOnPSensitivityNoSuppression) {
     options.k = 3;
     options.p = 2;
     options.max_suppression = 0;
-    MinimalSetResult bottom_up =
+    SearchResult bottom_up =
         UnwrapOk(BottomUpSearch(data.table, data.hierarchies, options));
-    MinimalSetResult exhaustive =
+    SearchResult exhaustive =
         UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
     EXPECT_EQ(bottom_up.minimal_nodes, exhaustive.minimal_nodes)
         << "seed=" << seed;
-  }
-}
-
-TEST(BottomUpTest, SubsetLowerBoundsSkipWork) {
-  for (uint64_t seed = 3; seed <= 5; ++seed) {
-    // High-cardinality keys force real generalization, making the
-    // single-attribute lower bounds bite.
-    SyntheticSpec spec = MakeUniformSpec(60, 2, 30, 1, 4, 0.5);
-    SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
-    SearchOptions options;
-    options.k = 3;
-
-    BottomUpOptions with_bounds;
-    with_bounds.use_subset_lower_bounds = true;
-    MinimalSetResult pruned = UnwrapOk(
-        BottomUpSearch(data.table, data.hierarchies, options, with_bounds));
-
-    BottomUpOptions without_bounds;
-    without_bounds.use_subset_lower_bounds = false;
-    MinimalSetResult unpruned = UnwrapOk(BottomUpSearch(
-        data.table, data.hierarchies, options, without_bounds));
-
-    // Same answer, no more work.
-    EXPECT_EQ(pruned.minimal_nodes, unpruned.minimal_nodes);
-    EXPECT_LE(pruned.stats.nodes_generalized,
-              unpruned.stats.nodes_generalized);
   }
 }
 
@@ -117,7 +109,7 @@ TEST(BottomUpTest, Condition1ShortCircuits) {
   SearchOptions options;
   options.k = 7;
   options.p = 7;
-  MinimalSetResult result = UnwrapOk(BottomUpSearch(t3, hierarchies, options));
+  SearchResult result = UnwrapOk(BottomUpSearch(t3, hierarchies, options));
   EXPECT_TRUE(result.condition1_failed);
   EXPECT_TRUE(result.minimal_nodes.empty());
   EXPECT_EQ(result.stats.nodes_generalized, 0u);
@@ -130,7 +122,7 @@ TEST(BottomUpTest, MinimalNodesAreMutuallyIncomparable) {
     SearchOptions options;
     options.k = 2;
     options.max_suppression = 2;
-    MinimalSetResult result =
+    SearchResult result =
         UnwrapOk(BottomUpSearch(data.table, data.hierarchies, options));
     for (const LatticeNode& a : result.minimal_nodes) {
       for (const LatticeNode& b : result.minimal_nodes) {

@@ -286,11 +286,10 @@ TEST(EncodedEquivalenceTest, SamaratiMatchesLegacy) {
 TEST(EncodedEquivalenceTest, OlaMatchesLegacy) {
   AdultFixture fixture;
   for (size_t threads : kThreadCounts) {
-    OlaOptions options;
-    options.search = BaseOptions(threads);
-    ExpectSearchMatches(
-        UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, options)),
-        kOla4000, "ola threads=" + std::to_string(threads));
+    ExpectSearchMatches(UnwrapOk(OlaSearch(fixture.table,
+                                           fixture.hierarchies,
+                                           BaseOptions(threads))),
+                        kOla4000, "ola threads=" + std::to_string(threads));
   }
 }
 
@@ -369,7 +368,7 @@ TEST(EncodedEquivalenceTest, PatientTablesMatchLegacy) {
     SearchOptions options;
     options.k = 2;
     options.p = 2;
-    MinimalSetResult got =
+    SearchResult got =
         UnwrapOk(ExhaustiveSearch(table, hierarchies, options));
     std::string what = "table " + std::to_string(which);
     ExpectSearchMatches(got, which == 1 ? kPatientTable1 : kPatientTable3,
@@ -407,10 +406,8 @@ TEST(EncodedEquivalenceTest, SweeperEnginesMatchSeed2AtEveryThreadCount) {
     ExpectSearchMatches(
         UnwrapOk(SamaratiSearch(fixture.table, fixture.hierarchies, options)),
         kSamarati1500, "samarati" + what);
-    OlaOptions ola_options;
-    ola_options.search = options;
     ExpectSearchMatches(
-        UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, ola_options)),
+        UnwrapOk(OlaSearch(fixture.table, fixture.hierarchies, options)),
         kOla1500, "ola" + what);
     ExpectSearchMatches(
         UnwrapOk(IncognitoSearch(fixture.table, fixture.hierarchies, options)),

@@ -183,7 +183,7 @@ TEST(BudgetFaultTest, SamaratiStopsOnNodeCap) {
 
 TEST(BudgetFaultTest, BottomUpStopsOnNodeCap) {
   AdultData data = MakeAdult(120);
-  MinimalSetResult result = UnwrapOk(
+  SearchResult result = UnwrapOk(
       BottomUpSearch(data.table, data.hierarchies, CappedOptions(2)));
   EXPECT_TRUE(result.stats.partial);
   EXPECT_EQ(result.stats.stop_reason, StatusCode::kResourceExhausted);
@@ -191,7 +191,7 @@ TEST(BudgetFaultTest, BottomUpStopsOnNodeCap) {
 
 TEST(BudgetFaultTest, IncognitoStopsOnNodeCap) {
   AdultData data = MakeAdult(120);
-  MinimalSetResult result = UnwrapOk(
+  SearchResult result = UnwrapOk(
       IncognitoSearch(data.table, data.hierarchies, CappedOptions(2)));
   EXPECT_TRUE(result.stats.partial);
   EXPECT_EQ(result.stats.stop_reason, StatusCode::kResourceExhausted);
@@ -199,7 +199,7 @@ TEST(BudgetFaultTest, IncognitoStopsOnNodeCap) {
 
 TEST(BudgetFaultTest, ExhaustiveStopsOnNodeCapSequentially) {
   AdultData data = MakeAdult(120);
-  MinimalSetResult result = UnwrapOk(
+  SearchResult result = UnwrapOk(
       ExhaustiveSearch(data.table, data.hierarchies, CappedOptions(3)));
   EXPECT_TRUE(result.stats.partial);
   EXPECT_EQ(result.stats.stop_reason, StatusCode::kResourceExhausted);
@@ -210,7 +210,7 @@ TEST(BudgetFaultTest, ExhaustiveShardsShareOneBudget) {
   AdultData data = MakeAdult(120);
   SearchOptions options = CappedOptions(10);
   options.threads = 4;
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
   EXPECT_TRUE(result.stats.partial);
   EXPECT_EQ(result.stats.stop_reason, StatusCode::kResourceExhausted);
@@ -229,10 +229,8 @@ TEST(BudgetFaultTest, ExhaustiveShardsShareOneBudget) {
 
 TEST(BudgetFaultTest, OlaStopsOnNodeCap) {
   AdultData data = MakeAdult(120);
-  OlaOptions options;
-  options.search = CappedOptions(2);
-  OlaResult result =
-      UnwrapOk(OlaSearch(data.table, data.hierarchies, options));
+  SearchResult result =
+      UnwrapOk(OlaSearch(data.table, data.hierarchies, CappedOptions(2)));
   EXPECT_TRUE(result.stats.partial);
   EXPECT_EQ(result.stats.stop_reason, StatusCode::kResourceExhausted);
 }
@@ -328,7 +326,7 @@ TEST(BudgetFaultTest, MillionNodeLatticeRespectsDeadline) {
   options.p = 1;
   options.budget.deadline = std::chrono::milliseconds(100);
   auto start = std::chrono::steady_clock::now();
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(ExhaustiveSearch(table, set, options));
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);

@@ -29,7 +29,7 @@ TEST(IncognitoTest, ReproducesTable4MinimalSets) {
     SearchOptions options;
     options.k = 3;
     options.max_suppression = row.ts;
-    MinimalSetResult result =
+    SearchResult result =
         UnwrapOk(IncognitoSearch(im, hierarchies, options));
     EXPECT_EQ(result.minimal_nodes, row.minimal) << "TS=" << row.ts;
   }
@@ -44,9 +44,9 @@ TEST(IncognitoTest, AgreesWithExhaustiveKAnonymity) {
       options.k = 3;
       options.p = 1;
       options.max_suppression = ts;
-      MinimalSetResult incognito =
+      SearchResult incognito =
           UnwrapOk(IncognitoSearch(data.table, data.hierarchies, options));
-      MinimalSetResult exhaustive =
+      SearchResult exhaustive =
           UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
       EXPECT_EQ(incognito.minimal_nodes, exhaustive.minimal_nodes)
           << "seed=" << seed << " ts=" << ts;
@@ -70,9 +70,9 @@ TEST(IncognitoTest, AgreesWithExhaustivePSensitive) {
       options.k = 3;
       options.p = 2;
       options.max_suppression = ts;
-      MinimalSetResult incognito =
+      SearchResult incognito =
           UnwrapOk(IncognitoSearch(data.table, data.hierarchies, options));
-      MinimalSetResult exhaustive =
+      SearchResult exhaustive =
           UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
       EXPECT_EQ(incognito.minimal_nodes, exhaustive.minimal_nodes)
           << "seed=" << seed << " ts=" << ts;
@@ -87,9 +87,9 @@ TEST(IncognitoTest, SubsetPruningSavesFullEvaluations) {
   SyntheticData data = UnwrapOk(SyntheticGenerate(spec, 3));
   SearchOptions options;
   options.k = 4;
-  MinimalSetResult incognito =
+  SearchResult incognito =
       UnwrapOk(IncognitoSearch(data.table, data.hierarchies, options));
-  MinimalSetResult exhaustive =
+  SearchResult exhaustive =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
   EXPECT_EQ(incognito.minimal_nodes, exhaustive.minimal_nodes);
   // The exhaustive sweep generalizes the full table once per node; the
@@ -106,9 +106,9 @@ TEST(IncognitoTest, AdultWorkloadMatchesBottomLine) {
   options.k = 2;
   options.p = 2;
   options.max_suppression = 4;
-  MinimalSetResult incognito =
+  SearchResult incognito =
       UnwrapOk(IncognitoSearch(im, hierarchies, options));
-  MinimalSetResult exhaustive =
+  SearchResult exhaustive =
       UnwrapOk(ExhaustiveSearch(im, hierarchies, options));
   EXPECT_EQ(incognito.minimal_nodes, exhaustive.minimal_nodes);
   EXPECT_FALSE(incognito.minimal_nodes.empty());
@@ -126,7 +126,7 @@ TEST(IncognitoTest, Condition1ShortCircuits) {
   SearchOptions options;
   options.k = 7;
   options.p = 7;
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(IncognitoSearch(t3, hierarchies, options));
   EXPECT_TRUE(result.condition1_failed);
   EXPECT_TRUE(result.minimal_nodes.empty());
@@ -148,7 +148,7 @@ TEST(IncognitoTest, SingleAttributeQuasiIdentifier) {
   SearchOptions options;
   options.k = 2;
   options.max_suppression = 1;
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(IncognitoSearch(im, hierarchies, options));
   // At level 0, group 48201 has 1 row -> suppressible within budget.
   EXPECT_EQ(result.minimal_nodes,
@@ -168,7 +168,7 @@ TEST(IncognitoTest, SubsetScratchIsChargedToTheMemoryBudget) {
   options.max_suppression = 40;
   auto memory = std::make_shared<MemoryBudget>();
   options.budget.memory = memory;
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(IncognitoSearch(im, hierarchies, options));
   ASSERT_FALSE(result.minimal_nodes.empty());
   ASSERT_GT(result.stats.subset_nodes_evaluated, 0u);

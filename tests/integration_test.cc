@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "psk/algorithms/bottom_up.h"
 #include "psk/algorithms/exhaustive.h"
 #include "psk/algorithms/mondrian.h"
@@ -68,6 +70,24 @@ TEST(IntegrationTest, MaskedMicrodataSurvivesCsvRoundTrip) {
   EXPECT_TRUE(UnwrapOk(IsKAnonymous(reread, options.k)));
 }
 
+// Samarati with and without Conditions 1-2 on one input: the same node
+// and the same release bytes.
+void ExpectSamaratiIgnoresConditions(const Table& im,
+                                     const HierarchySet& hierarchies,
+                                     SearchOptions with,
+                                     const std::string& what) {
+  with.use_conditions = true;
+  SearchOptions without = with;
+  without.use_conditions = false;
+  SearchResult a = UnwrapOk(SamaratiSearch(im, hierarchies, with));
+  SearchResult b = UnwrapOk(SamaratiSearch(im, hierarchies, without));
+  ASSERT_TRUE(a.found) << what;
+  ASSERT_TRUE(b.found) << what;
+  EXPECT_EQ(a.node, b.node) << what;
+  EXPECT_EQ(a.suppressed, b.suppressed) << what;
+  EXPECT_EQ(WriteCsvString(a.masked), WriteCsvString(b.masked)) << what;
+}
+
 TEST(IntegrationTest, ConditionPruningNeverChangesTheAnswer) {
   // Ablation invariant: Conditions 1-2 are *necessary* conditions, so
   // disabling them must not change which nodes satisfy the property.
@@ -82,15 +102,26 @@ TEST(IntegrationTest, ConditionPruningNeverChangesTheAnswer) {
     SearchOptions without = with;
     without.use_conditions = false;
 
-    MinimalSetResult a =
+    SearchResult a =
         UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, with));
-    MinimalSetResult b =
+    SearchResult b =
         UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, without));
     EXPECT_EQ(a.satisfying_nodes, b.satisfying_nodes) << "seed=" << seed;
     EXPECT_EQ(a.minimal_nodes, b.minimal_nodes) << "seed=" << seed;
     // And pruning never *adds* detailed scans.
     EXPECT_LE(a.stats.nodes_rejected_detail, b.stats.nodes_rejected_detail);
+
+    ExpectSamaratiIgnoresConditions(data.table, data.hierarchies, with,
+                                    "samarati seed=" + std::to_string(seed));
   }
+  // Adult, 400 rows: Samarati releases the same node and bytes either way.
+  Table im = UnwrapOk(AdultGenerate(400, /*seed=*/13));
+  HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
+  SearchOptions adult;
+  adult.k = 3;
+  adult.p = 2;
+  adult.max_suppression = 4;
+  ExpectSamaratiIgnoresConditions(im, hierarchies, adult, "samarati adult");
 }
 
 TEST(IntegrationTest, MondrianBeatsFullDomainOnDiscernibility) {
@@ -129,9 +160,9 @@ TEST(IntegrationTest, SearchersAgreeOnFeasibility) {
     options.max_suppression = 0;
     SearchResult binary =
         UnwrapOk(SamaratiSearch(data.table, data.hierarchies, options));
-    MinimalSetResult bfs =
+    SearchResult bfs =
         UnwrapOk(BottomUpSearch(data.table, data.hierarchies, options));
-    MinimalSetResult sweep =
+    SearchResult sweep =
         UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
     EXPECT_EQ(binary.found, !sweep.minimal_nodes.empty()) << "seed=" << seed;
     EXPECT_EQ(bfs.minimal_nodes, sweep.minimal_nodes) << "seed=" << seed;

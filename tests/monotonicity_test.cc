@@ -127,7 +127,7 @@ TEST(MonotonicityTest, SearchersStayCorrectOnCounterexample) {
 
   // The exhaustive sweep sees the dip: levels 0 and 2 satisfy, level 1
   // does not; the unique minimal node is the bottom.
-  MinimalSetResult sweep =
+  SearchResult sweep =
       UnwrapOk(ExhaustiveSearch(f.im, f.hierarchies, options));
   EXPECT_EQ(sweep.satisfying_nodes,
             (std::vector<LatticeNode>{LatticeNode{{0}}, LatticeNode{{2}}}));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "psk/algorithms/exhaustive.h"
 #include "psk/anonymity/kanonymity.h"
 #include "psk/anonymity/psensitive.h"
@@ -28,10 +30,10 @@ TEST(OlaTest, ReproducesTable4MinimalSets) {
       {10, {LatticeNode{{0, 0}}}},
   };
   for (const Row& row : rows) {
-    OlaOptions options;
-    options.search.k = 3;
-    options.search.max_suppression = row.ts;
-    OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
+    SearchOptions options;
+    options.k = 3;
+    options.max_suppression = row.ts;
+    SearchResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
     ASSERT_TRUE(result.found) << "TS=" << row.ts;
     EXPECT_EQ(result.minimal_nodes, row.minimal) << "TS=" << row.ts;
   }
@@ -42,13 +44,13 @@ TEST(OlaTest, MinimalSetMatchesExhaustiveOnKAnonymity) {
     SyntheticSpec spec = MakeUniformSpec(120, 3, 4, 1, 4, 0.5);
     SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
     for (size_t ts : {0, 5}) {
-      OlaOptions options;
-      options.search.k = 3;
-      options.search.max_suppression = ts;
-      OlaResult ola = UnwrapOk(OlaSearch(data.table, data.hierarchies,
+      SearchOptions options;
+      options.k = 3;
+      options.max_suppression = ts;
+      SearchResult ola = UnwrapOk(OlaSearch(data.table, data.hierarchies,
                                          options));
-      MinimalSetResult sweep = UnwrapOk(
-          ExhaustiveSearch(data.table, data.hierarchies, options.search));
+      SearchResult sweep = UnwrapOk(
+          ExhaustiveSearch(data.table, data.hierarchies, options));
       ASSERT_EQ(ola.found, !sweep.minimal_nodes.empty())
           << "seed=" << seed << " ts=" << ts;
       if (ola.found) {
@@ -63,13 +65,13 @@ TEST(OlaTest, MinimalSetMatchesExhaustivePSensitiveNoSuppression) {
   for (uint64_t seed = 20; seed <= 25; ++seed) {
     SyntheticSpec spec = MakeUniformSpec(150, 2, 5, 2, 4, 0.8);
     SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
-    OlaOptions options;
-    options.search.k = 3;
-    options.search.p = 2;
-    OlaResult ola =
+    SearchOptions options;
+    options.k = 3;
+    options.p = 2;
+    SearchResult ola =
         UnwrapOk(OlaSearch(data.table, data.hierarchies, options));
-    MinimalSetResult sweep = UnwrapOk(
-        ExhaustiveSearch(data.table, data.hierarchies, options.search));
+    SearchResult sweep = UnwrapOk(
+        ExhaustiveSearch(data.table, data.hierarchies, options));
     ASSERT_EQ(ola.found, !sweep.minimal_nodes.empty()) << "seed=" << seed;
     if (ola.found) {
       EXPECT_EQ(ola.minimal_nodes, sweep.minimal_nodes) << "seed=" << seed;
@@ -80,51 +82,36 @@ TEST(OlaTest, MinimalSetMatchesExhaustivePSensitiveNoSuppression) {
 TEST(OlaTest, OptimalBeatsEveryOtherMinimalNodeOnMetric) {
   Table im = UnwrapOk(AdultGenerate(500, /*seed=*/3));
   HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
-  OlaOptions options;
-  options.search.k = 3;
-  options.search.max_suppression = 5;
-  options.metric = OlaMetric::kDiscernibility;
-  OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
+  SearchOptions options;
+  options.k = 3;
+  options.max_suppression = 5;
+  SearchResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
   ASSERT_TRUE(result.found);
-  // The metric OLA scored from the encoded partition is exactly the
-  // discernibility of the release it materialized.
-  EXPECT_EQ(result.optimal_metric,
-            static_cast<double>(UnwrapOk(DiscernibilityMetric(
-                result.masked, result.masked.schema().KeyIndices(),
-                result.suppressed, im.num_rows()))));
+  // The release is one of the minimal nodes, and no other minimal node's
+  // release has a lower discernibility.
+  EXPECT_NE(std::find(result.minimal_nodes.begin(), result.minimal_nodes.end(),
+                      result.node),
+            result.minimal_nodes.end());
+  uint64_t release_dm = UnwrapOk(DiscernibilityMetric(
+      result.masked, result.masked.schema().KeyIndices(), result.suppressed,
+      im.num_rows()));
   for (const LatticeNode& node : result.minimal_nodes) {
     MaskedMicrodata mm = UnwrapOk(Mask(im, hierarchies, node, 3));
     uint64_t dm = UnwrapOk(DiscernibilityMetric(
         mm.table, mm.table.schema().KeyIndices(), mm.suppressed,
         im.num_rows()));
-    EXPECT_GE(static_cast<double>(dm), result.optimal_metric)
-        << node.ToString();
-  }
-}
-
-TEST(OlaTest, PrecisionMetricPrefersLowerNodes) {
-  Table im = UnwrapOk(AdultGenerate(500, /*seed=*/4));
-  HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
-  OlaOptions options;
-  options.search.k = 2;
-  options.search.max_suppression = 5;
-  options.metric = OlaMetric::kPrecision;
-  OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
-  ASSERT_TRUE(result.found);
-  double best_precision = -result.optimal_metric;
-  for (const LatticeNode& node : result.minimal_nodes) {
-    EXPECT_LE(Precision(node, hierarchies), best_precision + 1e-12);
+    EXPECT_GE(dm, release_dm) << node.ToString();
   }
 }
 
 TEST(OlaTest, MaskedOutputSatisfiesProperty) {
   Table im = UnwrapOk(AdultGenerate(400, /*seed=*/5));
   HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
-  OlaOptions options;
-  options.search.k = 3;
-  options.search.p = 2;
-  options.search.max_suppression = 4;
-  OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
+  SearchOptions options;
+  options.k = 3;
+  options.p = 2;
+  options.max_suppression = 4;
+  SearchResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
   ASSERT_TRUE(result.found);
   EXPECT_TRUE(UnwrapOk(IsKAnonymous(result.masked, 3)));
   EXPECT_TRUE(UnwrapOk(
@@ -135,12 +122,12 @@ TEST(OlaTest, MaskedOutputSatisfiesProperty) {
 TEST(OlaTest, PredictiveTaggingSavesEvaluations) {
   Table im = UnwrapOk(AdultGenerate(400, /*seed=*/6));
   HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
-  OlaOptions options;
-  options.search.k = 3;
-  options.search.max_suppression = 4;
-  OlaResult ola = UnwrapOk(OlaSearch(im, hierarchies, options));
-  MinimalSetResult sweep =
-      UnwrapOk(ExhaustiveSearch(im, hierarchies, options.search));
+  SearchOptions options;
+  options.k = 3;
+  options.max_suppression = 4;
+  SearchResult ola = UnwrapOk(OlaSearch(im, hierarchies, options));
+  SearchResult sweep =
+      UnwrapOk(ExhaustiveSearch(im, hierarchies, options));
   ASSERT_TRUE(ola.found);
   // OLA must touch (generalize) strictly fewer nodes than the 96-node
   // sweep, and its tag lookups must have fired.
@@ -163,11 +150,11 @@ TEST(OlaTest, NonMonotoneCounterexampleStaysCorrect) {
   }
   auto z = UnwrapOk(PrefixHierarchy::Create("Z", {0, 1, 2}));
   HierarchySet hierarchies = UnwrapOk(HierarchySet::Create(schema, {z}));
-  OlaOptions options;
-  options.search.k = 2;
-  options.search.p = 2;
-  options.search.max_suppression = 2;
-  OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
+  SearchOptions options;
+  options.k = 2;
+  options.p = 2;
+  options.max_suppression = 2;
+  SearchResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
   ASSERT_TRUE(result.found);
   for (const LatticeNode& node : result.minimal_nodes) {
     MaskedMicrodata mm = UnwrapOk(Mask(im, hierarchies, node, 2));
@@ -182,9 +169,9 @@ TEST(OlaTest, NonMonotoneCounterexampleStaysCorrect) {
 TEST(OlaTest, UnsatisfiableReportsNotFound) {
   Table im = UnwrapOk(Figure3Table());
   HierarchySet hierarchies = UnwrapOk(Figure3Hierarchies(im.schema()));
-  OlaOptions options;
-  options.search.k = 11;
-  OlaResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
+  SearchOptions options;
+  options.k = 11;
+  SearchResult result = UnwrapOk(OlaSearch(im, hierarchies, options));
   EXPECT_FALSE(result.found);
   EXPECT_FALSE(result.condition1_failed);
 }
@@ -198,10 +185,10 @@ TEST(OlaTest, Condition1ShortCircuits) {
   auto sex = std::make_shared<SuppressionHierarchy>("Sex");
   HierarchySet hierarchies =
       UnwrapOk(HierarchySet::Create(schema, {age, zip, sex}));
-  OlaOptions options;
-  options.search.k = 7;
-  options.search.p = 7;
-  OlaResult result = UnwrapOk(OlaSearch(t3, hierarchies, options));
+  SearchOptions options;
+  options.k = 7;
+  options.p = 7;
+  SearchResult result = UnwrapOk(OlaSearch(t3, hierarchies, options));
   EXPECT_TRUE(result.condition1_failed);
   EXPECT_EQ(result.stats.nodes_generalized, 0u);
 }

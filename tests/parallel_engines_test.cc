@@ -80,21 +80,16 @@ TEST(ParallelEnginesTest, OlaByteIdenticalAcrossThreads) {
   Table im = UnwrapOk(AdultGenerate(4000, /*seed=*/12));
   HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
 
-  OlaOptions base_options;
-  base_options.search = AdultOptions(1);
-  OlaResult base = UnwrapOk(OlaSearch(im, hierarchies, base_options));
+  SearchResult base = UnwrapOk(OlaSearch(im, hierarchies, AdultOptions(1)));
   ASSERT_TRUE(base.found);
   std::string base_csv = WriteCsvString(base.masked);
 
   for (size_t threads : {size_t{2}, size_t{8}}) {
-    OlaOptions options;
-    options.search = AdultOptions(threads);
-    OlaResult got = UnwrapOk(OlaSearch(im, hierarchies, options));
+    SearchResult got =
+        UnwrapOk(OlaSearch(im, hierarchies, AdultOptions(threads)));
     ASSERT_TRUE(got.found) << "threads=" << threads;
-    EXPECT_EQ(got.optimal, base.optimal) << "threads=" << threads;
+    EXPECT_EQ(got.node, base.node) << "threads=" << threads;
     EXPECT_EQ(got.minimal_nodes, base.minimal_nodes)
-        << "threads=" << threads;
-    EXPECT_EQ(got.optimal_metric, base.optimal_metric)
         << "threads=" << threads;
     EXPECT_EQ(WriteCsvString(got.masked), base_csv)
         << "threads=" << threads;
@@ -107,10 +102,10 @@ TEST(ParallelEnginesTest, IncognitoDeterministicAcrossThreads) {
   Table im = UnwrapOk(AdultGenerate(1000, /*seed=*/13));
   HierarchySet hierarchies = UnwrapOk(AdultHierarchies(im.schema()));
 
-  MinimalSetResult base =
+  SearchResult base =
       UnwrapOk(IncognitoSearch(im, hierarchies, AdultOptions(1)));
   for (size_t threads : {size_t{2}, size_t{8}}) {
-    MinimalSetResult got =
+    SearchResult got =
         UnwrapOk(IncognitoSearch(im, hierarchies, AdultOptions(threads)));
     EXPECT_EQ(got.minimal_nodes, base.minimal_nodes)
         << "threads=" << threads;
@@ -146,9 +141,9 @@ TEST(ParallelEnginesTest, SyntheticSeedsDeterministic) {
     }
     ExpectStatsEq(sam_a.stats, sam_b.stats, "samarati synthetic");
 
-    MinimalSetResult inc_a =
+    SearchResult inc_a =
         UnwrapOk(IncognitoSearch(data.table, data.hierarchies, seq));
-    MinimalSetResult inc_b =
+    SearchResult inc_b =
         UnwrapOk(IncognitoSearch(data.table, data.hierarchies, par));
     EXPECT_EQ(inc_a.minimal_nodes, inc_b.minimal_nodes) << "seed=" << seed;
     ExpectStatsEq(inc_a.stats, inc_b.stats, "incognito synthetic");
@@ -175,7 +170,7 @@ TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
   record.checkpoint_sink = [&snapshot](const SearchSnapshot& s) {
     snapshot = s;
   };
-  MinimalSetResult full =
+  SearchResult full =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, record));
   ASSERT_FALSE(full.stats.partial);
   ASSERT_GT(snapshot.verdicts.size(), NodeEvaluator::kReplayCheckInterval);
@@ -186,7 +181,7 @@ TEST(CancelDuringReplayTest, ReplayHonorsCancellation) {
   resume.k = 2;
   resume.memo = &snapshot;
   resume.budget.cancel = cancel;
-  MinimalSetResult resumed =
+  SearchResult resumed =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, resume));
   EXPECT_TRUE(resumed.stats.partial);
   EXPECT_EQ(resumed.stats.stop_reason, StatusCode::kCancelled);
@@ -213,12 +208,18 @@ class CompleteSnapshotTest : public ::testing::Test {
     options_.max_suppression = 40;
   }
 
-  // Runs `search` uninterrupted at 1 and at 4 threads, recording its last
+  // Every lattice engine has this signature.
+  using Engine = Result<SearchResult> (*)(const Table&, const HierarchySet&,
+                                          const SearchOptions&);
+  using ExpectSame = void (*)(const SearchResult& full,
+                              const SearchResult& resumed,
+                              const std::string& what);
+
+  // Runs `engine` uninterrupted at 1 and at 4 threads, recording its last
   // snapshot, then resumes from that snapshot at 1 and at 4 threads with
   // max_nodes_expanded = 0, checks each resumed run is complete with
   // equal counters, and hands both results to `expect_same`.
-  template <typename Search, typename ExpectSame>
-  void RunAndResume(Search search, ExpectSame expect_same) {
+  void RunAndResume(Engine engine, ExpectSame expect_same) {
     for (size_t record_threads : {size_t{1}, size_t{4}}) {
       SearchSnapshot last;
       SearchOptions record = options_;
@@ -226,7 +227,7 @@ class CompleteSnapshotTest : public ::testing::Test {
       record.checkpoint_sink = [&last](const SearchSnapshot& snapshot) {
         last = snapshot;
       };
-      auto full = UnwrapOk(search(record));
+      SearchResult full = UnwrapOk(engine(im_, hierarchies_, record));
       EXPECT_FALSE(full.stats.partial);
       for (size_t resume_threads : {size_t{1}, size_t{4}}) {
         const std::string what =
@@ -238,7 +239,7 @@ class CompleteSnapshotTest : public ::testing::Test {
         resume.threads = resume_threads;
         resume.memo = &memo;
         resume.budget.max_nodes_expanded = 0;
-        auto resumed = UnwrapOk(search(resume));
+        SearchResult resumed = UnwrapOk(engine(im_, hierarchies_, resume));
         EXPECT_FALSE(resumed.stats.partial) << what;
         EXPECT_EQ(resumed.stats.stop_reason, StatusCode::kOk) << what;
         ExpectStatsEq(resumed.stats, full.stats, what);
@@ -247,13 +248,12 @@ class CompleteSnapshotTest : public ::testing::Test {
     }
   }
 
-  // Every snapshot `search` hands its sink at `threads`, serialized, with
+  // Every snapshot `engine` hands its sink at `threads`, serialized, with
   // the run's stats in *stats and its SweepLog in *log. With `narrow_at`
   // > 0, the sink asks the run's MemoryBudget for one lane at its
   // narrow_at-th flush, as the scheduler's degradation ladder does to a
   // running job.
-  template <typename Search>
-  std::vector<std::string> SinkSequence(Search search, size_t threads,
+  std::vector<std::string> SinkSequence(Engine engine, size_t threads,
                                         SearchStats* stats, std::string* log,
                                         size_t narrow_at = 0) {
     std::vector<std::string> sequence;
@@ -269,7 +269,7 @@ class CompleteSnapshotTest : public ::testing::Test {
       sequence.push_back(SerializeSnapshot(snapshot, 0, 0));
       if (sequence.size() == narrow_at) memory->LimitToOneLane();
     };
-    *stats = UnwrapOk(search(options)).stats;
+    *stats = UnwrapOk(engine(im_, hierarchies_, options)).stats;
     *log = SweepLog(trace.ToJson());
     return sequence;
   }
@@ -306,30 +306,12 @@ class CompleteSnapshotTest : public ::testing::Test {
     return std::string::npos;
   }
 
-  static void ExpectSameNodeSets(const MinimalSetResult& full,
-                                 const MinimalSetResult& resumed,
+  static void ExpectSameNodeSets(const SearchResult& full,
+                                 const SearchResult& resumed,
                                  const std::string& what) {
     ASSERT_FALSE(full.minimal_nodes.empty()) << what;
     EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes) << what;
     EXPECT_EQ(resumed.satisfying_nodes, full.satisfying_nodes) << what;
-  }
-
-  Result<SearchResult> Samarati(const SearchOptions& options) {
-    return SamaratiSearch(im_, hierarchies_, options);
-  }
-  Result<MinimalSetResult> Exhaustive(const SearchOptions& options) {
-    return ExhaustiveSearch(im_, hierarchies_, options);
-  }
-  Result<MinimalSetResult> BottomUp(const SearchOptions& options) {
-    return BottomUpSearch(im_, hierarchies_, options);
-  }
-  Result<OlaResult> Ola(const SearchOptions& options) {
-    OlaOptions ola;
-    ola.search = options;
-    return OlaSearch(im_, hierarchies_, ola);
-  }
-  Result<MinimalSetResult> Incognito(const SearchOptions& options) {
-    return IncognitoSearch(im_, hierarchies_, options);
   }
 
   Table im_;
@@ -338,7 +320,7 @@ class CompleteSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(CompleteSnapshotTest, Samarati) {
-  RunAndResume([&](const SearchOptions& options) { return Samarati(options); },
+  RunAndResume(SamaratiSearch,
                [](const SearchResult& full, const SearchResult& resumed,
                   const std::string& what) {
                  ASSERT_TRUE(full.found) << what;
@@ -348,38 +330,33 @@ TEST_F(CompleteSnapshotTest, Samarati) {
 }
 
 TEST_F(CompleteSnapshotTest, Exhaustive) {
-  RunAndResume(
-      [&](const SearchOptions& options) { return Exhaustive(options); },
-      ExpectSameNodeSets);
+  RunAndResume(ExhaustiveSearch, ExpectSameNodeSets);
 }
 
 TEST_F(CompleteSnapshotTest, BottomUp) {
-  RunAndResume([&](const SearchOptions& options) { return BottomUp(options); },
-               ExpectSameNodeSets);
+  RunAndResume(BottomUpSearch, ExpectSameNodeSets);
 }
 
 TEST_F(CompleteSnapshotTest, Ola) {
-  RunAndResume([&](const SearchOptions& options) { return Ola(options); },
-               [](const OlaResult& full, const OlaResult& resumed,
+  RunAndResume(OlaSearch,
+               [](const SearchResult& full, const SearchResult& resumed,
                   const std::string& what) {
                  ASSERT_TRUE(full.found) << what;
                  EXPECT_TRUE(resumed.found) << what;
-                 EXPECT_EQ(resumed.optimal, full.optimal) << what;
+                 EXPECT_EQ(resumed.node, full.node) << what;
                  EXPECT_EQ(resumed.minimal_nodes, full.minimal_nodes) << what;
                });
 }
 
 TEST_F(CompleteSnapshotTest, Incognito) {
-  RunAndResume(
-      [&](const SearchOptions& options) { return Incognito(options); },
-      ExpectSameNodeSets);
+  RunAndResume(IncognitoSearch, ExpectSameNodeSets);
 }
 
 // A checkpointed run shards its sweeps like any other, and its sink sees
 // the same snapshots, in the same order, at 1 and at 4 threads, and when
 // a 4-thread run drops to one lane partway through.
 TEST_F(CompleteSnapshotTest, SinkSeesTheSameSnapshotsAtEveryThreadCount) {
-  auto expect_same = [&](auto search, const char* engine) {
+  auto expect_same = [&](Engine search, const char* engine) {
     SearchStats sequential_stats;
     SearchStats stats;
     std::string log;
@@ -409,15 +386,11 @@ TEST_F(CompleteSnapshotTest, SinkSeesTheSameSnapshotsAtEveryThreadCount) {
     EXPECT_LT(log.find('S'), flush) << engine << " " << log;
     EXPECT_EQ(log.find('S', flush), std::string::npos) << engine << " " << log;
   };
-  expect_same([&](const SearchOptions& o) { return Samarati(o); },
-              "samarati");
-  expect_same([&](const SearchOptions& o) { return Exhaustive(o); },
-              "exhaustive");
-  expect_same([&](const SearchOptions& o) { return BottomUp(o); },
-              "bottom-up");
-  expect_same([&](const SearchOptions& o) { return Ola(o); }, "ola");
-  expect_same([&](const SearchOptions& o) { return Incognito(o); },
-              "incognito");
+  expect_same(SamaratiSearch, "samarati");
+  expect_same(ExhaustiveSearch, "exhaustive");
+  expect_same(BottomUpSearch, "bottom-up");
+  expect_same(OlaSearch, "ola");
+  expect_same(IncognitoSearch, "incognito");
 }
 
 // --------------------------------------------------------------------------
@@ -451,7 +424,7 @@ TEST(SharedBudgetTest, TripMidParallelSweepMergesPartialResult) {
 
   SearchOptions unlimited;
   unlimited.k = 2;
-  MinimalSetResult full =
+  SearchResult full =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, unlimited));
   ASSERT_GT(full.stats.nodes_generalized, 25u);
 
@@ -459,7 +432,7 @@ TEST(SharedBudgetTest, TripMidParallelSweepMergesPartialResult) {
   capped.k = 2;
   capped.threads = 4;
   capped.budget.max_nodes_expanded = 25;
-  MinimalSetResult partial =
+  SearchResult partial =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, capped));
   EXPECT_TRUE(partial.stats.partial);
   EXPECT_EQ(partial.stats.stop_reason, StatusCode::kResourceExhausted);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "psk/algorithms/exhaustive.h"
-#include "psk/algorithms/incognito.h"
 #include "psk/datagen/adult.h"
 #include "psk/datagen/synthetic.h"
 #include "psk/perturb/perturb.h"
@@ -60,7 +59,7 @@ TEST(PoisonedHierarchyTest, FailsTheSearchBeforeAnyNodeAtEveryThreadCount) {
     SearchOptions options;
     options.k = 2;
     options.threads = threads;
-    Result<MinimalSetResult> result =
+    Result<SearchResult> result =
         ExhaustiveSearch(data.table, poisoned, options);
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
@@ -81,9 +80,9 @@ TEST(ParallelExhaustiveTest, MatchesSequentialResults) {
     SearchOptions parallel = sequential;
     parallel.threads = 4;
 
-    MinimalSetResult a =
+    SearchResult a =
         UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, sequential));
-    MinimalSetResult b =
+    SearchResult b =
         UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, parallel));
     EXPECT_EQ(a.satisfying_nodes, b.satisfying_nodes) << "seed=" << seed;
     EXPECT_EQ(a.minimal_nodes, b.minimal_nodes) << "seed=" << seed;
@@ -98,11 +97,11 @@ TEST(ParallelExhaustiveTest, MoreThreadsThanNodes) {
   SearchOptions options;
   options.k = 2;
   options.threads = 64;  // lattice has only 3 nodes
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
   SearchOptions sequential = options;
   sequential.threads = 1;
-  MinimalSetResult expected =
+  SearchResult expected =
       UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, sequential));
   EXPECT_EQ(result.minimal_nodes, expected.minimal_nodes);
 }
@@ -116,35 +115,10 @@ TEST(ParallelExhaustiveTest, AdultWorkload) {
   options.max_suppression = 6;
   SearchOptions parallel = options;
   parallel.threads = 8;
-  MinimalSetResult a = UnwrapOk(ExhaustiveSearch(im, hierarchies, options));
-  MinimalSetResult b = UnwrapOk(ExhaustiveSearch(im, hierarchies, parallel));
+  SearchResult a = UnwrapOk(ExhaustiveSearch(im, hierarchies, options));
+  SearchResult b = UnwrapOk(ExhaustiveSearch(im, hierarchies, parallel));
   EXPECT_EQ(a.minimal_nodes, b.minimal_nodes);
   EXPECT_EQ(a.satisfying_nodes, b.satisfying_nodes);
-}
-
-TEST(IncognitoPPruningTest, FlagDoesNotChangeResults) {
-  for (uint64_t seed = 10; seed <= 14; ++seed) {
-    SyntheticSpec spec = MakeUniformSpec(150, 2, 5, 2, 4, 0.8);
-    SyntheticData data = UnwrapOk(SyntheticGenerate(spec, seed));
-    SearchOptions options;
-    options.k = 3;
-    options.p = 2;
-    options.max_suppression = 0;
-
-    IncognitoOptions with_pruning;
-    with_pruning.prune_p_on_subsets = true;
-    IncognitoOptions without_pruning;
-    without_pruning.prune_p_on_subsets = false;
-
-    MinimalSetResult a = UnwrapOk(IncognitoSearch(
-        data.table, data.hierarchies, options, with_pruning));
-    MinimalSetResult b = UnwrapOk(IncognitoSearch(
-        data.table, data.hierarchies, options, without_pruning));
-    EXPECT_EQ(a.minimal_nodes, b.minimal_nodes) << "seed=" << seed;
-    // Pruning can only reduce the full-QI evaluations.
-    EXPECT_LE(a.stats.nodes_generalized, b.stats.nodes_generalized)
-        << "seed=" << seed;
-  }
 }
 
 // --------------------------------------------------------------------------

@@ -139,7 +139,7 @@ TEST_P(Table4Sweep, MinimalGeneralizationsMatchPaper) {
   options.k = 3;
   options.p = 1;  // plain k-anonymity, as in Table 4
   options.max_suppression = GetParam().ts;
-  MinimalSetResult result =
+  SearchResult result =
       UnwrapOk(ExhaustiveSearch(f.table, f.hierarchies, options));
   EXPECT_EQ(result.minimal_nodes, GetParam().minimal) << "TS=" << GetParam().ts;
 }
@@ -215,7 +215,7 @@ TEST(SamaratiSearchTest, HeightMatchesExhaustiveMinimum) {
       options.max_suppression = 3;
       SearchResult binary =
           UnwrapOk(SamaratiSearch(data.table, data.hierarchies, options));
-      MinimalSetResult sweep =
+      SearchResult sweep =
           UnwrapOk(ExhaustiveSearch(data.table, data.hierarchies, options));
       ASSERT_EQ(binary.found, !sweep.minimal_nodes.empty())
           << "seed=" << seed << " k=" << k;
@@ -259,7 +259,7 @@ TEST(SamaratiSearchTest, WideLatticeHeightMatchesExhaustiveMinimum) {
           traced.trace = &trace;
           SearchResult binary =
               UnwrapOk(SamaratiSearch(data.table, data.hierarchies, traced));
-          MinimalSetResult sweep = UnwrapOk(
+          SearchResult sweep = UnwrapOk(
               ExhaustiveSearch(data.table, data.hierarchies, options));
           if (p == 1 || ts == 0) {
             ASSERT_EQ(binary.found, !sweep.minimal_nodes.empty()) << what;
